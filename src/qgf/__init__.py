@@ -34,7 +34,6 @@ from .gan import (
     DiscriminatorConfig,
     GeneratorConfig,
     TrainConfig,
-    gan_losses,
     sample_noise,
     train_gan,
 )
@@ -51,7 +50,7 @@ __all__ = [
     "ConfusionCounts", "MetricsReport", "precision_recall_f1", "pearson_r",
     "prd", "rmse", "frechet_distance", "compare_sequences",
     "GeneratorConfig", "DiscriminatorConfig", "TrainConfig",
-    "sample_noise", "gan_losses", "train_gan",
+    "sample_noise", "train_gan",
     "AeConfig", "ElboTerms", "reparameterize", "rnn_ae_loss", "train_baseline",
     "RfeReport", "rfe", "randomized_pca_fit", "pca_transform",
     "ModelCheckpoint", "save_checkpoint", "load_checkpoint",

@@ -57,9 +57,6 @@ class Tensor:
             raise NonScalarLossError(f"item() on tensor of shape {self.shape}")
         return float(self.data)
 
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.data)))
-
     def detach(self) -> "Tensor":
         return Tensor(self.data.copy())
 

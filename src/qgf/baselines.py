@@ -59,44 +59,6 @@ class ElboTerms:
             raise InvariantViolationError("total != reconstruction - kl")
 
 
-class _TanhCell:
-    """Minimal recurrent cell: h = tanh(x W_x + h W_h + b)."""
-
-    def __init__(self, pset: nn.ParamSet, name: str, n_in: int, hidden: int,
-                 rng: np.random.Generator):
-        self.hidden = hidden
-        self.w_x = pset.add(f"{name}.w_x", nn.xavier_uniform(rng, (n_in, hidden)))
-        self.w_h = pset.add(f"{name}.w_h", nn.xavier_uniform(rng, (hidden, hidden)))
-        self.b = pset.add(f"{name}.b", np.zeros(hidden))
-
-    def step(self, x_t: Tensor, state):
-        (h_prev,) = state
-        h = ad.tanh(ad.add(ad.add(ad.matmul(x_t, self.w_x), ad.matmul(h_prev, self.w_h)), self.b))
-        return h, (h,)
-
-    def zero_state(self, batch: int):
-        return (Tensor(np.zeros((batch, self.hidden))),)
-
-
-class _LstmCellAdapter:
-    def __init__(self, pset: nn.ParamSet, name: str, n_in: int, hidden: int,
-                 rng: np.random.Generator):
-        self.cell = nn.LSTMCell(pset, name, n_in, hidden, rng)
-
-    def step(self, x_t: Tensor, state):
-        h, c = self.cell.step(x_t, state)
-        return h, (h, c)
-
-    def zero_state(self, batch: int):
-        return self.cell.zero_state(batch)
-
-
-def _make_cell(pset, name, n_in, hidden, cell_kind, rng):
-    if cell_kind == "lstm":
-        return _LstmCellAdapter(pset, name, n_in, hidden, rng)
-    return _TanhCell(pset, name, n_in, hidden, rng)
-
-
 class RecurrentAutoencoder:
     """Encoder RNN -> latent code -> decoder RNN emitting one value per step.
 
@@ -105,11 +67,12 @@ class RecurrentAutoencoder:
     """
 
     def __init__(self, config: AeConfig, rng: np.random.Generator,
-                 variational: bool = False, prefix: str = "ae", zero_init: bool = False):
+                 variational: bool = False, prefix: str = "ae"):
         self.config = config
         self.variational = variational
         self.params = nn.ParamSet(seed=0)
-        self.encoder = _make_cell(self.params, f"{prefix}.enc", 1, config.hidden, config.cell, rng)
+        cell = nn.LSTMCell if config.cell == "lstm" else nn.RNNCell
+        self.encoder = cell(self.params, f"{prefix}.enc", 1, config.hidden, rng)
         if variational:
             self.to_mu = nn.Dense(self.params, f"{prefix}.mu", config.hidden, config.latent, rng)
             self.to_logvar = nn.Dense(self.params, f"{prefix}.logvar", config.hidden,
@@ -119,11 +82,8 @@ class RecurrentAutoencoder:
                                       config.latent, rng)
         self.from_latent = nn.Dense(self.params, f"{prefix}.dec0", config.latent,
                                     config.hidden, rng)
-        self.decoder = _make_cell(self.params, f"{prefix}.dec", 1, config.hidden, config.cell, rng)
+        self.decoder = cell(self.params, f"{prefix}.dec", 1, config.hidden, rng)
         self.emit = nn.Dense(self.params, f"{prefix}.emit", config.hidden, 1, rng)
-        if zero_init:
-            for _, tensor in self.params.items():
-                tensor.data = np.zeros_like(tensor.data)
 
     def _check_input(self, x: Tensor) -> tuple[int, int]:
         if x.data.ndim != 2 or x.shape[1] != self.config.seq_len:
@@ -133,25 +93,20 @@ class RecurrentAutoencoder:
 
     def encode(self, x: Tensor) -> Tensor:
         batch, steps = self._check_input(x)
-        state = self.encoder.zero_state(batch)
-        for t in range(steps):
-            step_in = ad.reshape(ad.select(x, 1, t), (batch, 1))
-            h, state = self.encoder.step(step_in, state)
-        return h
+        return nn.unroll(self.encoder, ad.reshape(x, (batch, steps, 1)))[-1]
 
     def decode(self, latent: Tensor, steps: int, teacher: Tensor | None = None) -> Tensor:
         """Unroll the decoder; ``teacher`` supplies step inputs when given."""
         batch = latent.shape[0]
         h0 = ad.tanh(self.from_latent(latent))
-        state = self.decoder.zero_state(batch)
-        state = (h0,) + state[1:]
+        state = (h0,) + self.decoder.zero_state(batch)[1:]
         prev = Tensor(np.zeros((batch, 1)))
         outputs = []
         for t in range(steps):
             if teacher is not None and t > 0:
                 prev = ad.reshape(ad.select(teacher, 1, t - 1), (batch, 1))
-            h, state = self.decoder.step(prev, state)
-            y_t = self.emit(h)
+            state = self.decoder.step(prev, state)
+            y_t = self.emit(state[0])
             outputs.append(y_t)
             if teacher is None:
                 prev = y_t
@@ -219,8 +174,7 @@ def rnn_vae_loss(model: RecurrentAutoencoder, x: Tensor, rng: np.random.Generato
 
 
 def train_baseline(kind: str, data: np.ndarray, config: AeConfig,
-                   train_config: TrainConfig, zero_init: bool = False,
-                   teacher_forcing: bool = True) -> tuple[ModelCheckpoint, dict[str, np.ndarray]]:
+                   train_config: TrainConfig) -> tuple[ModelCheckpoint, dict[str, np.ndarray]]:
     """Seeded gradient training of one baseline; history has one loss per iteration."""
     if kind not in BASELINE_KINDS:
         raise InvariantViolationError(f"unknown baseline {kind!r}; pick from {BASELINE_KINDS}")
@@ -240,7 +194,7 @@ def train_baseline(kind: str, data: np.ndarray, config: AeConfig,
     batch_rng = np.random.default_rng(streams[1])
     sample_rng = np.random.default_rng(streams[2])
 
-    model = RecurrentAutoencoder(config, init_rng, variational=variational, zero_init=zero_init)
+    model = RecurrentAutoencoder(config, init_rng, variational=variational)
     model.params.seed = train_config.seed
     opt = nn.Adam(model.params, lr=train_config.lr)
 
@@ -250,9 +204,9 @@ def train_baseline(kind: str, data: np.ndarray, config: AeConfig,
     for it in range(train_config.epochs):
         x = Tensor(data[batch_rng.choice(n, size=batch, replace=False)])
         if variational:
-            loss, _ = rnn_vae_loss(model, x, sample_rng, teacher_forcing=teacher_forcing)
+            loss, _ = rnn_vae_loss(model, x, sample_rng)
         else:
-            loss = rnn_ae_loss(model.forward(x, teacher_forcing=teacher_forcing), x)
+            loss = rnn_ae_loss(model.forward(x), x)
         value = loss.item()
         if not np.isfinite(value):
             raise NonFiniteLossError(it)
@@ -261,10 +215,11 @@ def train_baseline(kind: str, data: np.ndarray, config: AeConfig,
         ad.backward(loss)
         opt.step()
 
+    # training always teacher-forces; the checkpoint still records that it did
     ckpt = ModelCheckpoint(
         model=kind,
         config={"ae": asdict(config), "train": asdict(train_config),
-                "teacher_forcing": bool(teacher_forcing)},
+                "teacher_forcing": True},
         seed=train_config.seed, iterations=train_config.epochs, arrays=model.params.arrays())
     return ckpt, {"loss": history}
 

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -23,6 +24,7 @@ from . import baselines, features, gan, gradcheck, indicators, market_data, metr
 from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 from .errors import (
     DataError,
+    EmptyDatasetError,
     GradientCheckError,
     InvariantViolationError,
     MalformedHeaderError,
@@ -92,14 +94,27 @@ def _load_series(args: argparse.Namespace) -> tuple[market_data.PriceSeries, lis
 
 
 def _load_sequences(path: Path) -> np.ndarray:
-    """CSV of float rows, one sequence per row, no header."""
+    """CSV of finite float rows, one sequence per row, no header; blank lines are skipped."""
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:
-        raise RowParseError(0, f"{path}: {exc}") from exc
-    return data
+    rows: list[list[float]] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            row = [float(v) for v in line.split(",")]
+        except ValueError as exc:
+            raise RowParseError(line_no, f"{path}: {exc}") from exc
+        if rows and len(row) != len(rows[0]):
+            raise RowParseError(line_no, f"{path}: {len(row)} fields, expected {len(rows[0])}")
+        if not all(map(math.isfinite, row)):
+            raise RowParseError(line_no, f"{path}: non-finite value")
+        rows.append(row)
+    if not rows:
+        raise EmptyDatasetError(f"{path} holds no sequences")
+    return np.array(rows, dtype=np.float64)
 
 
 def _write_sequences(path: Path, data: np.ndarray) -> None:
@@ -257,25 +272,22 @@ def cmd_train(args: argparse.Namespace) -> int:
                 dropout_p=args.dropout)
             disc_config = gan.DiscriminatorConfig.desk(seq_len)
         ckpt, history = gan.train_gan(data, gen_config, disc_config, train_config)
-        hist_cols = {"d_loss": history["d_loss"], "g_loss": history["g_loss"]}
     else:
         config = baselines.AeConfig(hidden=args.hidden or 64, latent=args.latent,
                                     seq_len=seq_len,
                                     cell="lstm" if args.model.startswith("lstm") else "rnn")
         ckpt, history = baselines.train_baseline(args.model, data, config, train_config)
-        hist_cols = {"loss": history["loss"]}
 
     out = Path(args.out)
     save_checkpoint(ckpt, out, overwrite=True)
-    names = list(hist_cols)
+    names = list(history)
     lines = ["iteration," + ",".join(names)]
-    length = len(next(iter(hist_cols.values())))
-    for i in range(length):
-        lines.append(f"{i}," + ",".join(f"{hist_cols[n][i]:.17g}" for n in names))
+    for i in range(train_config.epochs):
+        lines.append(f"{i}," + ",".join(f"{history[n][i]:.17g}" for n in names))
     write_text_atomic(out / "history.csv", "\n".join(lines) + "\n")
-    plotting.plot_series(hist_cols, out / "history.svg", title=f"{args.model} training loss")
+    plotting.plot_series(history, out / "history.svg", title=f"{args.model} training loss")
     _finish(manifest, t0, out, is_dir=True, quiet=args.quiet, model=args.model,
-            final_losses={n: float(v[-1]) for n, v in hist_cols.items()})
+            final_losses={n: float(v[-1]) for n, v in history.items()})
     return 0
 
 

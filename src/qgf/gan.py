@@ -146,7 +146,7 @@ class Generator:
 
 class Discriminator:
     def __init__(self, config: DiscriminatorConfig, rng: np.random.Generator,
-                 prefix: str = "disc", zero_head: bool = False):
+                 prefix: str = "disc"):
         config.layer_shapes()  # geometry must be valid before any parameters exist
         self.config = config
         self.params = nn.ParamSet(seed=0)
@@ -160,9 +160,6 @@ class Discriminator:
         self.flat_size = channels * length
         self.dense = nn.Dense(self.params, f"{prefix}.fc", self.flat_size, config.dense_units, rng)
         self.head = nn.Dense(self.params, f"{prefix}.head", config.dense_units, 2, rng)
-        if zero_head:
-            self.head.w.data = np.zeros_like(self.head.w.data)
-            self.head.b.data = np.zeros_like(self.head.b.data)
 
     def forward(self, x: Tensor) -> Tensor:
         """Sequences (B, L) to P(real) per item, strictly inside (0, 1)."""
@@ -203,11 +200,6 @@ def generator_loss(d_fake: Tensor, mode: str = "printed") -> Tensor:
     if mode == "nonsaturating":
         return ad.mul(ad.mean(_clamped_log(d_fake)), -1.0)
     raise InvariantViolationError(f"unknown generator loss mode {mode!r}")
-
-
-def gan_losses(d_real: Tensor, d_fake: Tensor,
-               g_loss_mode: str = "printed") -> tuple[Tensor, Tensor]:
-    return discriminator_loss(d_real, d_fake), generator_loss(d_fake, g_loss_mode)
 
 
 def standardize_rows(data: np.ndarray) -> np.ndarray:
@@ -259,7 +251,8 @@ def train_gan(data: np.ndarray, gen_config: GeneratorConfig,
         for _ in range(train_config.d_steps):
             real = Tensor(data[batch_rng.choice(n, size=batch, replace=False)])
             noise = sample_noise(batch, gen_config.seq_len, gen_config.noise_dim, noise_rng)
-            fake = gen.forward(noise, training=True, dropout_rng=dropout_rng).detach()
+            with ad.no_grad():
+                fake = gen.forward(noise, training=True, dropout_rng=dropout_rng)
             d_loss = discriminator_loss(disc.forward(real), disc.forward(fake))
             disc.params.zero_grad()
             ad.backward(d_loss)
@@ -302,4 +295,5 @@ def generate_sequences(gen: Generator, count: int, seq_len: int, seed: int) -> n
     """Deterministic eval-mode sampling: (count, seq_len) float array."""
     rng = np.random.default_rng(seed)
     noise = sample_noise(count, seq_len, gen.config.noise_dim, rng)
-    return gen.forward(noise, training=False).data.copy()
+    with ad.no_grad():
+        return gen.forward(noise, training=False).data

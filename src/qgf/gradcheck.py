@@ -34,16 +34,8 @@ def _check_dense(rng: np.random.Generator) -> float:
 def _check_lstm_cell(rng: np.random.Generator) -> float:
     pset = nn.ParamSet(seed=0)
     cell = nn.LSTMCell(pset, "c", 3, 4, rng)
-    xs = [Tensor(rng.standard_normal((2, 3))) for _ in range(3)]
-
-    def loss():
-        state = cell.zero_state(2)
-        for x_t in xs:
-            h, c = cell.step(x_t, state)
-            state = (h, c)
-        return ad.mean(ad.power(h, 2.0))
-
-    return nn.check_gradients(loss, pset)
+    seq = Tensor(np.stack([rng.standard_normal((2, 3)) for _ in range(3)], axis=1))
+    return nn.check_gradients(lambda: ad.mean(ad.power(nn.unroll(cell, seq)[-1], 2.0)), pset)
 
 
 def _check_bilstm(rng: np.random.Generator) -> float:
@@ -121,24 +113,15 @@ def _check_vae_loss(rng: np.random.Generator) -> float:
 def _check_logistic_probe(rng: np.random.Generator) -> float:
     x = rng.standard_normal((12, 4))
     y = (rng.random(12) < 0.5).astype(np.float64)
-    w = rng.standard_normal(4)
-    b = float(rng.standard_normal())
-    _, gw, gb = features.logistic_loss_and_grad(w, b, x, y, l2=1e-3)
-    analytic = np.concatenate([gw, [gb]])
-    numeric = np.empty(5)
-    eps = 1e-5
-    for i in range(4):
-        w_up, w_dn = w.copy(), w.copy()
-        w_up[i] += eps
-        w_dn[i] -= eps
-        up = features.logistic_loss_and_grad(w_up, b, x, y, 1e-3)[0]
-        dn = features.logistic_loss_and_grad(w_dn, b, x, y, 1e-3)[0]
-        numeric[i] = (up - dn) / (2 * eps)
-    up = features.logistic_loss_and_grad(w, b + eps, x, y, 1e-3)[0]
-    dn = features.logistic_loss_and_grad(w, b - eps, x, y, 1e-3)[0]
-    numeric[4] = (up - dn) / (2 * eps)
-    denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
-    return float(np.linalg.norm(analytic - numeric) / denom)
+    pset = nn.ParamSet(seed=0)
+    wb = pset.add("wb", np.append(rng.standard_normal(4), rng.standard_normal()))  # w, then b
+
+    def loss_and_grad():
+        return features.logistic_loss_and_grad(wb.data[:4], wb.data[4], x, y, l2=1e-3)
+
+    _, gw, gb = loss_and_grad()
+    numeric = nn.finite_difference_gradients(lambda: loss_and_grad()[0], pset)["wb"]
+    return nn.relative_error(np.append(gw, gb), numeric)
 
 
 KERNEL_CHECKS: dict[str, Callable[[np.random.Generator], float]] = {

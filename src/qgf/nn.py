@@ -1,6 +1,7 @@
 """Neural building blocks on top of the autodiff core.
 
-Dense projection, gated LSTM cell, bidirectional sequence layer, 1-D
+Dense projection, tanh RNN and gated LSTM cells with the ``unroll`` loop
+that steps either over a sequence, bidirectional sequence layer, 1-D
 convolution and max pooling, inverted dropout, stable softmax, Adam, and
 the finite-difference gradient checker used by the verification suite.
 """
@@ -138,11 +139,29 @@ class Dense:
         return ad.add(ad.matmul(x, self.w), self.b)
 
 
+class RNNCell:
+    """Minimal recurrent cell: h = tanh(x W_x + h W_h + b); its state is (h,)."""
+
+    def __init__(self, pset: ParamSet, name: str, n_in: int, hidden: int, rng: np.random.Generator):
+        self.hidden = hidden
+        self.w_x = pset.add(f"{name}.w_x", xavier_uniform(rng, (n_in, hidden)))
+        self.w_h = pset.add(f"{name}.w_h", xavier_uniform(rng, (hidden, hidden)))
+        self.b = pset.add(f"{name}.b", np.zeros(hidden))
+
+    def step(self, x_t: Tensor, state: tuple[Tensor]) -> tuple[Tensor]:
+        (h_prev,) = state
+        z = ad.add(ad.add(ad.matmul(x_t, self.w_x), ad.matmul(h_prev, self.w_h)), self.b)
+        return (ad.tanh(z),)
+
+    def zero_state(self, batch: int) -> tuple[Tensor]:
+        return (Tensor(np.zeros((batch, self.hidden))),)
+
+
 class LSTMCell:
     """Gated recurrent cell: input, forget, and output gates plus a candidate.
 
     Weights are packed as (n_in, 4*hidden) / (hidden, 4*hidden) with gate
-    order i, f, g, o.
+    order i, f, g, o. Its state is (h, c).
     """
 
     def __init__(self, pset: ParamSet, name: str, n_in: int, hidden: int, rng: np.random.Generator):
@@ -171,6 +190,26 @@ class LSTMCell:
         return (Tensor(np.zeros((batch, self.hidden))), Tensor(np.zeros((batch, self.hidden))))
 
 
+def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False) -> list[Tensor]:
+    """Step ``cell`` over ``seq`` (batch, time, features) from its zero state.
+
+    Every cell maps ``step(x_t, state)`` to a new state whose first entry is
+    the output h. ``reverse`` walks time backwards; either way the returned
+    list holds h for each step in time order.
+    """
+    if seq.data.ndim != 3:
+        raise ShapeMismatchError(f"unroll expects (batch, time, features), got {seq.shape}")
+    batch, steps = seq.shape[0], seq.shape[1]
+    if steps == 0:
+        raise EmptySequenceError("unroll got an empty sequence")
+    state = cell.zero_state(batch)
+    hs = []
+    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+        state = cell.step(ad.select(seq, 1, t), state)
+        hs.append(state[0])
+    return hs[::-1] if reverse else hs
+
+
 class BiLstmLayer:
     """One forward and one backward LSTM pass, merged per step by a tanh projection.
 
@@ -187,29 +226,11 @@ class BiLstmLayer:
         self.b_o = pset.add(f"{name}.merge.b", np.zeros(n_out))
 
     def __call__(self, seq: Tensor) -> Tensor:
-        if seq.data.ndim != 3:
-            raise ShapeMismatchError(f"bilstm expects (batch, time, features), got {seq.shape}")
-        batch, steps = seq.shape[0], seq.shape[1]
-        if steps == 0:
-            raise EmptySequenceError("bilstm got an empty sequence")
-
-        state = self.fwd.zero_state(batch)
-        fwd_h = []
-        for t in range(steps):
-            h, c = self.fwd.step(ad.select(seq, 1, t), state)
-            state = (h, c)
-            fwd_h.append(h)
-
-        state = self.bwd.zero_state(batch)
-        bwd_h: list[Tensor] = [None] * steps  # type: ignore[list-item]
-        for t in range(steps - 1, -1, -1):
-            h, c = self.bwd.step(ad.select(seq, 1, t), state)
-            state = (h, c)
-            bwd_h[t] = h
-
+        fwd_h = unroll(self.fwd, seq)
+        bwd_h = unroll(self.bwd, seq, reverse=True)
         outs = [
-            ad.tanh(ad.add(ad.add(ad.matmul(fwd_h[t], self.w_f), ad.matmul(bwd_h[t], self.w_b)), self.b_o))
-            for t in range(steps)
+            ad.tanh(ad.add(ad.add(ad.matmul(h_f, self.w_f), ad.matmul(h_b, self.w_b)), self.b_o))
+            for h_f, h_b in zip(fwd_h, bwd_h)
         ]
         return ad.stack(outs, axis=1)
 
@@ -394,9 +415,10 @@ def check_gradients(build_loss: Callable[[], Tensor], pset: ParamSet,
     analytic = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
                 for name, t in pset.items()}
     numeric = finite_difference_gradients(lambda: build_loss().item(), pset, eps=eps)
-    worst = 0.0
-    for name in pset.names():
-        a, n = analytic[name], numeric[name]
-        denom = max(np.linalg.norm(a), np.linalg.norm(n), 1e-12)
-        worst = max(worst, float(np.linalg.norm(a - n) / denom))
-    return worst
+    return max(relative_error(analytic[name], numeric[name]) for name in pset.names())
+
+
+def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """||a - n|| / max(||a||, ||n||, 1e-12): the gradient checks' error measure."""
+    denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
+    return float(np.linalg.norm(analytic - numeric) / denom)

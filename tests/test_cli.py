@@ -219,6 +219,26 @@ def test_data_errors_exit_3(tmp_path, capsys):
                "--out", tmp_path / "o.csv") == cli.EXIT_DATA
 
 
+@pytest.mark.parametrize("body,line,detail", [
+    ("1,2,3\n4,abc,6\n", 2, "abc"),
+    ("1,2,3\n\n4,5\n", 3, "2 fields, expected 3"),
+    ("1,2,3\n4,nan,6\n", 2, "non-finite"),
+    ("1,2,3\n4,5,6\n-inf,0,0\n", 3, "non-finite"),
+], ids=["bad-cell", "ragged", "nan", "inf"])
+def test_bad_sequence_csv_names_its_line(tmp_path, capsys, body, line, detail):
+    bad, ok = tmp_path / "bad.csv", tmp_path / "ok.csv"
+    bad.write_text(body)
+    ok.write_text("1,2,3\n4,5,6\n")
+    for argv in (["evaluate", "--real", bad, "--generated", ok, "--out", tmp_path / "r.json"],
+                 ["train", "--model", "rnn-ae", "--data", bad, "--epochs", 1,
+                  "--out", tmp_path / "ckpt"]):
+        assert run(*argv) == cli.EXIT_DATA
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "RowParseError"
+        assert payload["message"].startswith(f"line {line}: ")
+        assert detail in payload["message"]
+
+
 def test_label_horizon_out_of_range_is_data_error(prices, tmp_path):
     assert run("label", "--input", prices, "--horizon", 11,
                "--out", tmp_path / "o.csv") == cli.EXIT_DATA

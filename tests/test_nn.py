@@ -91,6 +91,47 @@ def test_lstm_cell_forget_gate_scales_carry():
     assert np.allclose(h.data, 0.0)   # output gate shut
 
 
+def test_rnn_cell_zero_weights_keep_zero_state():
+    pset = nn.ParamSet(seed=0)
+    cell = nn.RNNCell(pset, "c", 3, 4, np.random.default_rng(0))
+    for t in pset.tensors():
+        t.data[:] = 0.0
+    hs = nn.unroll(cell, Tensor(np.ones((2, 5, 3))))
+    assert all(np.array_equal(h.data, np.zeros((2, 4))) for h in hs)
+
+
+CELLS = {"rnn": nn.RNNCell, "lstm": nn.LSTMCell}
+
+
+def _cell_and_sequence(kind):
+    rng = np.random.default_rng(4)
+    pset = nn.ParamSet(seed=0)
+    cell = CELLS[kind](pset, "c", 3, 4, rng)
+    return cell, Tensor(rng.standard_normal((2, 5, 3)))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("kind", sorted(CELLS))
+def test_unroll_matches_a_manual_step_loop_in_time_order(kind, reverse):
+    cell, seq = _cell_and_sequence(kind)
+    state = cell.zero_state(2)
+    manual = {}
+    for t in (range(4, -1, -1) if reverse else range(5)):
+        state = cell.step(Tensor(seq.data[:, t, :]), state)
+        manual[t] = state[0].data
+    hs = nn.unroll(cell, seq, reverse=reverse)
+    assert len(hs) == 5
+    assert all(np.array_equal(hs[t].data, manual[t]) for t in range(5))
+
+
+def test_unroll_rejects_non_sequences_and_empty_ones():
+    cell, _ = _cell_and_sequence("rnn")
+    with pytest.raises(ShapeMismatchError):
+        nn.unroll(cell, Tensor(np.zeros((2, 3))))
+    with pytest.raises(EmptySequenceError):
+        nn.unroll(cell, Tensor(np.zeros((2, 0, 3))))
+
+
 def test_bilstm_output_shape_and_direction_sensitivity():
     pset = nn.ParamSet(seed=0)
     layer = nn.BiLstmLayer(pset, "bi", 2, 3, 4, np.random.default_rng(7))
