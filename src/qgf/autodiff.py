@@ -131,6 +131,11 @@ def no_grad() -> Iterator[None]:
         _grad_enabled = previous
 
 
+def is_tracking(*tensors: Tensor) -> bool:
+    """Whether an op over ``tensors`` records a graph node right now."""
+    return _grad_enabled and any(t.requires_grad for t in tensors)
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     if not _grad_enabled:
         return Tensor(data)
@@ -214,11 +219,16 @@ def tanh(a) -> Tensor:
     return _make(out_data, (a,), bwd)
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Numerically stable 1 / (1 + exp(-x)) in both tails: exp never sees a positive arg."""
+    t = np.exp(-np.abs(x))
+    d = 1.0 + t
+    return np.where(x >= 0, 1.0 / d, t / d)
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    # numerically stable logistic in both tails: exp never sees a positive arg
-    t = np.exp(-np.abs(a.data))
-    out_data = np.where(a.data >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+    out_data = logistic(a.data)
 
     def bwd(g):
         _accumulate(a, g * out_data * (1.0 - out_data))
@@ -307,17 +317,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             sl = [slice(None)] * g.ndim
             sl[axis] = slice(start, stop)
             _accumulate(p, g[tuple(sl)])
-
-    return _make(out_data, parts, bwd)
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = tuple(as_tensor(t) for t in tensors)
-    out_data = np.stack([p.data for p in parts], axis=axis)
-
-    def bwd(g):
-        for i, p in enumerate(parts):
-            _accumulate(p, np.take(g, i, axis=axis))
 
     return _make(out_data, parts, bwd)
 

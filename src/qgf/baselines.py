@@ -93,7 +93,7 @@ class RecurrentAutoencoder:
 
     def encode(self, x: Tensor) -> Tensor:
         batch, steps = self._check_input(x)
-        return nn.unroll(self.encoder, ad.reshape(x, (batch, steps, 1)))[-1]
+        return ad.select(nn.unroll(self.encoder, ad.reshape(x, (batch, steps, 1))), 1, steps - 1)
 
     def decode(self, latent: Tensor, steps: int, teacher: Tensor | None = None) -> Tensor:
         """Unroll the decoder; ``teacher`` supplies step inputs when given."""

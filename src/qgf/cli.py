@@ -180,7 +180,7 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def _read_table(path: Path) -> tuple[list[str], list[str], np.ndarray]:
-    """A Date-keyed CSV into (column names, dates, float matrix)."""
+    """A Date-keyed CSV of finite floats into (column names, dates, float matrix)."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -197,13 +197,15 @@ def _read_table(path: Path) -> tuple[list[str], list[str], np.ndarray]:
         if not row:
             continue
         if len(row) != len(header):
-            raise RowParseError(line_no, f"{path} line {line_no}: {len(row)} fields, "
-                                         f"expected {len(header)}")
-        dates.append(row[0])
+            raise RowParseError(line_no, f"{path}: {len(row)} fields, expected {len(header)}")
         try:
-            rows.append([float(v) for v in row[1:]])
+            values = [float(v) for v in row[1:]]
         except ValueError as exc:
-            raise RowParseError(line_no, f"{path} line {line_no}: {exc}") from exc
+            raise RowParseError(line_no, f"{path}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise RowParseError(line_no, f"{path}: non-finite value")
+        dates.append(row[0])
+        rows.append(values)
     return header[1:], dates, np.array(rows, dtype=np.float64)
 
 

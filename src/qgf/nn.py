@@ -1,7 +1,7 @@
 """Neural building blocks on top of the autodiff core.
 
-Dense projection, tanh RNN and gated LSTM cells with the ``unroll`` loop
-that steps either over a sequence, bidirectional sequence layer, 1-D
+Dense projection, tanh RNN and gated LSTM cells with ``unroll``, the fused
+op that steps either over a sequence, bidirectional sequence layer, 1-D
 convolution and max pooling, inverted dropout, stable softmax, Adam, and
 the finite-difference gradient checker used by the verification suite.
 """
@@ -143,6 +143,7 @@ class RNNCell:
     """Minimal recurrent cell: h = tanh(x W_x + h W_h + b); its state is (h,)."""
 
     def __init__(self, pset: ParamSet, name: str, n_in: int, hidden: int, rng: np.random.Generator):
+        self.n_in = n_in
         self.hidden = hidden
         self.w_x = pset.add(f"{name}.w_x", xavier_uniform(rng, (n_in, hidden)))
         self.w_h = pset.add(f"{name}.w_h", xavier_uniform(rng, (hidden, hidden)))
@@ -155,6 +156,16 @@ class RNNCell:
 
     def zero_state(self, batch: int) -> tuple[Tensor]:
         return (Tensor(np.zeros((batch, self.hidden))),)
+
+    # pointwise part of one step on raw arrays, for the fused ``unroll``
+    @staticmethod
+    def _activate(z: np.ndarray, carry):
+        h = np.tanh(z)
+        return h, carry, h
+
+    @staticmethod
+    def _activate_backward(dh: np.ndarray, dcarry, saved):
+        return dh * (1.0 - saved * saved), dcarry
 
 
 class LSTMCell:
@@ -189,32 +200,93 @@ class LSTMCell:
     def zero_state(self, batch: int) -> tuple[Tensor, Tensor]:
         return (Tensor(np.zeros((batch, self.hidden))), Tensor(np.zeros((batch, self.hidden))))
 
+    # pointwise part of one step on raw arrays, for the fused ``unroll``; carry is c
+    @staticmethod
+    def _activate(z: np.ndarray, c_prev):
+        gates = ad.logistic(z)
+        i, f, g, o = _gate_blocks(gates)
+        g[:] = np.tanh(_gate_blocks(z)[2])  # one logistic over all four blocks, then g is tanh
+        c = f * c_prev + i * g
+        tanh_c = np.tanh(c)
+        return o * tanh_c, c, (gates, c_prev, tanh_c)
 
-def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False) -> list[Tensor]:
+    @staticmethod
+    def _activate_backward(dh: np.ndarray, dc, saved):
+        gates, c_prev, tanh_c = saved
+        i, f, g, o = _gate_blocks(gates)
+        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                             dc * i * (1.0 - g * g), dh * tanh_c * o * (1.0 - o)], axis=1)
+        return dz, dc * f
+
+
+def _gate_blocks(a: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Views of the i, f, g, o column blocks of a (batch, 4*hidden) array."""
+    h = a.shape[1] // 4
+    return a[:, :h], a[:, h:2 * h], a[:, 2 * h:3 * h], a[:, 3 * h:]
+
+
+def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False) -> Tensor:
     """Step ``cell`` over ``seq`` (batch, time, features) from its zero state.
 
-    Every cell maps ``step(x_t, state)`` to a new state whose first entry is
-    the output h. ``reverse`` walks time backwards; either way the returned
-    list holds h for each step in time order.
+    Returns h for every step as one (batch, time, hidden) tensor in time
+    order; ``reverse`` walks time backwards. The whole recurrence is one
+    graph node: the input projection of all steps is a single GEMM, the
+    time loop steps only ``h @ w_h`` and the cell's gates, and backward is
+    hand-written backpropagation through time over the gates and cell
+    states saved per step (nothing is saved under ``ad.no_grad()``). Values
+    and gradients are those of chaining ``cell.step`` from
+    ``cell.zero_state``.
     """
-    if seq.data.ndim != 3:
-        raise ShapeMismatchError(f"unroll expects (batch, time, features), got {seq.shape}")
-    batch, steps = seq.shape[0], seq.shape[1]
+    if seq.data.ndim != 3 or seq.shape[2] != cell.n_in:
+        raise ShapeMismatchError(
+            f"unroll expects (batch, time, {cell.n_in}), got {seq.shape}")
+    batch, steps, n_in = seq.shape
     if steps == 0:
         raise EmptySequenceError("unroll got an empty sequence")
-    state = cell.zero_state(batch)
-    hs = []
-    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
-        state = cell.step(ad.select(seq, 1, t), state)
-        hs.append(state[0])
-    return hs[::-1] if reverse else hs
+    w_x, w_h, b = cell.w_x, cell.w_h, cell.b
+    track = ad.is_tracking(seq, w_x, w_h, b)
+    xw = (seq.data.reshape(batch * steps, n_in) @ w_x.data).reshape(batch, steps, -1)
+    times = range(steps - 1, -1, -1) if reverse else range(steps)
+    hs = np.empty((batch, steps, cell.hidden))
+    h, carry = np.zeros((batch, cell.hidden)), 0.0
+    saved = []
+    for t in times:
+        z = xw[:, t] + h @ w_h.data
+        z += b.data
+        h, carry, keep = cell._activate(z, carry)
+        hs[:, t] = h
+        if track:
+            saved.append(keep)
+
+    def bwd(g):
+        # weight gradients accumulate step by step, latest step first, as the graph of
+        # chained ``cell.step`` calls does, so every sum rounds the same way
+        dx = np.empty(seq.shape) if seq.requires_grad else None
+        h_first = np.zeros((batch, cell.hidden))
+        dh, dcarry = 0.0, 0.0
+        for k in range(steps - 1, -1, -1):
+            t = times[k]
+            dz, dcarry = cell._activate_backward(g[:, t] + dh, dcarry, saved[k])
+            h_prev = hs[:, times[k - 1]] if k else h_first
+            ad._accumulate(w_x, np.ascontiguousarray(seq.data[:, t]).T @ dz)
+            ad._accumulate(w_h, h_prev.T @ dz)
+            ad._accumulate(b, dz.sum(axis=0))
+            if dx is not None:
+                dx[:, t] = dz @ w_x.data.T
+            dh = dz @ w_h.data.T
+        if dx is not None:
+            ad._accumulate(seq, dx)
+
+    return ad._make(hs, (seq, w_x, w_h, b), bwd)
 
 
 class BiLstmLayer:
     """One forward and one backward LSTM pass, merged per step by a tanh projection.
 
     Both directions start from zero states; the per-step output is
-    tanh(h_fwd W_f + h_bwd W_b + b) with independent parameters per direction.
+    tanh(h_fwd W_f + h_bwd W_b + b) with independent parameters per direction,
+    computed for all steps at once.
     """
 
     def __init__(self, pset: ParamSet, name: str, n_in: int, hidden: int, n_out: int,
@@ -228,11 +300,11 @@ class BiLstmLayer:
     def __call__(self, seq: Tensor) -> Tensor:
         fwd_h = unroll(self.fwd, seq)
         bwd_h = unroll(self.bwd, seq, reverse=True)
-        outs = [
-            ad.tanh(ad.add(ad.add(ad.matmul(h_f, self.w_f), ad.matmul(h_b, self.w_b)), self.b_o))
-            for h_f, h_b in zip(fwd_h, bwd_h)
-        ]
-        return ad.stack(outs, axis=1)
+        batch, steps, hidden = fwd_h.shape
+        rows = (batch * steps, hidden)
+        merged = ad.add(ad.add(ad.matmul(ad.reshape(fwd_h, rows), self.w_f),
+                               ad.matmul(ad.reshape(bwd_h, rows), self.w_b)), self.b_o)
+        return ad.reshape(ad.tanh(merged), (batch, steps, self.w_f.shape[1]))
 
 
 # --- convolution and pooling -----------------------------------------------------

@@ -239,6 +239,24 @@ def test_bad_sequence_csv_names_its_line(tmp_path, capsys, body, line, detail):
         assert detail in payload["message"]
 
 
+@pytest.mark.parametrize("body,line,detail", [
+    ("Date,a,b\n2020-01-01,1,2\n2020-01-02,nan,3\n", 3, "non-finite value"),
+    ("Date,a,b\n2020-01-01,1,2\n2020-01-02,4,5\n2020-01-03,-inf,0\n", 4, "non-finite value"),
+    ("Date,a,b\n2020-01-01,1,2\n\n2020-01-02,4\n", 4, "2 fields, expected 3"),
+], ids=["nan", "inf", "ragged"])
+def test_bad_feature_table_names_its_line(tmp_path, capsys, body, line, detail):
+    bad, labels = tmp_path / "f.csv", tmp_path / "l.csv"
+    bad.write_text(body)
+    labels.write_text("Date,label\n2020-01-01,1\n2020-01-02,0\n")
+    for argv in (["reduce", "--features", bad, "--components", 1, "--out", tmp_path / "r.csv"],
+                 ["select", "--features", bad, "--labels", labels, "--keep", 1,
+                  "--out", tmp_path / "s.json"]):
+        assert run(*argv) == cli.EXIT_DATA
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "RowParseError"
+        assert payload["message"] == f"line {line}: {bad}: {detail}"
+
+
 def test_label_horizon_out_of_range_is_data_error(prices, tmp_path):
     assert run("label", "--input", prices, "--horizon", 11,
                "--out", tmp_path / "o.csv") == cli.EXIT_DATA

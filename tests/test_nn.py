@@ -97,7 +97,7 @@ def test_rnn_cell_zero_weights_keep_zero_state():
     for t in pset.tensors():
         t.data[:] = 0.0
     hs = nn.unroll(cell, Tensor(np.ones((2, 5, 3))))
-    assert all(np.array_equal(h.data, np.zeros((2, 4))) for h in hs)
+    assert all(np.array_equal(hs.data[:, t], np.zeros((2, 4))) for t in range(5))
 
 
 CELLS = {"rnn": nn.RNNCell, "lstm": nn.LSTMCell}
@@ -120,8 +120,35 @@ def test_unroll_matches_a_manual_step_loop_in_time_order(kind, reverse):
         state = cell.step(Tensor(seq.data[:, t, :]), state)
         manual[t] = state[0].data
     hs = nn.unroll(cell, seq, reverse=reverse)
-    assert len(hs) == 5
-    assert all(np.array_equal(hs[t].data, manual[t]) for t in range(5))
+    assert hs.shape == (2, 5, 4)
+    assert all(np.array_equal(hs.data[:, t], manual[t]) for t in range(5))
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("kind", sorted(CELLS))
+def test_unroll_gradients_match_a_manual_step_loop(kind, reverse):
+    cell, seq = _cell_and_sequence(kind)
+    seq.requires_grad = True
+    tensors = {"w_x": cell.w_x, "w_h": cell.w_h, "b": cell.b, "seq": seq}
+    weights = np.random.default_rng(5).standard_normal((2, 5, 4))
+
+    def grads(build_loss):
+        for t in tensors.values():
+            t.grad = None
+        ad.backward(build_loss())
+        return {name: t.grad for name, t in tensors.items()}
+
+    def manual_loss():
+        state, loss = cell.zero_state(2), 0.0
+        for t in (range(4, -1, -1) if reverse else range(5)):
+            state = cell.step(ad.select(seq, 1, t), state)
+            loss = ad.add(loss, ad.tensor_sum(ad.mul(state[0], weights[:, t])))
+        return loss
+
+    fused = grads(lambda: ad.tensor_sum(ad.mul(nn.unroll(cell, seq, reverse=reverse), weights)))
+    manual = grads(manual_loss)
+    for name in tensors:
+        np.testing.assert_allclose(fused[name], manual[name], rtol=1e-12, err_msg=name)
 
 
 def test_unroll_rejects_non_sequences_and_empty_ones():
@@ -130,6 +157,13 @@ def test_unroll_rejects_non_sequences_and_empty_ones():
         nn.unroll(cell, Tensor(np.zeros((2, 3))))
     with pytest.raises(EmptySequenceError):
         nn.unroll(cell, Tensor(np.zeros((2, 0, 3))))
+
+
+@pytest.mark.parametrize("kind", sorted(CELLS))
+def test_unroll_rejects_a_feature_width_the_cell_does_not_take(kind):
+    cell, _ = _cell_and_sequence(kind)
+    with pytest.raises(ShapeMismatchError):
+        nn.unroll(cell, Tensor(np.zeros((2, 5, 2))))
 
 
 def test_bilstm_output_shape_and_direction_sensitivity():
