@@ -35,18 +35,30 @@ class ModelCheckpoint:
     extras: dict = field(default_factory=dict)
 
 
+# manifest keys load_checkpoint needs, with their JSON types
+_MANIFEST_KEYS = {"model": str, "config": dict, "seed": int, "iterations": int,
+                  "tensors": dict}
+
+
+def _require_type(value, kind: type, what: str, path: Path) -> None:
+    # exact type, as json.loads builds it, so true/false never passes as an int
+    if type(value) is not kind:
+        found = "missing" if value is None else f"a {type(value).__name__}"
+        raise IoError(f"{what} in {path}/manifest.json must be a {kind.__name__}, found {found}")
+
+
 def _bin_name(tensor_name: str) -> str:
     return tensor_name.replace("/", "_") + ".bin"
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path, overwrite: bool = False) -> Path:
-    """Write the checkpoint directory atomically (staged then renamed)."""
+    """Write the checkpoint directory atomically: stage it in full, then swap
+    it in, so a failed write leaves any previous checkpoint in place."""
     path = Path(path)
-    if path.exists():
-        if not overwrite:
-            raise IoError(f"refusing to overwrite existing checkpoint {path}")
-        shutil.rmtree(path)
+    if path.exists() and not overwrite:
+        raise IoError(f"refusing to overwrite existing checkpoint {path}")
     staging = path.with_name(path.name + f".staging{os.getpid()}")
+    retired = path.with_name(path.name + f".retired{os.getpid()}")
     try:
         staging.mkdir(parents=True)
         tensors = {}
@@ -65,10 +77,15 @@ def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path, overwrite: bool = F
             "extras": ckpt.extras,
         }
         (staging / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        if path.exists():
+            os.replace(path, retired)
         os.replace(staging, path)
     except OSError as exc:
         shutil.rmtree(staging, ignore_errors=True)
+        if retired.exists() and not path.exists():
+            os.replace(retired, path)
         raise IoError(f"cannot write checkpoint at {path}: {exc}") from exc
+    shutil.rmtree(retired, ignore_errors=True)
     return path
 
 
@@ -80,17 +97,33 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         manifest = json.loads(manifest_path.read_text())
     except OSError as exc:
         raise IoError(f"cannot read {manifest_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise IoError(f"corrupt manifest in {path}: {exc}") from exc
+    _require_type(manifest, dict, "the manifest", path)
 
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionMismatchError(f"checkpoint format {version!r}, reader supports {FORMAT_VERSION}")
 
+    for key, kind in _MANIFEST_KEYS.items():
+        _require_type(manifest.get(key), kind, f"manifest key {key!r}", path)
+    extras = manifest.get("extras", {})
+    _require_type(extras, dict, "manifest key 'extras'", path)
     arrays = {}
     for name, meta in manifest["tensors"].items():
-        shape = tuple(meta["shape"])
-        bin_path = path / meta["file"]
+        what = f"tensor {name!r}"
+        _require_type(meta, dict, what, path)
+        shape = meta.get("shape")
+        if type(shape) is not list or any(type(d) is not int or d < 0 for d in shape):
+            raise IoError(f"{what} in {path}: shape {shape!r} is not a list of "
+                          "non-negative integers")
+        fname = meta.get("file")
+        _require_type(fname, str, f"{what} file", path)
+        if fname in ("", ".", "..") or Path(fname).name != fname or "\0" in fname:
+            raise IoError(f"{what} in {path}: file {fname!r} is not a plain file name "
+                          "inside the checkpoint")
+        shape = tuple(shape)
+        bin_path = path / fname
         try:
             raw = bin_path.read_bytes()
         except OSError as exc:
@@ -102,5 +135,4 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
         arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
     return ModelCheckpoint(model=manifest["model"], config=manifest["config"],
                            seed=manifest["seed"], iterations=manifest["iterations"],
-                           arrays=arrays, version=version,
-                           extras=manifest.get("extras", {}))
+                           arrays=arrays, version=version, extras=extras)

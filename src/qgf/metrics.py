@@ -133,24 +133,33 @@ def _as_curve(p) -> np.ndarray:
 
 def frechet_distance(p, q) -> float:
     """Discrete Fréchet distance: min over monotone couplings of the max
-    pointwise Euclidean distance, by the standard dynamic program."""
+    pointwise Euclidean distance.
+
+    The Eiter & Mannila dynamic program, swept over the anti-diagonals
+    k = i + j: cell (i, j) needs only diagonals k-1 and k-2, so each
+    diagonal is one vectorized step (n+m-1 in all) and memory is O(n).
+    Diagonal values live in three rotating buffers indexed by i + 1; slot 0
+    and every slot a diagonal never reaches hold inf, so out-of-range
+    neighbours drop out of the min.
+    """
     p = _as_curve(p)
     q = _as_curve(q)
     if p.shape[1] != q.shape[1]:
         raise DimensionMismatchError(f"point dimensions differ: {p.shape[1]} vs {q.shape[1]}")
-    dist = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
-    m = q.shape[0]
-    prev = np.empty(m)
-    prev[0] = dist[0, 0]
-    for j in range(1, m):
-        prev[j] = max(prev[j - 1], dist[0, j])
-    cur = np.empty(m)
-    for i in range(1, p.shape[0]):
-        cur[0] = max(prev[0], dist[i, 0])
-        for j in range(1, m):
-            cur[j] = max(min(prev[j], prev[j - 1], cur[j - 1]), dist[i, j])
-        prev, cur = cur, prev
-    return float(prev[m - 1])
+    n, m = p.shape[0], q.shape[0]
+    q_rev = q[::-1]
+    prev2, prev1, cur = np.full((3, n + 1), np.inf)
+    prev1[1:2] = np.linalg.norm(p[:1] - q[:1], axis=1)
+    for k in range(1, n + m - 1):
+        lo, hi = max(0, k - m + 1), min(n - 1, k)
+        # row i pairs with column k - i, i.e. q_rev[m - 1 - k + i]
+        d = np.linalg.norm(p[lo:hi + 1] - q_rev[m - 1 - k + lo:m - k + hi], axis=1)
+        out = cur[lo + 1:hi + 2]
+        np.minimum(prev1[lo:hi + 1], prev1[lo + 1:hi + 2], out=out)   # up, left
+        np.minimum(out, prev2[lo:hi + 1], out=out)                     # diagonal
+        np.maximum(out, d, out=out)
+        prev2, prev1, cur = prev1, cur, prev2
+    return float(prev1[n])
 
 
 @dataclass(frozen=True)

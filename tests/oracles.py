@@ -2,13 +2,17 @@
 
 Everything here is written as plain index-by-index loops over Python floats,
 recomputing each window from scratch, so agreement with the vectorized
-library code is meaningful. None of these import the library.
+library code is meaningful. None of these import the library. The one
+numpy user, ``oracle_frechet_dp``, is the library's former row-by-row
+Fréchet program, kept so the wavefront can be held to it with ``==``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+
+import numpy as np
 
 
 def _window(xs, i, n):
@@ -222,6 +226,29 @@ def oracle_frechet(p, q) -> float:
         return max(min(rec(i - 1, j), rec(i - 1, j - 1), rec(i, j - 1)), dist(p[i], q[j]))
 
     return rec(len(p) - 1, len(q) - 1)
+
+
+def oracle_frechet_dp(p, q) -> float:
+    """The row-by-row dynamic program over a full n x m distance matrix."""
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if p.ndim == 1:
+        p = p.reshape(-1, 1)
+    if q.ndim == 1:
+        q = q.reshape(-1, 1)
+    dist = np.linalg.norm(p[:, None, :] - q[None, :, :], axis=2)
+    m = q.shape[0]
+    prev = np.empty(m)
+    prev[0] = dist[0, 0]
+    for j in range(1, m):
+        prev[j] = max(prev[j - 1], dist[0, j])
+    cur = np.empty(m)
+    for i in range(1, p.shape[0]):
+        cur[0] = max(prev[0], dist[i, 0])
+        for j in range(1, m):
+            cur[j] = max(min(prev[j], prev[j - 1], cur[j - 1]), dist[i, j])
+        prev, cur = cur, prev
+    return float(prev[m - 1])
 
 
 def enumerate_couplings(n: int, m: int):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,6 +68,7 @@ def test_overwrite_flag(tmp_path, rng):
     loaded = load_checkpoint(tmp_path / "m")
     assert loaded.model == "rnn-ae"
     assert set(loaded.arrays) == {"w"}
+    assert [p.name for p in tmp_path.iterdir()] == ["m"]
 
 
 def test_no_staging_directory_left_behind(tmp_path, rng):
@@ -130,3 +132,78 @@ def test_forward_pass_bitwise_after_round_trip(tmp_path):
     a = ref.forward(Tensor(noise.data.copy()))
     b = restored.forward(Tensor(noise.data.copy()))
     assert np.array_equal(a.data, b.data)
+
+
+def _edit_manifest(out, edit):
+    manifest = json.loads((out / "manifest.json").read_text())
+    edit(manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("key", ["tensors", "model", "config", "seed", "iterations"])
+def test_missing_manifest_key_is_io_error_naming_it(tmp_path, rng, key):
+    out = save_checkpoint(_ckpt(rng), tmp_path / "m")
+    _edit_manifest(out, lambda m: m.pop(key))
+    with pytest.raises(IoError, match=f"'{key}'.*missing"):
+        load_checkpoint(out)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("tensors", []), ("model", 3), ("config", "lr=1"), ("seed", "7"),
+    ("iterations", 1.5), ("seed", True), ("extras", [1]),
+])
+def test_mistyped_manifest_key_is_io_error_naming_it(tmp_path, rng, key, value):
+    out = save_checkpoint(_ckpt(rng), tmp_path / "m")
+    _edit_manifest(out, lambda m: m.update({key: value}))
+    with pytest.raises(IoError, match=f"'{key}'"):
+        load_checkpoint(out)
+
+
+def test_manifest_that_is_not_an_object_is_io_error(tmp_path, rng):
+    out = save_checkpoint(_ckpt(rng), tmp_path / "m")
+    (out / "manifest.json").write_text("[1, 2]")
+    with pytest.raises(IoError):
+        load_checkpoint(out)
+
+
+@pytest.mark.parametrize("meta", [
+    "gen.w.bin", {"file": "gen.w.bin"}, {"shape": 12, "file": "gen.w.bin"},
+    {"shape": [3, "4"], "file": "gen.w.bin"}, {"shape": [-3, -4], "file": "gen.w.bin"},
+    {"shape": [3, True], "file": "gen.w.bin"}, {"shape": [3, 4]},
+    {"shape": [3, 4], "file": 5},
+])
+def test_malformed_tensor_entry_is_io_error_naming_the_tensor(tmp_path, rng, meta):
+    out = save_checkpoint(_ckpt(rng), tmp_path / "m")
+    _edit_manifest(out, lambda m: m["tensors"].update({"gen.w": meta}))
+    with pytest.raises(IoError, match="tensor 'gen.w'"):
+        load_checkpoint(out)
+
+
+@pytest.mark.parametrize("fname", ["../x.bin", "sub/gen.w.bin", "/tmp/x.bin", "..", ".", ""])
+def test_tensor_file_outside_the_checkpoint_is_refused(tmp_path, rng, fname):
+    out = save_checkpoint(_ckpt(rng), tmp_path / "m")
+    (tmp_path / "x.bin").write_bytes((out / "gen.w.bin").read_bytes())
+    _edit_manifest(out, lambda m: m["tensors"]["gen.w"].update({"file": fname}))
+    with pytest.raises(IoError, match="tensor 'gen.w'.*not a plain file name"):
+        load_checkpoint(out)
+
+
+def test_failed_overwrite_leaves_the_old_checkpoint_loadable(tmp_path, rng, monkeypatch):
+    original = _ckpt(rng)
+    save_checkpoint(original, tmp_path / "m")
+    replacement = ModelCheckpoint(model="rnn-ae", config={}, seed=1, iterations=1,
+                                  arrays={"w": np.ones(2)})
+
+    def disk_full(self, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    # the manifest is the last file staged
+    monkeypatch.setattr(Path, "write_text", disk_full)
+    with pytest.raises(IoError, match="No space left"):
+        save_checkpoint(replacement, tmp_path / "m", overwrite=True)
+    monkeypatch.undo()
+
+    loaded = load_checkpoint(tmp_path / "m")
+    assert loaded.model == "gan"
+    assert set(loaded.arrays) == set(original.arrays)
+    assert [p.name for p in tmp_path.iterdir()] == ["m"]

@@ -178,6 +178,23 @@ def test_generate_rejects_baseline_checkpoint(tmp_path):
                "--out", tmp_path / "x.csv", "--quiet") == cli.EXIT_DATA
 
 
+def test_generate_on_checkpoint_without_tensors_exits_data_error(tmp_path, capsys):
+    data_path = tmp_path / "seqs.csv"
+    _write_train_data(data_path, length=64)
+    ckpt = tmp_path / "gan_ckpt"
+    assert run("train", "--model", "gan", "--data", data_path, "--epochs", 1,
+               "--batch", 8, "--hidden", 4, "--noise-dim", 2, "--out", ckpt, "--quiet") == 0
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    del manifest["tensors"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run("generate", "--ckpt", ckpt, "--count", 2,
+               "--out", tmp_path / "x.csv", "--quiet") == cli.EXIT_DATA
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "IoError"
+    assert "'tensors'" in payload["message"]
+
+
 def test_gradcheck_prints_one_line_per_kernel(tmp_path, capsys):
     out = tmp_path / "gradcheck.json"
     assert run("gradcheck", "--seeds", 1, "--out", out) == 0

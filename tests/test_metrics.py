@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import oracle_frechet, oracle_frechet_exhaustive
+from oracles import oracle_frechet, oracle_frechet_dp, oracle_frechet_exhaustive
 from qgf import metrics as mt
 from qgf.errors import (
     DimensionMismatchError,
@@ -121,6 +122,49 @@ def test_frechet_matches_recursive_definition_on_longer_curves(rng):
         assert mt.frechet_distance(p, q) == pytest.approx(oracle_frechet(p, q), abs=0)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_frechet_equals_row_dp_on_unequal_lengths(dim):
+    rng = np.random.default_rng(300 + dim)
+    sizes = [(int(rng.integers(1, 60)), int(rng.integers(1, 60))) for _ in range(20)]
+    sizes += [(1, 1), (1, 37), (41, 1), (400, 233), (157, 390)]
+    for n, m in sizes:
+        p = np.cumsum(rng.standard_normal((n, dim)), axis=0)
+        q = np.cumsum(rng.standard_normal((m, dim)), axis=0)
+        assert mt.frechet_distance(p, q) == oracle_frechet_dp(p, q), (n, m)
+
+
+def test_frechet_equals_row_dp_on_integer_curves_with_ties():
+    rng = np.random.default_rng(77)
+    for dim in (1, 2, 3):
+        for _ in range(40):
+            n, m = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+            p = rng.integers(-2, 3, size=(n, dim)).astype(float)
+            q = rng.integers(-2, 3, size=(m, dim)).astype(float)
+            assert mt.frechet_distance(p, q) == oracle_frechet_dp(p, q), (dim, n, m)
+
+
+def test_frechet_is_symmetric_on_long_unequal_curves():
+    rng = np.random.default_rng(5)
+    for n, m, dim in [(3120, 1700, 1), (900, 2500, 2), (1, 2000, 3)]:
+        p = np.cumsum(rng.standard_normal((n, dim)), axis=0)
+        q = np.cumsum(rng.standard_normal((m, dim)), axis=0)
+        assert mt.frechet_distance(p, q) == mt.frechet_distance(q, p)
+
+
+def test_frechet_memory_is_linear_in_length():
+    rng = np.random.default_rng(9)
+    p = np.cumsum(rng.standard_normal(3120))
+    q = np.cumsum(rng.standard_normal(3120))
+    tracemalloc.start()
+    try:
+        mt.frechet_distance(p, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an n x m float64 distance matrix alone would be 78 MB
+    assert peak < 2_000_000
+
+
 def test_frechet_input_validation():
     with pytest.raises(EmptySequenceError):
         mt.frechet_distance(np.empty((0, 2)), np.ones((3, 2)))
@@ -150,6 +194,15 @@ def test_compare_sequences_concatenated(rng):
     report = mt.compare_sequences(real, gen, pairing="concatenated")
     assert report.metrics["frechet"] == mt.frechet_distance(
         np.concatenate(real), np.concatenate(gen))
+
+
+def test_compare_sequences_concatenated_at_scale_equals_row_dp():
+    rng = np.random.default_rng(11)
+    real = [np.cumsum(rng.standard_normal(64)) for _ in range(50)]
+    gen = [np.cumsum(rng.standard_normal(64)) for _ in range(50)]
+    report = mt.compare_sequences(real, gen, pairing="concatenated")
+    assert report.metrics["frechet"] == oracle_frechet_dp(np.concatenate(real),
+                                                          np.concatenate(gen))
 
 
 def test_compare_sequences_flags_undefined_correlation():
