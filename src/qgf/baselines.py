@@ -17,11 +17,10 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .checkpoint import ModelCheckpoint
+from .checkpoint import ModelCheckpoint, read_config
 from .errors import (
     EmptyDatasetError,
     InvariantViolationError,
-    NonFiniteLossError,
     ShapeMismatchError,
 )
 from .gan import TrainConfig
@@ -70,7 +69,7 @@ class RecurrentAutoencoder:
                  variational: bool = False, prefix: str = "ae"):
         self.config = config
         self.variational = variational
-        self.params = nn.ParamSet(seed=0)
+        self.params = nn.ParamSet()
         cell = nn.LSTMCell if config.cell == "lstm" else nn.RNNCell
         self.encoder = cell(self.params, f"{prefix}.enc", 1, config.hidden, rng)
         if variational:
@@ -189,31 +188,19 @@ def train_baseline(kind: str, data: np.ndarray, config: AeConfig,
                           seq_len=config.seq_len, cell=cell)
     variational = kind.endswith("vae")
 
-    streams = np.random.SeedSequence(train_config.seed).spawn(3)
-    init_rng = np.random.default_rng(streams[0])
-    batch_rng = np.random.default_rng(streams[1])
-    sample_rng = np.random.default_rng(streams[2])
-
+    init_rng, batch_rng, sample_rng = nn.seeded_streams(train_config.seed, 3)
     model = RecurrentAutoencoder(config, init_rng, variational=variational)
-    model.params.seed = train_config.seed
     opt = nn.Adam(model.params, lr=train_config.lr)
 
-    n = data.shape[0]
-    batch = min(train_config.batch_size, n)
-    history = np.empty(train_config.epochs)
-    for it in range(train_config.epochs):
-        x = Tensor(data[batch_rng.choice(n, size=batch, replace=False)])
+    def iteration(sample) -> dict[str, float]:
+        x = sample()
         if variational:
             loss, _ = rnn_vae_loss(model, x, sample_rng)
         else:
             loss = rnn_ae_loss(model.forward(x), x)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise NonFiniteLossError(it)
-        history[it] = value
-        model.params.zero_grad()
-        ad.backward(loss)
-        opt.step()
+        return {"loss": opt.minimize(loss)}
+
+    history = nn.fit(data, train_config.epochs, train_config.batch_size, batch_rng, iteration)
 
     # training always teacher-forces; the checkpoint still records that it did
     ckpt = ModelCheckpoint(
@@ -221,13 +208,13 @@ def train_baseline(kind: str, data: np.ndarray, config: AeConfig,
         config={"ae": asdict(config), "train": asdict(train_config),
                 "teacher_forcing": True},
         seed=train_config.seed, iterations=train_config.epochs, arrays=model.params.arrays())
-    return ckpt, {"loss": history}
+    return ckpt, history
 
 
 def baseline_from_checkpoint(ckpt: ModelCheckpoint) -> RecurrentAutoencoder:
     if ckpt.model not in BASELINE_KINDS:
         raise InvariantViolationError(f"checkpoint holds {ckpt.model!r}, not a baseline")
-    config = AeConfig(**ckpt.config["ae"])
+    config = read_config(ckpt, "ae", AeConfig)
     model = RecurrentAutoencoder(config, np.random.default_rng(0),
                                  variational=ckpt.model.endswith("vae"))
     model.params.load_arrays(ckpt.arrays)

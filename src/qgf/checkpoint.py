@@ -9,6 +9,7 @@ forward pass is bitwise reproducible.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -45,6 +46,24 @@ def _require_type(value, kind: type, what: str, path: Path) -> None:
     if type(value) is not kind:
         found = "missing" if value is None else f"a {type(value).__name__}"
         raise IoError(f"{what} in {path}/manifest.json must be a {kind.__name__}, found {found}")
+
+
+def read_config(ckpt: ModelCheckpoint, key: str, cls: type):
+    """Rebuild the config dataclass ``cls`` from ``ckpt.config[key]``, which must
+    be an object holding exactly ``cls``'s fields, each of its default's exact type."""
+    value = ckpt.config.get(key)
+    if type(value) is not dict:
+        found = "missing" if value is None else f"a {type(value).__name__}"
+        raise IoError(f"checkpoint config {key!r} must be an object, found {found}")
+    fields = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+    if set(value) != set(fields):
+        raise IoError(f"checkpoint config {key!r}: missing fields {sorted(set(fields) - set(value))}, "
+                      f"unknown fields {sorted(set(value) - set(fields))}")
+    for name, kind in fields.items():
+        if type(value[name]) is not kind:
+            raise IoError(f"checkpoint config {key!r} field {name!r} must be a {kind.__name__}, "
+                          f"found a {type(value[name]).__name__}")
+    return cls(**value)
 
 
 def _bin_name(tensor_name: str) -> str:

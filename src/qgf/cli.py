@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import baselines, features, gan, gradcheck, indicators, market_data, metrics, plotting
-from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .errors import (
     DataError,
     EmptyDatasetError,
@@ -297,9 +297,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
     ckpt_path = Path(args.ckpt)
     ckpt = load_checkpoint(ckpt_path)
     manifest, t0 = _start(args, [ckpt_path / "manifest.json"])
-    if ckpt.model != "gan":
-        raise InvariantViolationError(
-            f"generate needs a gan checkpoint, found {ckpt.model!r}")
     generator = gan.generator_from_checkpoint(ckpt)
     seq_len = args.length or generator.config.seq_len
     sequences = gan.generate_sequences(generator, count=args.count,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .errors import (
     DegenerateLabelsError,
     InvariantViolationError,
@@ -58,11 +59,6 @@ def _standardize(x: np.ndarray) -> np.ndarray:
     return (x - mu) / np.where(sd == 0, 1.0, sd)
 
 
-def _stable_sigmoid(logits: np.ndarray) -> np.ndarray:
-    return np.where(logits >= 0, 1.0 / (1.0 + np.exp(-np.abs(logits))),
-                    np.exp(-np.abs(logits)) / (1.0 + np.exp(-np.abs(logits))))
-
-
 def logistic_loss_and_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
                            l2: float) -> tuple[float, np.ndarray, float]:
     """Mean cross-entropy plus (l2/2)||w||^2 and its exact gradient."""
@@ -71,7 +67,7 @@ def logistic_loss_and_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray
     # log(1 + exp(z)) - y z, computed from the softplus identity for stability
     softplus = np.logaddexp(0.0, logits)
     loss = float((softplus - y * logits).mean() + 0.5 * l2 * (w @ w))
-    err = _stable_sigmoid(logits) - y
+    err = ad.logistic(logits) - y
     return loss, x.T @ err / n + l2 * w, float(err.mean())
 
 

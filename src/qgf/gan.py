@@ -20,12 +20,11 @@ import numpy as np
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor
-from .checkpoint import ModelCheckpoint
+from .checkpoint import ModelCheckpoint, read_config
 from .errors import (
     EmptyDatasetError,
     InvariantViolationError,
     LengthMismatchError,
-    NonFiniteLossError,
     ShapeMismatchError,
 )
 
@@ -124,7 +123,7 @@ def sample_noise(batch: int, seq_len: int, noise_dim: int, rng: np.random.Genera
 class Generator:
     def __init__(self, config: GeneratorConfig, rng: np.random.Generator, prefix: str = "gen"):
         self.config = config
-        self.params = nn.ParamSet(seed=0)
+        self.params = nn.ParamSet()
         self.layer1 = nn.BiLstmLayer(self.params, f"{prefix}.l1", config.noise_dim,
                                      config.hidden, config.hidden, rng)
         self.layer2 = nn.BiLstmLayer(self.params, f"{prefix}.l2", config.hidden,
@@ -149,7 +148,7 @@ class Discriminator:
                  prefix: str = "disc"):
         config.layer_shapes()  # geometry must be valid before any parameters exist
         self.config = config
-        self.params = nn.ParamSet(seed=0)
+        self.params = nn.ParamSet()
         c1, c2 = config.conv1, config.conv2
         self.f1 = self.params.add(f"{prefix}.c1.f", nn.xavier_uniform(rng, (c1.filters, 1, c1.size)))
         self.b1 = self.params.add(f"{prefix}.c1.b", np.zeros(c1.filters))
@@ -229,63 +228,39 @@ def train_gan(data: np.ndarray, gen_config: GeneratorConfig,
     if standardize:
         data = standardize_rows(data)
 
-    streams = np.random.SeedSequence(train_config.seed).spawn(4)
-    init_rng = np.random.default_rng(streams[0])
-    noise_rng = np.random.default_rng(streams[1])
-    batch_rng = np.random.default_rng(streams[2])
-    dropout_rng = np.random.default_rng(streams[3])
-
+    init_rng, noise_rng, batch_rng, dropout_rng = nn.seeded_streams(train_config.seed, 4)
     gen = Generator(gen_config, init_rng)
     disc = Discriminator(disc_config, init_rng)
-    gen.params.seed = train_config.seed
-    disc.params.seed = train_config.seed
     opt_g = nn.Adam(gen.params, lr=train_config.lr)
     opt_d = nn.Adam(disc.params, lr=train_config.lr)
 
-    n = data.shape[0]
-    batch = min(train_config.batch_size, n)
-    d_hist = np.empty(train_config.epochs)
-    g_hist = np.empty(train_config.epochs)
-
-    for it in range(train_config.epochs):
-        for _ in range(train_config.d_steps):
-            real = Tensor(data[batch_rng.choice(n, size=batch, replace=False)])
-            noise = sample_noise(batch, gen_config.seq_len, gen_config.noise_dim, noise_rng)
-            with ad.no_grad():
-                fake = gen.forward(noise, training=True, dropout_rng=dropout_rng)
-            d_loss = discriminator_loss(disc.forward(real), disc.forward(fake))
-            disc.params.zero_grad()
-            ad.backward(d_loss)
-            opt_d.step()
-            d_value = d_loss.item()
-
+    def fake_batch(batch: int) -> Tensor:
         noise = sample_noise(batch, gen_config.seq_len, gen_config.noise_dim, noise_rng)
-        fake = gen.forward(noise, training=True, dropout_rng=dropout_rng)
-        g_loss = generator_loss(disc.forward(fake), train_config.g_loss_mode)
-        gen.params.zero_grad()
-        disc.params.zero_grad()
-        ad.backward(g_loss)
-        opt_g.step()
-        g_value = g_loss.item()
+        return gen.forward(noise, training=True, dropout_rng=dropout_rng)
 
-        if not (np.isfinite(d_value) and np.isfinite(g_value)):
-            raise NonFiniteLossError(it)
-        d_hist[it] = d_value
-        g_hist[it] = g_value
+    def iteration(sample) -> dict[str, float]:
+        for _ in range(train_config.d_steps):
+            real = sample()
+            with ad.no_grad():
+                fake = fake_batch(real.shape[0])
+            d_value = opt_d.minimize(discriminator_loss(disc.forward(real), disc.forward(fake)))
+        g_loss = generator_loss(disc.forward(fake_batch(real.shape[0])), train_config.g_loss_mode)
+        return {"d_loss": d_value, "g_loss": opt_g.minimize(g_loss)}
 
-    arrays = gen.params.arrays() | disc.params.arrays()
+    history = nn.fit(data, train_config.epochs, train_config.batch_size, batch_rng, iteration)
     ckpt = ModelCheckpoint(
         model="gan",
         config={"generator": asdict(gen_config), "discriminator": asdict(disc_config),
                 "train": asdict(train_config), "standardized": bool(standardize)},
-        seed=train_config.seed, iterations=train_config.epochs, arrays=arrays)
-    return ckpt, {"d_loss": d_hist, "g_loss": g_hist}
+        seed=train_config.seed, iterations=train_config.epochs,
+        arrays=gen.params.arrays() | disc.params.arrays())
+    return ckpt, history
 
 
 def generator_from_checkpoint(ckpt: ModelCheckpoint) -> Generator:
     if ckpt.model != "gan":
         raise InvariantViolationError(f"checkpoint holds a {ckpt.model!r} model, not a gan")
-    config = GeneratorConfig(**ckpt.config["generator"])
+    config = read_config(ckpt, "generator", GeneratorConfig)
     gen = Generator(config, np.random.default_rng(0))
     gen.params.load_arrays({k: v for k, v in ckpt.arrays.items() if k.startswith("gen.")})
     return gen

@@ -25,14 +25,14 @@ _MICRO_GEN = gan.GeneratorConfig(noise_dim=2, seq_len=8, hidden=2, dropout_p=0.0
 
 
 def _check_dense(rng: np.random.Generator) -> float:
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     layer = nn.Dense(pset, "d", 4, 3, rng)
     x = Tensor(rng.standard_normal((5, 4)))
     return nn.check_gradients(lambda: ad.mean(ad.power(ad.tanh(layer(x)), 2.0)), pset)
 
 
 def _check_lstm_cell(rng: np.random.Generator) -> float:
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     cell = nn.LSTMCell(pset, "c", 3, 4, rng)
     seq = Tensor(np.stack([rng.standard_normal((2, 3)) for _ in range(3)], axis=1))
     return nn.check_gradients(
@@ -40,14 +40,14 @@ def _check_lstm_cell(rng: np.random.Generator) -> float:
 
 
 def _check_bilstm(rng: np.random.Generator) -> float:
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     layer = nn.BiLstmLayer(pset, "b", 2, 4, 3, rng)
     x = Tensor(rng.standard_normal((2, 3, 2)))
     return nn.check_gradients(lambda: ad.mean(ad.power(layer(x), 2.0)), pset)
 
 
 def _check_conv1d(rng: np.random.Generator) -> float:
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     x = pset.add("x", rng.standard_normal((2, 2, 9)))
     f = pset.add("f", rng.standard_normal((3, 2, 3)))
     b = pset.add("b", rng.standard_normal(3))
@@ -56,14 +56,14 @@ def _check_conv1d(rng: np.random.Generator) -> float:
 
 
 def _check_maxpool1d(rng: np.random.Generator) -> float:
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     x = pset.add("x", rng.standard_normal((2, 3, 10)))
     return nn.check_gradients(
         lambda: ad.mean(ad.power(nn.maxpool1d(x, window=3, stride=2), 2.0)), pset)
 
 
 def _check_softmax(rng: np.random.Generator) -> float:
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     z = pset.add("z", rng.standard_normal((4, 5)))
     target = rng.standard_normal((4, 5))
     return nn.check_gradients(
@@ -114,7 +114,7 @@ def _check_vae_loss(rng: np.random.Generator) -> float:
 def _check_logistic_probe(rng: np.random.Generator) -> float:
     x = rng.standard_normal((12, 4))
     y = (rng.random(12) < 0.5).astype(np.float64)
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     wb = pset.add("wb", np.append(rng.standard_normal(4), rng.standard_normal()))  # w, then b
 
     def loss_and_grad():

@@ -229,10 +229,6 @@ def _capped_ratio(num: float, den: float, cap: float) -> tuple[float, bool]:
     return num / den, False
 
 
-def ar_ratio(series: PriceSeries, n: int, cap: float = 1e6) -> np.ndarray:
-    return _ar_with_flags(series, n, cap)[0]
-
-
 def _ar_with_flags(series: PriceSeries, n: int, cap: float) -> tuple[np.ndarray, list[int]]:
     """sum(HP - OP) / sum(OP - LP) over the n-day window."""
     _require(series, n, "ar")
@@ -245,10 +241,6 @@ def _ar_with_flags(series: PriceSeries, n: int, cap: float) -> tuple[np.ndarray,
         if hit:
             flagged.append(j + n - 1)
     return out, flagged
-
-
-def br_ratio(series: PriceSeries, n: int, cap: float = 1e6) -> np.ndarray:
-    return _br_with_flags(series, n, cap)[0]
 
 
 def _br_with_flags(series: PriceSeries, n: int, cap: float) -> tuple[np.ndarray, list[int]]:

@@ -2,8 +2,9 @@
 
 Dense projection, tanh RNN and gated LSTM cells with ``unroll``, the fused
 op that steps either over a sequence, bidirectional sequence layer, 1-D
-convolution and max pooling, inverted dropout, stable softmax, Adam, and
-the finite-difference gradient checker used by the verification suite.
+convolution and max pooling, inverted dropout, stable softmax, Adam, the
+seeded minibatch loop both trainers run (``fit``), and the
+finite-difference gradient checker used by the verification suite.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import (
     EmptySequenceError,
     FilterLargerThanInputError,
     InvalidProbabilityError,
+    NonFiniteLossError,
     ShapeMismatchError,
 )
 
@@ -26,10 +28,9 @@ from .errors import (
 # --- parameters ---------------------------------------------------------------
 
 class ParamSet:
-    """Named trainable tensors plus the seed that initialized them."""
+    """Named trainable tensors."""
 
-    def __init__(self, seed: int):
-        self.seed = int(seed)
+    def __init__(self):
         self._params: dict[str, Tensor] = {}
 
     def add(self, name: str, array: np.ndarray) -> Tensor:
@@ -41,12 +42,6 @@ class ParamSet:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def names(self) -> list[str]:
         return list(self._params)
@@ -64,9 +59,6 @@ class ParamSet:
     def arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self._params.items()}
 
-    def grads(self) -> dict[str, np.ndarray | None]:
-        return {name: t.grad for name, t in self._params.items()}
-
     def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
         if set(arrays) != set(self._params):
             missing = set(self._params) - set(arrays)
@@ -78,9 +70,6 @@ class ParamSet:
             if arr.shape != target.shape:
                 raise ShapeMismatchError(f"parameter {name}: expected {target.shape}, got {arr.shape}")
             target.data = arr.copy()
-
-    def n_parameters(self) -> int:
-        return sum(t.size for t in self._params.values())
 
 
 def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
@@ -445,6 +434,45 @@ class Adam:
             param.data, self._m[name], self._v[name] = adam_step(
                 param.data, grad, self._m[name], self._v[name],
                 self.t, self.lr, self.beta1, self.beta2, self.eps)
+
+    def minimize(self, loss: Tensor) -> float:
+        """Clear this optimizer's gradients, backpropagate ``loss``, take one step."""
+        self.pset.zero_grad()
+        ad.backward(loss)
+        self.step()
+        return loss.item()
+
+
+# --- training loop ---------------------------------------------------------------------
+
+def seeded_streams(seed: int, count: int) -> list[np.random.Generator]:
+    """``count`` independent generators spawned from ``seed``, in spawn order."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
+
+
+def fit(data: np.ndarray, epochs: int, batch_size: int, batch_rng: np.random.Generator,
+        iteration: Callable[[Callable[[], Tensor]], dict[str, float]]) -> dict[str, np.ndarray]:
+    """Run ``epochs`` calls of ``iteration`` and return one loss history per name.
+
+    ``iteration(sample)`` makes one iteration's updates and returns its losses
+    by name; each ``sample()`` draws min(batch_size, N) distinct rows of
+    ``data`` with ``batch_rng``. The first non-finite loss raises
+    NonFiniteLossError with that iteration's index.
+    """
+    n = data.shape[0]
+    size = min(batch_size, n)
+
+    def sample() -> Tensor:
+        return Tensor(data[batch_rng.choice(n, size=size, replace=False)])
+
+    history: dict[str, np.ndarray] = {}
+    for it in range(epochs):
+        losses = iteration(sample)
+        if not all(np.isfinite(v) for v in losses.values()):
+            raise NonFiniteLossError(it)
+        for name, value in losses.items():
+            history.setdefault(name, np.empty(epochs))[it] = value
+    return history
 
 
 # --- gradient checking -----------------------------------------------------------------

@@ -35,15 +35,6 @@ def test_item_rejects_non_scalar():
         Tensor(np.ones(2)).item()
 
 
-def test_detach_blocks_gradient_flow():
-    p = Tensor(np.array([2.0]), requires_grad=True)
-    y = ad.mul(p, 3.0).detach()
-    assert not y.requires_grad
-    z = ad.add(ad.mul(p, 1.0), y)
-    ad.backward(ad.tensor_sum(z))
-    assert p.grad is not None and p.grad[0] == 1.0
-
-
 def test_add_broadcasts_and_unbroadcasts_grad():
     a = Tensor(np.zeros((2, 3)), requires_grad=True)
     b = Tensor(np.arange(3.0), requires_grad=True)

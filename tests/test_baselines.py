@@ -6,6 +6,7 @@ from qgf.autodiff import Tensor
 from qgf.errors import (
     EmptyDatasetError,
     InvariantViolationError,
+    IoError,
     NonFiniteLossError,
     ShapeMismatchError,
 )
@@ -169,9 +170,10 @@ def test_train_baseline_is_deterministic_per_seed():
 def test_non_finite_data_is_reported():
     data = _data()
     data[0, 0] = np.inf
-    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NonFiniteLossError):
+    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NonFiniteLossError) as err:
         bl.train_baseline("rnn-ae", data, TINY,
                           TrainConfig(epochs=3, batch_size=12, lr=0.01, seed=0))
+    assert err.value.iteration == 0
 
 
 def test_baseline_round_trip_through_checkpoint():
@@ -186,6 +188,19 @@ def test_baseline_round_trip_through_checkpoint():
         bad = type(ckpt)(model="gan", config=ckpt.config, seed=0, iterations=1,
                          arrays=ckpt.arrays)
         bl.baseline_from_checkpoint(bad)
+
+
+@pytest.mark.parametrize("edit,detail", [
+    (lambda ae: ae.pop("latent"), "'latent'"),
+    (lambda ae: ae.update(layers=2), "'layers'"),
+    (lambda ae: ae.update(hidden=True), "'hidden'"),
+], ids=["missing", "unknown", "bool-for-int"])
+def test_baseline_from_checkpoint_rejects_malformed_ae_config(edit, detail):
+    ckpt, _ = bl.train_baseline("rnn-ae", _data(), TINY,
+                                TrainConfig(epochs=1, batch_size=8, lr=0.01, seed=1))
+    edit(ckpt.config["ae"])
+    with pytest.raises(IoError, match=detail):
+        bl.baseline_from_checkpoint(ckpt)
 
 
 def test_constant_sequences_reach_tiny_loss():

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -193,6 +194,37 @@ def test_generate_on_checkpoint_without_tensors_exits_data_error(tmp_path, capsy
     payload = json.loads(capsys.readouterr().err)
     assert payload["error"] == "IoError"
     assert "'tensors'" in payload["message"]
+
+
+@pytest.fixture(scope="module")
+def gan_ckpt(tmp_path_factory):
+    work = tmp_path_factory.mktemp("gan")
+    data_path = work / "seqs.csv"
+    _write_train_data(data_path, length=64)
+    assert run("train", "--model", "gan", "--data", data_path, "--epochs", 1, "--batch", 8,
+               "--hidden", 4, "--noise-dim", 2, "--out", work / "ckpt", "--quiet") == 0
+    return work / "ckpt"
+
+
+@pytest.mark.parametrize("edit,detail", [
+    (lambda config: config.pop("generator"), "'generator'"),
+    (lambda config: config.update(generator=[4]), "'generator'"),
+    (lambda config: config["generator"].update(layers=2), "'layers'"),
+    (lambda config: config["generator"].update(hidden="4"), "'hidden'"),
+], ids=["missing", "list", "unknown-field", "string-for-int"])
+def test_generate_on_malformed_generator_config_exits_data_error(
+        gan_ckpt, tmp_path, capsys, edit, detail):
+    ckpt = tmp_path / "ckpt"
+    shutil.copytree(gan_ckpt, ckpt)
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    edit(manifest["config"])
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run("generate", "--ckpt", ckpt, "--count", 2,
+               "--out", tmp_path / "x.csv", "--quiet") == cli.EXIT_DATA
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "IoError"
+    assert detail in payload["message"]
 
 
 def test_gradcheck_prints_one_line_per_kernel(tmp_path, capsys):

@@ -162,6 +162,20 @@ def test_train_gan_equal_seeds_are_bitwise_identical():
     assert not np.array_equal(h1["g_loss"], h3["g_loss"])
 
 
+def test_train_gan_with_two_d_steps_reruns_bitwise():
+    config = gan.TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=5, d_steps=2)
+    (ckpt1, h1), (ckpt2, h2) = (gan.train_gan(_tiny_data(), TINY_GEN, TINY_DISC, config)
+                                for _ in range(2))
+    assert list(h1) == ["d_loss", "g_loss"]
+    for name in h1:
+        assert np.array_equal(h1[name], h2[name])
+    for k in ckpt1.arrays:
+        assert np.array_equal(ckpt1.arrays[k], ckpt2.arrays[k])
+    _, h_one = gan.train_gan(_tiny_data(), TINY_GEN, TINY_DISC,
+                             gan.TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=5))
+    assert not np.array_equal(h1["d_loss"], h_one["d_loss"])
+
+
 def test_generator_round_trip_through_checkpoint():
     ckpt, _ = gan.train_gan(_tiny_data(), TINY_GEN, TINY_DISC, TINY_TRAIN)
     gen = gan.generator_from_checkpoint(ckpt)

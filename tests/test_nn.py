@@ -7,22 +7,22 @@ from qgf.errors import (
     EmptySequenceError,
     FilterLargerThanInputError,
     InvalidProbabilityError,
+    NonFiniteLossError,
     ShapeMismatchError,
 )
 
 
 def test_paramset_rejects_duplicates_and_tracks_counts():
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     pset.add("w", np.ones((2, 3)))
     with pytest.raises(ValueError):
         pset.add("w", np.ones(1))
     pset.add("b", np.zeros(3))
-    assert pset.n_parameters() == 9
     assert pset.names() == ["w", "b"]
 
 
 def test_paramset_load_arrays_validates_names_and_shapes():
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     pset.add("w", np.ones((2, 2)))
     with pytest.raises(ShapeMismatchError):
         pset.load_arrays({"other": np.ones((2, 2))})
@@ -58,7 +58,7 @@ def test_layer_geometry_rejects_oversized_filter():
 
 
 def test_dense_affine_identity():
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     layer = nn.Dense(pset, "d", 3, 2, np.random.default_rng(0))
     x = np.random.default_rng(1).standard_normal((4, 3))
     out = layer(Tensor(x))
@@ -68,7 +68,7 @@ def test_dense_affine_identity():
 
 
 def test_lstm_cell_zero_weights_keep_zero_state():
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     cell = nn.LSTMCell(pset, "c", 3, 4, np.random.default_rng(0))
     for t in pset.tensors():
         t.data[:] = 0.0
@@ -79,7 +79,7 @@ def test_lstm_cell_zero_weights_keep_zero_state():
 
 
 def test_lstm_cell_forget_gate_scales_carry():
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     cell = nn.LSTMCell(pset, "c", 1, 1, np.random.default_rng(0))
     for t in pset.tensors():
         t.data[:] = 0.0
@@ -92,7 +92,7 @@ def test_lstm_cell_forget_gate_scales_carry():
 
 
 def test_rnn_cell_zero_weights_keep_zero_state():
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     cell = nn.RNNCell(pset, "c", 3, 4, np.random.default_rng(0))
     for t in pset.tensors():
         t.data[:] = 0.0
@@ -105,7 +105,7 @@ CELLS = {"rnn": nn.RNNCell, "lstm": nn.LSTMCell}
 
 def _cell_and_sequence(kind):
     rng = np.random.default_rng(4)
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     cell = CELLS[kind](pset, "c", 3, 4, rng)
     return cell, Tensor(rng.standard_normal((2, 5, 3)))
 
@@ -167,7 +167,7 @@ def test_unroll_rejects_a_feature_width_the_cell_does_not_take(kind):
 
 
 def test_bilstm_output_shape_and_direction_sensitivity():
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     layer = nn.BiLstmLayer(pset, "bi", 2, 3, 4, np.random.default_rng(7))
     rng = np.random.default_rng(8)
     x = rng.standard_normal((5, 6, 2))
@@ -279,7 +279,7 @@ def test_mse_half_value_and_shape_check():
 
 
 def test_adam_zero_gradient_is_noop():
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     pset.add("w", np.array([1.0, -2.0]))
     before = pset["w"].data.copy()
     opt = nn.Adam(pset, lr=0.1)
@@ -305,7 +305,7 @@ def test_adam_constant_gradient_step_approaches_lr():
 
 
 def test_adam_first_step_is_lr_times_sign():
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     p = pset.add("w", np.array([1.0, 1.0]))
     opt = nn.Adam(pset, lr=0.5)
     p.grad = np.array([10.0, -0.01])
@@ -314,8 +314,77 @@ def test_adam_first_step_is_lr_times_sign():
     assert np.allclose(p.data, [0.5, 1.5], atol=1e-6)
 
 
+def _quadratic_problem(seed):
+    pset = nn.ParamSet()
+    w = pset.add("w", np.random.default_rng(seed).standard_normal((3, 2)))
+    x = Tensor(np.random.default_rng(seed + 1).standard_normal((4, 3)))
+    return pset, lambda: ad.mean(ad.power(ad.matmul(x, w), 2.0))
+
+
+def test_adam_minimize_equals_zero_grad_backward_step():
+    explicit, loss_a = _quadratic_problem(3)
+    fused, loss_b = _quadratic_problem(3)
+    opt_a, opt_b = nn.Adam(explicit, lr=0.05), nn.Adam(fused, lr=0.05)
+    for _ in range(5):
+        explicit.zero_grad()
+        loss = loss_a()
+        ad.backward(loss)
+        opt_a.step()
+        assert opt_b.minimize(loss_b()) == loss.item()
+    assert np.array_equal(explicit["w"].data, fused["w"].data)
+
+
+def test_seeded_streams_spawn_in_order():
+    streams = nn.seeded_streams(11, 3)
+    spawned = np.random.SeedSequence(11).spawn(3)
+    for got, seq in zip(streams, spawned):
+        assert np.array_equal(got.random(4), np.random.default_rng(seq).random(4))
+
+
+def test_fit_histories_are_keyed_and_ordered_as_returned():
+    values = iter(range(100))
+
+    def iteration(sample):
+        return {"b": float(next(values)), "a": float(next(values))}
+
+    hist = nn.fit(np.zeros((5, 2)), 3, 2, np.random.default_rng(0), iteration)
+    assert list(hist) == ["b", "a"]
+    assert np.array_equal(hist["b"], [0.0, 2.0, 4.0])
+    assert np.array_equal(hist["a"], [1.0, 3.0, 5.0])
+
+
+@pytest.mark.parametrize("batch_size,expected", [(4, 4), (9, 6)])
+def test_fit_samples_distinct_rows_capped_at_the_dataset(batch_size, expected):
+    data = np.arange(12.0).reshape(6, 2)
+    batches = []
+
+    def iteration(sample):
+        batches.extend(sample().data for _ in range(2))
+        return {"loss": 0.0}
+
+    nn.fit(data, 3, batch_size, np.random.default_rng(1), iteration)
+    assert len(batches) == 6
+    for batch in batches:
+        assert batch.shape == (expected, 2)
+        assert len({tuple(row) for row in batch}) == expected
+        assert all(tuple(row) in {tuple(r) for r in data} for row in batch)
+
+
+def test_fit_reports_the_first_non_finite_iteration():
+    seen = []
+
+    def iteration(sample):
+        seen.append(len(seen))
+        return {"d": 1.0, "g": np.nan if len(seen) == 3 else 0.5}
+
+    with pytest.raises(NonFiniteLossError) as err:
+        nn.fit(np.zeros((4, 2)), 10, 2, np.random.default_rng(0), iteration)
+    assert err.value.iteration == 2
+    assert seen == [0, 1, 2]
+
+
 def test_check_gradients_flags_wrong_backward():
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     w = pset.add("w", np.array([0.3, -0.7]))
 
     def good():
@@ -335,7 +404,7 @@ def test_check_gradients_flags_wrong_backward():
 
 def test_finite_differences_without_graph_match_tracked_probes():
     rng = np.random.default_rng(3)
-    pset = nn.ParamSet(seed=0)
+    pset = nn.ParamSet()
     cell = nn.LSTMCell(pset, "c", 3, 4, rng)
     xs = [Tensor(rng.standard_normal((2, 3))) for _ in range(3)]
 
