@@ -188,11 +188,16 @@ def tanh(a) -> Tensor:
     return _make(out_data, (a,), bwd)
 
 
-def logistic(x: np.ndarray) -> np.ndarray:
-    """Numerically stable 1 / (1 + exp(-x)) in both tails: exp never sees a positive arg."""
-    t = np.exp(-np.abs(x))
-    d = 1.0 + t
-    return np.where(x >= 0, 1.0 / d, t / d)
+def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-x)) in place in ``out`` (default: a new array). Below x = -709
+    exp overflows to inf and the result is 0, within a denormal of the truth."""
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.negative(x, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def sigmoid(a) -> Tensor:

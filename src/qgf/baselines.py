@@ -95,20 +95,23 @@ class RecurrentAutoencoder:
         return ad.select(nn.unroll(self.encoder, ad.reshape(x, (batch, steps, 1))), 1, steps - 1)
 
     def decode(self, latent: Tensor, steps: int, teacher: Tensor | None = None) -> Tensor:
-        """Unroll the decoder; ``teacher`` supplies step inputs when given."""
+        """Unroll the decoder: one fused ``unroll`` when ``teacher`` supplies the step
+        inputs, else each output is fed back through ``step`` (free-running)."""
         batch = latent.shape[0]
         h0 = ad.tanh(self.from_latent(latent))
+        if teacher is not None:
+            inputs = ad.concat([Tensor(np.zeros((batch, 1))), ad.narrow(teacher, 1, 0, steps - 1)],
+                               axis=1)
+            hs = nn.unroll(self.decoder, ad.reshape(inputs, (batch, steps, 1)), h0=h0)
+            y = self.emit(ad.reshape(hs, (batch * steps, self.config.hidden)))
+            return ad.reshape(y, (batch, steps))
         state = (h0,) + self.decoder.zero_state(batch)[1:]
         prev = Tensor(np.zeros((batch, 1)))
         outputs = []
-        for t in range(steps):
-            if teacher is not None and t > 0:
-                prev = ad.reshape(ad.select(teacher, 1, t - 1), (batch, 1))
+        for _ in range(steps):
             state = self.decoder.step(prev, state)
-            y_t = self.emit(state[0])
-            outputs.append(y_t)
-            if teacher is None:
-                prev = y_t
+            prev = self.emit(state[0])
+            outputs.append(prev)
         return ad.reshape(ad.concat(outputs, axis=1), (batch, steps))
 
     def forward(self, x: Tensor, teacher_forcing: bool = True) -> Tensor:

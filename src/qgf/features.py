@@ -59,16 +59,21 @@ def _standardize(x: np.ndarray) -> np.ndarray:
     return (x - mu) / np.where(sd == 0, 1.0, sd)
 
 
+def _probe_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float,
+                logits: np.ndarray) -> tuple[np.ndarray, float]:
+    """Gradient of the probe loss in (w, b) at ``logits`` = x w + b."""
+    err = ad.logistic(logits) - y
+    return x.T @ err / x.shape[0] + l2 * w, float(err.mean())
+
+
 def logistic_loss_and_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
                            l2: float) -> tuple[float, np.ndarray, float]:
     """Mean cross-entropy plus (l2/2)||w||^2 and its exact gradient."""
-    n = x.shape[0]
     logits = x @ w + b
     # log(1 + exp(z)) - y z, computed from the softplus identity for stability
     softplus = np.logaddexp(0.0, logits)
     loss = float((softplus - y * logits).mean() + 0.5 * l2 * (w @ w))
-    err = ad.logistic(logits) - y
-    return loss, x.T @ err / n + l2 * w, float(err.mean())
+    return (loss, *_probe_grad(w, x, y, l2, logits))
 
 
 def fit_logistic_probe(x: np.ndarray, y: np.ndarray, l2: float = 1e-3,
@@ -77,7 +82,7 @@ def fit_logistic_probe(x: np.ndarray, y: np.ndarray, l2: float = 1e-3,
     w = np.zeros(x.shape[1])
     b = 0.0
     for _ in range(steps):
-        _, gw, gb = logistic_loss_and_grad(w, b, x, y, l2)
+        gw, gb = _probe_grad(w, x, y, l2, x @ w + b)
         w -= lr * gw
         b -= lr * gb
     logits = x @ w + b

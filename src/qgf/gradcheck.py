@@ -8,6 +8,7 @@ and the test suite.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -98,8 +99,9 @@ def _check_ae_loss(rng: np.random.Generator) -> float:
         lambda: baselines.rnn_ae_loss(model.forward(x), x), model.params)
 
 
-def _check_vae_loss(rng: np.random.Generator) -> float:
-    config = baselines.AeConfig(hidden=3, latent=2, seq_len=4, cell="rnn")
+def _check_vae_loss(rng: np.random.Generator, cell: str = "rnn") -> float:
+    # an lstm decoder also covers the gradient of ``unroll``'s h0
+    config = baselines.AeConfig(hidden=3, latent=2, seq_len=4, cell=cell)
     model = baselines.RecurrentAutoencoder(config, rng, variational=True)
     x = Tensor(rng.standard_normal((2, 4)))
     eps_seed = int(rng.integers(1 << 30))
@@ -136,6 +138,7 @@ KERNEL_CHECKS: dict[str, Callable[[np.random.Generator], float]] = {
     "gan_g_loss": _check_gan_g_loss,
     "ae_loss": _check_ae_loss,
     "vae_loss": _check_vae_loss,
+    "lstm_vae_loss": functools.partial(_check_vae_loss, cell="lstm"),
     "logistic_probe": _check_logistic_probe,
 }
 

@@ -146,10 +146,11 @@ class RNNCell:
     def zero_state(self, batch: int) -> tuple[Tensor]:
         return (Tensor(np.zeros((batch, self.hidden))),)
 
-    # pointwise part of one step on raw arrays, for the fused ``unroll``
+    # pointwise part of one step on raw arrays, for the fused ``unroll``; z is
+    # a fresh array per step and its buffer is reused for the result
     @staticmethod
     def _activate(z: np.ndarray, carry):
-        h = np.tanh(z)
+        h = np.tanh(z, out=z)
         return h, carry, h
 
     @staticmethod
@@ -189,12 +190,18 @@ class LSTMCell:
     def zero_state(self, batch: int) -> tuple[Tensor, Tensor]:
         return (Tensor(np.zeros((batch, self.hidden))), Tensor(np.zeros((batch, self.hidden))))
 
-    # pointwise part of one step on raw arrays, for the fused ``unroll``; carry is c
+    # pointwise part of one step on raw arrays, for the fused ``unroll``; carry is c.
+    # The gates are kept gate-major, (4, batch, hidden), so that every block the
+    # elementwise ops read and write is contiguous
     @staticmethod
     def _activate(z: np.ndarray, c_prev):
-        gates = ad.logistic(z)
-        i, f, g, o = _gate_blocks(gates)
-        g[:] = np.tanh(_gate_blocks(z)[2])  # one logistic over all four blocks, then g is tanh
+        batch, h = z.shape[0], z.shape[1] // 4
+        g_cand = np.tanh(z[:, 2 * h:3 * h])
+        # z is a fresh array per step; a logistic over all of it is cheaper than
+        # over the strided i, f, o blocks alone, and g is then overwritten
+        gates = ad.logistic(z, out=z).reshape(batch, 4, h).transpose(1, 0, 2).copy()
+        i, f, g, o = gates
+        g[:] = g_cand
         c = f * c_prev + i * g
         tanh_c = np.tanh(c)
         return o * tanh_c, c, (gates, c_prev, tanh_c)
@@ -202,30 +209,28 @@ class LSTMCell:
     @staticmethod
     def _activate_backward(dh: np.ndarray, dc, saved):
         gates, c_prev, tanh_c = saved
-        i, f, g, o = _gate_blocks(gates)
+        i, f, g, o = gates
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
-        dz = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
-                             dc * i * (1.0 - g * g), dh * tanh_c * o * (1.0 - o)], axis=1)
-        return dz, dc * f
+        dz = np.empty_like(gates)
+        np.multiply(dc * g * i, 1.0 - i, out=dz[0])
+        np.multiply(dc * c_prev * f, 1.0 - f, out=dz[1])
+        np.multiply(dc * i, 1.0 - g * g, out=dz[2])
+        np.multiply(dh * tanh_c * o, 1.0 - o, out=dz[3])
+        return dz.transpose(1, 0, 2).reshape(dh.shape[0], -1), dc * f
 
 
-def _gate_blocks(a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Views of the i, f, g, o column blocks of a (batch, 4*hidden) array."""
-    h = a.shape[1] // 4
-    return a[:, :h], a[:, h:2 * h], a[:, 2 * h:3 * h], a[:, 3 * h:]
-
-
-def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False) -> Tensor:
+def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False,
+           h0: Tensor | None = None) -> Tensor:
     """Step ``cell`` over ``seq`` (batch, time, features) from its zero state.
 
     Returns h for every step as one (batch, time, hidden) tensor in time
-    order; ``reverse`` walks time backwards. The whole recurrence is one
-    graph node: the input projection of all steps is a single GEMM, the
-    time loop steps only ``h @ w_h`` and the cell's gates, and backward is
-    hand-written backpropagation through time over the gates and cell
-    states saved per step (nothing is saved under ``ad.no_grad()``). Values
-    and gradients are those of chaining ``cell.step`` from
-    ``cell.zero_state``.
+    order; ``reverse`` walks time backwards. ``h0`` (batch, hidden), if given,
+    replaces the zero initial h (an LSTM's c still starts at zero). The whole
+    recurrence is one graph node: the input projection of all steps is a
+    single GEMM, the time loop steps only ``h @ w_h`` and the cell's gates,
+    and backward is hand-written backpropagation through time over the gates
+    and cell states saved per step (nothing is saved under ``ad.no_grad()``).
+    Values and gradients are those of chaining ``cell.step`` from that state.
     """
     if seq.data.ndim != 3 or seq.shape[2] != cell.n_in:
         raise ShapeMismatchError(
@@ -233,12 +238,16 @@ def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False) -> Tens
     batch, steps, n_in = seq.shape
     if steps == 0:
         raise EmptySequenceError("unroll got an empty sequence")
+    if h0 is not None and h0.shape != (batch, cell.hidden):
+        raise ShapeMismatchError(f"unroll h0 must be {(batch, cell.hidden)}, got {h0.shape}")
     w_x, w_h, b = cell.w_x, cell.w_h, cell.b
-    track = ad.is_tracking(seq, w_x, w_h, b)
+    parents = (seq, w_x, w_h, b) + ((h0,) if h0 is not None else ())
+    track = ad.is_tracking(*parents)
     xw = (seq.data.reshape(batch * steps, n_in) @ w_x.data).reshape(batch, steps, -1)
     times = range(steps - 1, -1, -1) if reverse else range(steps)
     hs = np.empty((batch, steps, cell.hidden))
-    h, carry = np.zeros((batch, cell.hidden)), 0.0
+    h_first = np.zeros((batch, cell.hidden)) if h0 is None else h0.data
+    h, carry = h_first, 0.0
     saved = []
     for t in times:
         z = xw[:, t] + h @ w_h.data
@@ -252,7 +261,6 @@ def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False) -> Tens
         # weight gradients accumulate step by step, latest step first, as the graph of
         # chained ``cell.step`` calls does, so every sum rounds the same way
         dx = np.empty(seq.shape) if seq.requires_grad else None
-        h_first = np.zeros((batch, cell.hidden))
         dh, dcarry = 0.0, 0.0
         for k in range(steps - 1, -1, -1):
             t = times[k]
@@ -266,8 +274,10 @@ def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False) -> Tens
             dh = dz @ w_h.data.T
         if dx is not None:
             ad._accumulate(seq, dx)
+        if h0 is not None:
+            ad._accumulate(h0, dh)
 
-    return ad._make(hs, (seq, w_x, w_h, b), bwd)
+    return ad._make(hs, parents, bwd)
 
 
 class BiLstmLayer:

@@ -1,10 +1,12 @@
 """Independent reference implementations used only by the tests.
 
-Everything here is written as plain index-by-index loops over Python floats,
+Most of these are plain index-by-index loops over Python floats,
 recomputing each window from scratch, so agreement with the vectorized
-library code is meaningful. None of these import the library. The one
-numpy user, ``oracle_frechet_dp``, is the library's former row-by-row
-Fréchet program, kept so the wavefront can be held to it with ``==``.
+library code is meaningful. Three are former library code, kept so the code
+that replaced them can be held to them: ``oracle_frechet_dp`` (the row-by-row
+Fréchet program), ``oracle_logistic_where`` (the two-branch logistic) and
+``oracle_teacher_forced_decode`` (the per-step decoder loop, the only oracle
+that calls the library: it chains the cell's own ``step``).
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import functools
 import math
 
 import numpy as np
+
+from qgf import autodiff as ad
+from qgf.autodiff import Tensor
 
 
 def _window(xs, i, n):
@@ -290,3 +295,25 @@ def oracle_windows(length: int, window_len: int, stride: int) -> list[tuple[int,
         out.append((start, start + window_len))
         start += stride
     return out
+
+
+def oracle_logistic_where(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) from two branches; exp never sees a positive argument."""
+    t = np.exp(-np.abs(x))
+    d = 1.0 + t
+    return np.where(x >= 0, 1.0 / d, t / d)
+
+
+def oracle_teacher_forced_decode(model, latent: Tensor, teacher: Tensor) -> Tensor:
+    """A RecurrentAutoencoder's teacher-forced decode, one ``step`` and emit per step."""
+    batch, steps = teacher.shape
+    h0 = ad.tanh(model.from_latent(latent))
+    state = (h0,) + model.decoder.zero_state(batch)[1:]
+    prev = Tensor(np.zeros((batch, 1)))
+    outputs = []
+    for t in range(steps):
+        if t > 0:
+            prev = ad.reshape(ad.select(teacher, 1, t - 1), (batch, 1))
+        state = model.decoder.step(prev, state)
+        outputs.append(model.emit(state[0]))
+    return ad.reshape(ad.concat(outputs, axis=1), (batch, steps))

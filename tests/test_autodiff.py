@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from oracles import oracle_logistic_where
 
 from qgf import autodiff as ad
 from qgf.autodiff import Tensor
@@ -75,6 +78,28 @@ def test_sigmoid_matches_closed_form_and_is_stable():
     assert s.data[2] == 0.5
     ad.backward(ad.tensor_sum(s))
     assert np.allclose(z.grad, s.data * (1 - s.data))
+
+
+def test_logistic_matches_the_two_branch_formula_in_both_tails():
+    edges = [0.0, -0.0, 745.0, -745.0, 1e308, -1e308, np.inf, -np.inf]
+    x = np.concatenate([np.random.default_rng(9).uniform(-800.0, 800.0, 100_000), edges])
+    before = x.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = ad.logistic(x)
+    assert np.array_equal(x, before)  # the input is not written
+    assert np.max(np.abs(got - oracle_logistic_where(x))) <= 2.2e-16
+    assert np.array_equal(got[-8:], [0.5, 0.5, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+
+
+def test_logistic_propagates_nan_and_fills_out():
+    x = np.array([[np.nan, 0.0], [2.0, -3.0]])
+    out = np.empty_like(x)
+    assert ad.logistic(x, out=out) is out
+    assert np.isnan(out[0, 0])
+    np.testing.assert_array_equal(out[0, 1:], [0.5])
+    np.testing.assert_allclose(out[1], 1.0 / (1.0 + np.exp([-2.0, 3.0])), rtol=1e-15)
+    assert ad.logistic(np.float64(0.0)) == 0.5
 
 
 def test_tanh_exp_log_gradients():

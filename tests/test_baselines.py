@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from oracles import oracle_teacher_forced_decode
 
+from qgf import autodiff as ad
 from qgf import baselines as bl
 from qgf.autodiff import Tensor
 from qgf.errors import (
@@ -69,6 +71,51 @@ def test_teacher_forcing_and_free_running_differ(rng):
     assert not np.array_equal(forced.data, free.data)
     # both agree at step 0, where the decoder input is 0 either way
     assert np.array_equal(forced.data[:, 0], free.data[:, 0])
+
+
+@pytest.mark.parametrize("cell", ["rnn", "lstm"])
+def test_teacher_forced_decode_matches_the_per_step_loop(cell, rng):
+    model = bl.RecurrentAutoencoder(bl.AeConfig(hidden=6, latent=3, seq_len=10, cell=cell), rng)
+    latent = Tensor(rng.standard_normal((12, 3)))
+    teacher = Tensor(_data(), requires_grad=True)
+    weights = rng.standard_normal((12, 10))
+    tracked = {name: t for name, t in model.params.items()
+               if name.startswith(("ae.dec", "ae.emit"))}  # dec0, the decoder cell, emit
+    tracked["teacher"] = teacher
+
+    def run(decode):
+        for t in tracked.values():
+            t.grad = None
+        y = decode()
+        ad.backward(ad.tensor_sum(ad.mul(y, weights)))
+        return y.data, {name: t.grad for name, t in tracked.items()}
+
+    fused_y, fused = run(lambda: model.decode(latent, 10, teacher=teacher))
+    loop_y, loop = run(lambda: oracle_teacher_forced_decode(model, latent, teacher))
+    np.testing.assert_allclose(fused_y, loop_y, rtol=1e-12, atol=1e-12)
+    assert len(tracked) == 8 and all(g is not None for g in fused.values())
+    for name in tracked:
+        np.testing.assert_allclose(fused[name], loop[name], rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+def _graph_size(loss: Tensor) -> int:
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def test_teacher_forced_vae_graph_does_not_grow_with_length():
+    def desk_lstm_vae_graph(steps):
+        config = bl.AeConfig(hidden=16, latent=4, seq_len=steps, cell="lstm")
+        model = bl.RecurrentAutoencoder(config, np.random.default_rng(1), variational=True)
+        x = Tensor(np.random.default_rng(2).standard_normal((32, steps)))
+        return _graph_size(bl.rnn_vae_loss(model, x, np.random.default_rng(3))[0])
+
+    assert desk_lstm_vae_graph(8) == desk_lstm_vae_graph(64)
 
 
 def test_vae_forward_returns_consistent_sample(rng):

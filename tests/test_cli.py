@@ -231,11 +231,11 @@ def test_gradcheck_prints_one_line_per_kernel(tmp_path, capsys):
     out = tmp_path / "gradcheck.json"
     assert run("gradcheck", "--seeds", 1, "--out", out) == 0
     lines = [l for l in capsys.readouterr().out.strip().split("\n") if l]
-    assert len(lines) == 11
+    assert len(lines) == 12
     assert all(line.endswith("ok") for line in lines)
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
-    assert len(payload["max_relative_error"]) == 11
+    assert len(payload["max_relative_error"]) == 12
 
 
 def test_gradcheck_failure_exits_numeric(tmp_path, capsys):

@@ -151,6 +151,46 @@ def test_unroll_gradients_match_a_manual_step_loop(kind, reverse):
         np.testing.assert_allclose(fused[name], manual[name], rtol=1e-12, err_msg=name)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("kind", sorted(CELLS))
+def test_unroll_from_h0_matches_a_manual_step_loop(kind, reverse):
+    cell, seq = _cell_and_sequence(kind)
+    seq.requires_grad = True
+    rng = np.random.default_rng(6)
+    h0 = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+    tensors = {"w_x": cell.w_x, "w_h": cell.w_h, "b": cell.b, "seq": seq, "h0": h0}
+    weights = rng.standard_normal((2, 5, 4))
+    times = range(4, -1, -1) if reverse else range(5)
+
+    def run(build_hs):
+        for t in tensors.values():
+            t.grad = None
+        hs = build_hs()
+        ad.backward(ad.tensor_sum(ad.mul(hs, weights)))
+        return hs.data, {name: t.grad for name, t in tensors.items()}
+
+    def manual_hs():
+        state, hs = (h0,) + cell.zero_state(2)[1:], {}  # h from h0, an LSTM's c from zero
+        for t in times:
+            state = cell.step(ad.select(seq, 1, t), state)
+            hs[t] = ad.reshape(state[0], (2, 1, 4))
+        return ad.concat([hs[t] for t in range(5)], axis=1)
+
+    fused_hs, fused = run(lambda: nn.unroll(cell, seq, reverse=reverse, h0=h0))
+    manual_out, manual = run(manual_hs)
+    np.testing.assert_allclose(fused_hs, manual_out, rtol=1e-12)
+    assert not np.array_equal(fused_hs, nn.unroll(cell, seq, reverse=reverse).data)
+    for name in tensors:
+        np.testing.assert_allclose(fused[name], manual[name], rtol=1e-12, err_msg=name)
+
+
+def test_unroll_rejects_an_h0_of_the_wrong_shape():
+    cell, seq = _cell_and_sequence("lstm")
+    for shape in [(2, 3), (3, 4), (4,), (2, 4, 1)]:
+        with pytest.raises(ShapeMismatchError):
+            nn.unroll(cell, seq, h0=Tensor(np.zeros(shape)))
+
+
 def test_unroll_rejects_non_sequences_and_empty_ones():
     cell, _ = _cell_and_sequence("rnn")
     with pytest.raises(ShapeMismatchError):
