@@ -69,9 +69,9 @@ def _accumulate(t: Tensor, grad: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = grad.copy() if isinstance(grad, np.ndarray) else np.asarray(grad, dtype=np.float64)
+        t.grad = np.array(grad, dtype=np.float64)  # a copy this node owns and adds into
     else:
-        t.grad = t.grad + grad
+        t.grad += grad
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

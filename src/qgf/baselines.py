@@ -61,8 +61,8 @@ class ElboTerms:
 class RecurrentAutoencoder:
     """Encoder RNN -> latent code -> decoder RNN emitting one value per step.
 
-    The decoder's input at step t is the previous target value under teacher
-    forcing, or its own previous output when free-running; step 0 feeds 0.
+    The decoder is teacher-forced: its input at step t is the target value
+    of step t - 1, and step 0 feeds 0.
     """
 
     def __init__(self, config: AeConfig, rng: np.random.Generator,
@@ -94,34 +94,22 @@ class RecurrentAutoencoder:
         batch, steps = self._check_input(x)
         return ad.select(nn.unroll(self.encoder, ad.reshape(x, (batch, steps, 1))), 1, steps - 1)
 
-    def decode(self, latent: Tensor, steps: int, teacher: Tensor | None = None) -> Tensor:
-        """Unroll the decoder: one fused ``unroll`` when ``teacher`` supplies the step
-        inputs, else each output is fed back through ``step`` (free-running)."""
-        batch = latent.shape[0]
+    def decode(self, latent: Tensor, teacher: Tensor) -> Tensor:
+        """One fused ``unroll`` of the decoder over ``teacher`` (batch, steps) shifted
+        right by one step, then one emit over every step's h."""
+        batch, steps = teacher.shape
         h0 = ad.tanh(self.from_latent(latent))
-        if teacher is not None:
-            inputs = ad.concat([Tensor(np.zeros((batch, 1))), ad.narrow(teacher, 1, 0, steps - 1)],
-                               axis=1)
-            hs = nn.unroll(self.decoder, ad.reshape(inputs, (batch, steps, 1)), h0=h0)
-            y = self.emit(ad.reshape(hs, (batch * steps, self.config.hidden)))
-            return ad.reshape(y, (batch, steps))
-        state = (h0,) + self.decoder.zero_state(batch)[1:]
-        prev = Tensor(np.zeros((batch, 1)))
-        outputs = []
-        for _ in range(steps):
-            state = self.decoder.step(prev, state)
-            prev = self.emit(state[0])
-            outputs.append(prev)
-        return ad.reshape(ad.concat(outputs, axis=1), (batch, steps))
+        inputs = ad.concat([Tensor(np.zeros((batch, 1))), ad.narrow(teacher, 1, 0, steps - 1)], axis=1)
+        hs = nn.unroll(self.decoder, ad.reshape(inputs, (batch, steps, 1)), h0=h0)
+        y = self.emit(ad.reshape(hs, (batch * steps, self.config.hidden)))
+        return ad.reshape(y, (batch, steps))
 
-    def forward(self, x: Tensor, teacher_forcing: bool = True) -> Tensor:
+    def forward(self, x: Tensor) -> Tensor:
         if self.variational:
             raise InvariantViolationError("variational model: use forward_vae")
-        latent = self.to_latent(self.encode(x))
-        return self.decode(latent, self.config.seq_len, teacher=x if teacher_forcing else None)
+        return self.decode(self.to_latent(self.encode(x)), x)
 
-    def forward_vae(self, x: Tensor, rng: np.random.Generator,
-                    teacher_forcing: bool = True) -> tuple[Tensor, Tensor, Tensor]:
+    def forward_vae(self, x: Tensor, rng: np.random.Generator) -> tuple[Tensor, Tensor, Tensor]:
         """Returns (reconstruction, mu, sigma) with one sampled z."""
         if not self.variational:
             raise InvariantViolationError("non-variational model: use forward")
@@ -129,8 +117,7 @@ class RecurrentAutoencoder:
         mu = self.to_mu(h)
         sigma = ad.exp(ad.mul(self.to_logvar(h), 0.5))
         z = reparameterize(mu, sigma, rng)
-        y = self.decode(z, self.config.seq_len, teacher=x if teacher_forcing else None)
-        return y, mu, sigma
+        return self.decode(z, x), mu, sigma
 
 
 def rnn_ae_loss(y: Tensor, x: Tensor) -> Tensor:
@@ -164,10 +151,10 @@ def kl_standard_normal(mu: Tensor, sigma: Tensor) -> Tensor:
     return ad.mul(ad.tensor_sum(per_entry), 0.5)
 
 
-def rnn_vae_loss(model: RecurrentAutoencoder, x: Tensor, rng: np.random.Generator,
-                 teacher_forcing: bool = True) -> tuple[Tensor, ElboTerms]:
+def rnn_vae_loss(model: RecurrentAutoencoder, x: Tensor,
+                 rng: np.random.Generator) -> tuple[Tensor, ElboTerms]:
     """Single-sample negative ELBO as the training objective, plus its parts."""
-    y, mu, sigma = model.forward_vae(x, rng, teacher_forcing=teacher_forcing)
+    y, mu, sigma = model.forward_vae(x, rng)
     recon_nll = rnn_ae_loss(y, x)
     kl = kl_standard_normal(mu, sigma)
     loss = ad.add(recon_nll, kl)

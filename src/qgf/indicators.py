@@ -223,10 +223,13 @@ def psy(series: PriceSeries, n: int) -> np.ndarray:
     return out
 
 
-def _capped_ratio(num: float, den: float, cap: float) -> tuple[float, bool]:
-    if den == 0:
-        return cap, True
-    return num / den, False
+def _capped_ratio(num: np.ndarray, den: np.ndarray, bad: np.ndarray, start: int,
+                  cap: float) -> tuple[np.ndarray, list[int]]:
+    """num / den from bar ``start`` on, NaN before; ``cap`` where ``bad``, whose bars
+    come back flagged."""
+    out = np.full(start + num.size, np.nan)
+    out[start:] = np.where(bad, cap, num / np.where(bad, 1.0, den))
+    return out, (np.flatnonzero(bad) + start).tolist()
 
 
 def _ar_with_flags(series: PriceSeries, n: int, cap: float) -> tuple[np.ndarray, list[int]]:
@@ -234,13 +237,7 @@ def _ar_with_flags(series: PriceSeries, n: int, cap: float) -> tuple[np.ndarray,
     _require(series, n, "ar")
     up = sliding_window_view(series.highs() - series.opens(), n).sum(axis=1)
     down = sliding_window_view(series.opens() - series.lows(), n).sum(axis=1)
-    out = np.full(len(series), np.nan)
-    flagged = []
-    for j in range(up.size):
-        out[j + n - 1], hit = _capped_ratio(up[j], down[j], cap)
-        if hit:
-            flagged.append(j + n - 1)
-    return out, flagged
+    return _capped_ratio(up, down, down == 0, n - 1, cap)
 
 
 def _br_with_flags(series: PriceSeries, n: int, cap: float) -> tuple[np.ndarray, list[int]]:
@@ -249,13 +246,7 @@ def _br_with_flags(series: PriceSeries, n: int, cap: float) -> tuple[np.ndarray,
     highs, lows, closes = series.highs(), series.lows(), series.closes()
     up = sliding_window_view(highs[1:] - closes[:-1], n).sum(axis=1)
     down = sliding_window_view(closes[:-1] - lows[1:], n).sum(axis=1)
-    out = np.full(len(series), np.nan)
-    flagged = []
-    for j in range(up.size):
-        out[j + n], hit = _capped_ratio(up[j], down[j], cap)
-        if hit:
-            flagged.append(j + n)
-    return out, flagged
+    return _capped_ratio(up, down, down == 0, n, cap)
 
 
 def volume_ratio(series: PriceSeries, n: int, cap: float = 1e6,
@@ -279,17 +270,9 @@ def _vr_with_flags(series: PriceSeries, n: int, cap: float,
     tvd = sliding_window_view(np.where(change < 0, vols, 0.0), n).sum(axis=1)
     tvf = sliding_window_view(np.where(change == 0, vols, 0.0), n).sum(axis=1)
     sign = -1.0 if convention == "printed" else 1.0
-    out = np.full(len(series), np.nan)
-    flagged = []
-    for j in range(tvu.size):
-        num = tvu[j] + sign * tvf[j] / 2.0
-        den = tvd[j] + sign * tvf[j] / 2.0
-        if den <= 0:
-            out[j + n] = cap
-            flagged.append(j + n)
-        else:
-            out[j + n] = 100.0 * num / den
-    return out, flagged
+    num = tvu + sign * tvf / 2.0
+    den = tvd + sign * tvf / 2.0
+    return _capped_ratio(100.0 * num, den, den <= 0, n, cap)
 
 
 def ad_oscillator(series: PriceSeries) -> np.ndarray:

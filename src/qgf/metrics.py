@@ -70,10 +70,8 @@ def precision_recall_f1(c: ConfusionCounts) -> ClassificationRates:
     if precision is None or recall is None:
         undefined.append("f1")
         f1 = None
-    elif precision + recall == 0:
-        f1 = 0.0
     else:
-        f1 = 2.0 * precision * recall / (precision + recall)
+        f1 = f1_score(precision, recall)
     return ClassificationRates(precision, recall, f1, tuple(undefined))
 
 

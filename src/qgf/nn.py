@@ -129,7 +129,7 @@ class Dense:
 
 
 class RNNCell:
-    """Minimal recurrent cell: h = tanh(x W_x + h W_h + b); its state is (h,)."""
+    """Minimal recurrent cell: h = tanh(x W_x + h W_h + b), stepped by ``unroll``."""
 
     def __init__(self, pset: ParamSet, name: str, n_in: int, hidden: int, rng: np.random.Generator):
         self.n_in = n_in
@@ -137,14 +137,6 @@ class RNNCell:
         self.w_x = pset.add(f"{name}.w_x", xavier_uniform(rng, (n_in, hidden)))
         self.w_h = pset.add(f"{name}.w_h", xavier_uniform(rng, (hidden, hidden)))
         self.b = pset.add(f"{name}.b", np.zeros(hidden))
-
-    def step(self, x_t: Tensor, state: tuple[Tensor]) -> tuple[Tensor]:
-        (h_prev,) = state
-        z = ad.add(ad.add(ad.matmul(x_t, self.w_x), ad.matmul(h_prev, self.w_h)), self.b)
-        return (ad.tanh(z),)
-
-    def zero_state(self, batch: int) -> tuple[Tensor]:
-        return (Tensor(np.zeros((batch, self.hidden))),)
 
     # pointwise part of one step on raw arrays, for the fused ``unroll``; z is
     # a fresh array per step and its buffer is reused for the result
@@ -162,7 +154,7 @@ class LSTMCell:
     """Gated recurrent cell: input, forget, and output gates plus a candidate.
 
     Weights are packed as (n_in, 4*hidden) / (hidden, 4*hidden) with gate
-    order i, f, g, o. Its state is (h, c).
+    order i, f, g, o. ``unroll`` steps it, carrying the cell state c.
     """
 
     def __init__(self, pset: ParamSet, name: str, n_in: int, hidden: int, rng: np.random.Generator):
@@ -171,24 +163,6 @@ class LSTMCell:
         self.w_x = pset.add(f"{name}.w_x", xavier_uniform(rng, (n_in, 4 * hidden)))
         self.w_h = pset.add(f"{name}.w_h", xavier_uniform(rng, (hidden, 4 * hidden)))
         self.b = pset.add(f"{name}.b", np.zeros(4 * hidden))
-
-    def step(self, x_t: Tensor, state: tuple[Tensor, Tensor]) -> tuple[Tensor, Tensor]:
-        h_prev, c_prev = state
-        if x_t.shape[-1] != self.n_in or h_prev.shape[-1] != self.hidden:
-            raise ShapeMismatchError(
-                f"lstm step got x {x_t.shape}, h {h_prev.shape}; expected widths {self.n_in}, {self.hidden}")
-        z = ad.add(ad.add(ad.matmul(x_t, self.w_x), ad.matmul(h_prev, self.w_h)), self.b)
-        h = self.hidden
-        i_gate = ad.sigmoid(ad.narrow(z, 1, 0, h))
-        f_gate = ad.sigmoid(ad.narrow(z, 1, h, h))
-        g_cand = ad.tanh(ad.narrow(z, 1, 2 * h, h))
-        o_gate = ad.sigmoid(ad.narrow(z, 1, 3 * h, h))
-        c_new = ad.add(ad.mul(f_gate, c_prev), ad.mul(i_gate, g_cand))
-        h_new = ad.mul(o_gate, ad.tanh(c_new))
-        return h_new, c_new
-
-    def zero_state(self, batch: int) -> tuple[Tensor, Tensor]:
-        return (Tensor(np.zeros((batch, self.hidden))), Tensor(np.zeros((batch, self.hidden))))
 
     # pointwise part of one step on raw arrays, for the fused ``unroll``; carry is c.
     # The gates are kept gate-major, (4, batch, hidden), so that every block the
@@ -230,7 +204,8 @@ def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False,
     single GEMM, the time loop steps only ``h @ w_h`` and the cell's gates,
     and backward is hand-written backpropagation through time over the gates
     and cell states saved per step (nothing is saved under ``ad.no_grad()``).
-    Values and gradients are those of chaining ``cell.step`` from that state.
+    Values and gradients are those of the same step built from autodiff ops
+    and chained from that state.
     """
     if seq.data.ndim != 3 or seq.shape[2] != cell.n_in:
         raise ShapeMismatchError(
@@ -258,8 +233,8 @@ def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False,
             saved.append(keep)
 
     def bwd(g):
-        # weight gradients accumulate step by step, latest step first, as the graph of
-        # chained ``cell.step`` calls does, so every sum rounds the same way
+        # weight gradients accumulate step by step, latest step first, as a graph of
+        # chained per-step ops does, so every sum rounds the same way
         dx = np.empty(seq.shape) if seq.requires_grad else None
         dh, dcarry = 0.0, 0.0
         for k in range(steps - 1, -1, -1):

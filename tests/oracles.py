@@ -2,11 +2,13 @@
 
 Most of these are plain index-by-index loops over Python floats,
 recomputing each window from scratch, so agreement with the vectorized
-library code is meaningful. Three are former library code, kept so the code
+library code is meaningful. Four are former library code, kept so the code
 that replaced them can be held to them: ``oracle_frechet_dp`` (the row-by-row
-Fréchet program), ``oracle_logistic_where`` (the two-branch logistic) and
-``oracle_teacher_forced_decode`` (the per-step decoder loop, the only oracle
-that calls the library: it chains the cell's own ``step``).
+Fréchet program), ``oracle_logistic_where`` (the two-branch logistic),
+``oracle_step`` (a recurrent cell's step built from autodiff ops, which
+``nn.unroll`` fuses) and ``oracle_teacher_forced_decode`` (the per-step
+decoder loop over ``oracle_step``). The last two build autodiff graphs from
+the cell's and the model's own parameters.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from qgf import autodiff as ad
+from qgf import autodiff as ad, nn
 from qgf.autodiff import Tensor
 
 
@@ -304,16 +306,39 @@ def oracle_logistic_where(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / d, t / d)
 
 
+def oracle_zero_state(cell, batch: int) -> tuple[Tensor, ...]:
+    """Zero (h,) for an RNNCell, zero (h, c) for an LSTMCell."""
+    count = 2 if isinstance(cell, nn.LSTMCell) else 1
+    return tuple(Tensor(np.zeros((batch, cell.hidden))) for _ in range(count))
+
+
+def oracle_step(cell, x_t: Tensor, state: tuple[Tensor, ...]) -> tuple[Tensor, ...]:
+    """One step of an RNNCell (state (h,)) or an LSTMCell (state (h, c)) built
+    from autodiff ops on the cell's w_x, w_h and b."""
+    z = ad.add(ad.add(ad.matmul(x_t, cell.w_x), ad.matmul(state[0], cell.w_h)), cell.b)
+    if not isinstance(cell, nn.LSTMCell):
+        return (ad.tanh(z),)
+    c_prev = state[1]
+    h = cell.hidden
+    i_gate = ad.sigmoid(ad.narrow(z, 1, 0, h))
+    f_gate = ad.sigmoid(ad.narrow(z, 1, h, h))
+    g_cand = ad.tanh(ad.narrow(z, 1, 2 * h, h))
+    o_gate = ad.sigmoid(ad.narrow(z, 1, 3 * h, h))
+    c_new = ad.add(ad.mul(f_gate, c_prev), ad.mul(i_gate, g_cand))
+    h_new = ad.mul(o_gate, ad.tanh(c_new))
+    return h_new, c_new
+
+
 def oracle_teacher_forced_decode(model, latent: Tensor, teacher: Tensor) -> Tensor:
-    """A RecurrentAutoencoder's teacher-forced decode, one ``step`` and emit per step."""
+    """A RecurrentAutoencoder's teacher-forced decode, one ``oracle_step`` and emit per step."""
     batch, steps = teacher.shape
     h0 = ad.tanh(model.from_latent(latent))
-    state = (h0,) + model.decoder.zero_state(batch)[1:]
+    state = (h0,) + oracle_zero_state(model.decoder, batch)[1:]
     prev = Tensor(np.zeros((batch, 1)))
     outputs = []
     for t in range(steps):
         if t > 0:
             prev = ad.reshape(ad.select(teacher, 1, t - 1), (batch, 1))
-        state = model.decoder.step(prev, state)
+        state = oracle_step(model.decoder, prev, state)
         outputs.append(model.emit(state[0]))
     return ad.reshape(ad.concat(outputs, axis=1), (batch, steps))

@@ -160,6 +160,16 @@ def test_reused_node_accumulates_gradient():
     assert np.allclose(p.grad, [8.0])
 
 
+def test_accumulate_sums_into_its_own_copy():
+    p = Tensor(np.zeros(3), requires_grad=True)
+    first, second = np.array([1.0, 2.0, 3.0]), np.array([0.5, -2.0, 4.0])
+    ad._accumulate(p, first)
+    ad._accumulate(p, second)
+    assert np.array_equal(p.grad, [1.5, 0.0, 7.0])
+    assert np.array_equal(first, [1.0, 2.0, 3.0]) and np.array_equal(second, [0.5, -2.0, 4.0])
+    assert not np.shares_memory(p.grad, first)
+
+
 def test_backward_is_deterministic():
     rng = np.random.default_rng(9)
     p = Tensor(rng.standard_normal((3, 3)), requires_grad=True)

@@ -63,16 +63,6 @@ def test_zero_init_model_reconstructs_zero():
     assert bl.rnn_ae_loss(y, x).item() == pytest.approx(float((x.data ** 2).mean()) / 2.0)
 
 
-def test_teacher_forcing_and_free_running_differ(rng):
-    model = bl.RecurrentAutoencoder(TINY, rng)
-    x = Tensor(_data())
-    forced = model.forward(x, teacher_forcing=True)
-    free = model.forward(x, teacher_forcing=False)
-    assert not np.array_equal(forced.data, free.data)
-    # both agree at step 0, where the decoder input is 0 either way
-    assert np.array_equal(forced.data[:, 0], free.data[:, 0])
-
-
 @pytest.mark.parametrize("cell", ["rnn", "lstm"])
 def test_teacher_forced_decode_matches_the_per_step_loop(cell, rng):
     model = bl.RecurrentAutoencoder(bl.AeConfig(hidden=6, latent=3, seq_len=10, cell=cell), rng)
@@ -90,7 +80,7 @@ def test_teacher_forced_decode_matches_the_per_step_loop(cell, rng):
         ad.backward(ad.tensor_sum(ad.mul(y, weights)))
         return y.data, {name: t.grad for name, t in tracked.items()}
 
-    fused_y, fused = run(lambda: model.decode(latent, 10, teacher=teacher))
+    fused_y, fused = run(lambda: model.decode(latent, teacher))
     loop_y, loop = run(lambda: oracle_teacher_forced_decode(model, latent, teacher))
     np.testing.assert_allclose(fused_y, loop_y, rtol=1e-12, atol=1e-12)
     assert len(tracked) == 8 and all(g is not None for g in fused.values())
@@ -229,7 +219,7 @@ def test_baseline_round_trip_through_checkpoint():
                                 TrainConfig(epochs=3, batch_size=8, lr=0.01, seed=1))
     model = bl.baseline_from_checkpoint(ckpt)
     x = Tensor(_data(seed=4))
-    y = model.forward(x, teacher_forcing=False)
+    y = model.forward(x)
     assert y.shape == (12, 10)
     with pytest.raises(InvariantViolationError):
         bad = type(ckpt)(model="gan", config=ckpt.config, seed=0, iterations=1,

@@ -96,7 +96,9 @@ def test_flat_series_degenerate_values():
     assert np.all(matrix.column("BR")[rows] == 1e6)
     assert np.all(matrix.column("VR")[rows] == 1e6)
     for name in ("AR", "BR", "VR"):
-        assert len(matrix.cap_flags[name]) > 0, name
+        flags = matrix.cap_flags[name]
+        assert flags == tuple(np.flatnonzero(matrix.column(name) == 1e6)), name
+        assert flags and all(type(i) is int for i in flags), name  # JSON-serializable
 
 
 def test_cap_flags_absent_on_clean_series(rng):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import oracle_step, oracle_zero_state
 
 from qgf import autodiff as ad, nn
 from qgf.autodiff import Tensor
@@ -67,40 +68,31 @@ def test_dense_affine_identity():
         layer(Tensor(np.ones((4, 4))))
 
 
-def test_lstm_cell_zero_weights_keep_zero_state():
+CELLS = {"rnn": nn.RNNCell, "lstm": nn.LSTMCell}
+
+
+@pytest.mark.parametrize("kind", sorted(CELLS))
+def test_cell_zero_weights_keep_zero_state(kind):
     pset = nn.ParamSet()
-    cell = nn.LSTMCell(pset, "c", 3, 4, np.random.default_rng(0))
+    cell = CELLS[kind](pset, "c", 3, 4, np.random.default_rng(0))
     for t in pset.tensors():
         t.data[:] = 0.0
-    h, c = cell.step(Tensor(np.ones((2, 3))), cell.zero_state(2))
-    # all gates sigmoid(0)=0.5, candidate tanh(0)=0 -> c stays 0, h stays 0
-    assert np.array_equal(h.data, np.zeros((2, 4)))
-    assert np.array_equal(c.data, np.zeros((2, 4)))
+    # an lstm's gates all read sigmoid(0)=0.5 and its candidate tanh(0)=0, so c stays 0
+    hs = nn.unroll(cell, Tensor(np.ones((2, 5, 3))))
+    assert np.array_equal(hs.data, np.zeros((2, 5, 4)))
 
 
 def test_lstm_cell_forget_gate_scales_carry():
     pset = nn.ParamSet()
     cell = nn.LSTMCell(pset, "c", 1, 1, np.random.default_rng(0))
-    for t in pset.tensors():
-        t.data[:] = 0.0
-    # bias the forget gate hard open and the rest closed
-    pset["c.b"].data[:] = np.array([-40.0, 40.0, 0.0, -40.0])
-    c_prev = Tensor(np.array([[2.0]]))
-    h, c = cell.step(Tensor(np.zeros((1, 1))), (Tensor(np.zeros((1, 1))), c_prev))
-    assert np.allclose(c.data, 2.0)   # carry preserved by open forget gate
-    assert np.allclose(h.data, 0.0)   # output gate shut
-
-
-def test_rnn_cell_zero_weights_keep_zero_state():
-    pset = nn.ParamSet()
-    cell = nn.RNNCell(pset, "c", 3, 4, np.random.default_rng(0))
-    for t in pset.tensors():
-        t.data[:] = 0.0
-    hs = nn.unroll(cell, Tensor(np.ones((2, 5, 3))))
-    assert all(np.array_equal(hs.data[:, t], np.zeros((2, 4))) for t in range(5))
-
-
-CELLS = {"rnn": nn.RNNCell, "lstm": nn.LSTMCell}
+    # step 0 writes c = tanh(1) through open input and output gates (x = 1 lifts the
+    # input gate's bias from -40 to 40); after it the forget gate holds c and the
+    # input gate stays shut, so h = tanh(tanh(1)) at every step
+    pset["c.w_x"].data[:] = np.array([[80.0, 0.0, 1.0, 0.0]])
+    pset["c.w_h"].data[:] = 0.0
+    pset["c.b"].data[:] = np.array([-40.0, 40.0, 0.0, 40.0])
+    hs = nn.unroll(cell, Tensor(np.array([1.0, 0.0, 0.0, 0.0]).reshape(1, 4, 1)))
+    np.testing.assert_allclose(hs.data, np.full((1, 4, 1), np.tanh(np.tanh(1.0))), rtol=1e-15)
 
 
 def _cell_and_sequence(kind):
@@ -114,10 +106,10 @@ def _cell_and_sequence(kind):
 @pytest.mark.parametrize("kind", sorted(CELLS))
 def test_unroll_matches_a_manual_step_loop_in_time_order(kind, reverse):
     cell, seq = _cell_and_sequence(kind)
-    state = cell.zero_state(2)
+    state = oracle_zero_state(cell, 2)
     manual = {}
     for t in (range(4, -1, -1) if reverse else range(5)):
-        state = cell.step(Tensor(seq.data[:, t, :]), state)
+        state = oracle_step(cell, Tensor(seq.data[:, t, :]), state)
         manual[t] = state[0].data
     hs = nn.unroll(cell, seq, reverse=reverse)
     assert hs.shape == (2, 5, 4)
@@ -139,9 +131,9 @@ def test_unroll_gradients_match_a_manual_step_loop(kind, reverse):
         return {name: t.grad for name, t in tensors.items()}
 
     def manual_loss():
-        state, loss = cell.zero_state(2), 0.0
+        state, loss = oracle_zero_state(cell, 2), 0.0
         for t in (range(4, -1, -1) if reverse else range(5)):
-            state = cell.step(ad.select(seq, 1, t), state)
+            state = oracle_step(cell, ad.select(seq, 1, t), state)
             loss = ad.add(loss, ad.tensor_sum(ad.mul(state[0], weights[:, t])))
         return loss
 
@@ -170,9 +162,9 @@ def test_unroll_from_h0_matches_a_manual_step_loop(kind, reverse):
         return hs.data, {name: t.grad for name, t in tensors.items()}
 
     def manual_hs():
-        state, hs = (h0,) + cell.zero_state(2)[1:], {}  # h from h0, an LSTM's c from zero
+        state, hs = (h0,) + oracle_zero_state(cell, 2)[1:], {}  # h from h0, an LSTM's c from zero
         for t in times:
-            state = cell.step(ad.select(seq, 1, t), state)
+            state = oracle_step(cell, ad.select(seq, 1, t), state)
             hs[t] = ad.reshape(state[0], (2, 1, 4))
         return ad.concat([hs[t] for t in range(5)], axis=1)
 
@@ -451,9 +443,9 @@ def test_finite_differences_without_graph_match_tracked_probes():
     recorded = []
 
     def loss():
-        state = cell.zero_state(2)
+        state = oracle_zero_state(cell, 2)
         for x_t in xs:
-            state = cell.step(x_t, state)
+            state = oracle_step(cell, x_t, state)
         out = ad.mean(ad.power(state[0], 2.0))
         recorded.append(out.requires_grad)
         return out.item()
