@@ -188,16 +188,19 @@ def tanh(a) -> Tensor:
     return _make(out_data, (a,), bwd)
 
 
+def _logistic(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # the formula behind ``logistic``, unguarded: the caller ignores overflow in exp
+    np.negative(x, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
 def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-x)) in place in ``out`` (default: a new array). Below x = -709
     exp overflows to inf and the result is 0, within a denormal of the truth."""
-    if out is None:
-        out = np.empty(np.shape(x))
-    np.negative(x, out=out)
     with np.errstate(over="ignore"):
-        np.exp(out, out=out)
-    out += 1.0
-    return np.divide(1.0, out, out=out)
+        return _logistic(x, np.empty(np.shape(x)) if out is None else out)
 
 
 def sigmoid(a) -> Tensor:

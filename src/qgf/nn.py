@@ -1,10 +1,10 @@
 """Neural building blocks on top of the autodiff core.
 
 Dense projection, tanh RNN and gated LSTM cells with ``unroll``, the fused
-op that steps either over a sequence, bidirectional sequence layer, 1-D
-convolution and max pooling, inverted dropout, stable softmax, Adam, the
-seeded minibatch loop both trainers run (``fit``), and the
-finite-difference gradient checker used by the verification suite.
+op that steps either over a sequence, a bidirectional layer whose two LSTMs
+step in lockstep, 1-D convolution and max pooling, inverted dropout, stable
+softmax, Adam, the seeded minibatch loop both trainers run (``fit``), and
+the finite-difference gradient checker used by the verification suite.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ class RNNCell:
         self.w_h = pset.add(f"{name}.w_h", xavier_uniform(rng, (hidden, hidden)))
         self.b = pset.add(f"{name}.b", np.zeros(hidden))
 
-    # pointwise part of one step on raw arrays, for the fused ``unroll``; z is
-    # a fresh array per step and its buffer is reused for the result
+    # pointwise part of one step on raw (directions, batch, ...) arrays, for the fused
+    # recurrence; z is a fresh array per step and its buffer is reused for the result
     @staticmethod
     def _activate(z: np.ndarray, carry):
         h = np.tanh(z, out=z)
@@ -164,18 +164,17 @@ class LSTMCell:
         self.w_h = pset.add(f"{name}.w_h", xavier_uniform(rng, (hidden, 4 * hidden)))
         self.b = pset.add(f"{name}.b", np.zeros(4 * hidden))
 
-    # pointwise part of one step on raw arrays, for the fused ``unroll``; carry is c.
-    # The gates are kept gate-major, (4, batch, hidden), so that every block the
-    # elementwise ops read and write is contiguous
+    # pointwise part of one step on raw (directions, batch, ...) arrays, for the fused
+    # recurrence, which ignores overflow in exp; carry is c. The gates are kept gate-major,
+    # (4, directions, batch, hidden), so every block the elementwise ops touch is contiguous
     @staticmethod
     def _activate(z: np.ndarray, c_prev):
-        batch, h = z.shape[0], z.shape[1] // 4
-        g_cand = np.tanh(z[:, 2 * h:3 * h])
-        # z is a fresh array per step; a logistic over all of it is cheaper than
-        # over the strided i, f, o blocks alone, and g is then overwritten
-        gates = ad.logistic(z, out=z).reshape(batch, 4, h).transpose(1, 0, 2).copy()
-        i, f, g, o = gates
-        g[:] = g_cand
+        dirs, batch, h = z.shape[0], z.shape[1], z.shape[2] // 4
+        gates = z.reshape(dirs, batch, 4, h).transpose(2, 0, 1, 3).copy()
+        # a logistic over every block is cheaper than over the i, f and o blocks
+        # alone, and the g block is then overwritten with its tanh
+        i, f, g, o = ad._logistic(gates, out=gates)
+        np.tanh(z[..., 2 * h:3 * h], out=g)
         c = f * c_prev + i * g
         tanh_c = np.tanh(c)
         return o * tanh_c, c, (gates, c_prev, tanh_c)
@@ -185,12 +184,81 @@ class LSTMCell:
         gates, c_prev, tanh_c = saved
         i, f, g, o = gates
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        # the i, f and o slots are ((a * b) * s) * (1 - s) for their gate s, scaled by s and
+        # 1 - s block-wide; the g slot holds dc * i until then, so no op reads np.empty garbage
         dz = np.empty_like(gates)
-        np.multiply(dc * g * i, 1.0 - i, out=dz[0])
-        np.multiply(dc * c_prev * f, 1.0 - f, out=dz[1])
-        np.multiply(dc * i, 1.0 - g * g, out=dz[2])
-        np.multiply(dh * tanh_c * o, 1.0 - o, out=dz[3])
-        return dz.transpose(1, 0, 2).reshape(dh.shape[0], -1), dc * f
+        np.multiply(dc, g, out=dz[0])
+        np.multiply(dc, c_prev, out=dz[1])
+        dg = np.multiply(dc, i, out=dz[2]) * (1.0 - g * g)
+        np.multiply(dh, tanh_c, out=dz[3])
+        dz *= gates
+        dz *= 1.0 - gates
+        dz[2] = dg
+        return dz.transpose(1, 2, 0, 3).reshape(dh.shape[0], dh.shape[1], -1), dc * f
+
+
+def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | None = None):
+    """Step ``cells`` (one per direction, all of one kind and size; ``h0`` needs one
+    direction) over ``seq`` in lockstep, direction d backwards in time if ``reverse[d]``.
+    Returns ``(hs, parents, bptt)``: hs is (directions, batch, time, hidden) in step
+    order, and ``bptt(g)`` backpropagates g, laid out as hs. Weight gradients sum latest
+    step first and reach each parameter once, at the end: a parameter used twice in one
+    graph sums in another order than a chain of per-step ops would."""
+    cell = cells[0]
+    if seq.data.ndim != 3 or seq.shape[2] != cell.n_in:
+        raise ShapeMismatchError(
+            f"unroll expects (batch, time, {cell.n_in}), got {seq.shape}")
+    batch, steps, n_in = seq.shape
+    if steps == 0:
+        raise EmptySequenceError("unroll got an empty sequence")
+    if h0 is not None and h0.shape != (batch, cell.hidden):
+        raise ShapeMismatchError(f"unroll h0 must be {(batch, cell.hidden)}, got {h0.shape}")
+    parents = (seq, *[w for c in cells for w in (c.w_x, c.w_h, c.b)])
+    parents += () if h0 is None else (h0,)
+    track = ad.is_tracking(*parents)
+    order = [slice(None, None, -1 if back else 1) for back in reverse]  # step k -> time
+    rows = seq.data.reshape(batch * steps, n_in)
+    xws = [(rows @ c.w_x.data).reshape(batch, steps, -1)[:, o] for c, o in zip(cells, order)]
+    w_x = np.stack([c.w_x.data for c in cells])
+    w_h = np.stack([c.w_h.data for c in cells])
+    b = np.repeat(np.stack([c.b.data for c in cells])[:, None], batch, axis=1)  # same-shape add
+    hs = np.empty((len(cells), batch, steps, cell.hidden))
+    h_first = np.zeros((len(cells), batch, cell.hidden)) if h0 is None else h0.data[None]
+    h, carry, saved = h_first, 0.0, []
+    with np.errstate(over="ignore"):  # a gate's exp(-z) is inf below z = -709, the gate 0
+        for k in range(steps):
+            z = np.matmul(h, w_h)
+            for d, xw in enumerate(xws):
+                z[d] += xw[:, k]
+            z += b
+            h, carry, keep = cell._activate(z, carry)
+            hs[:, :, k] = h
+            if track:
+                saved.append(keep)
+
+    def bptt(g):
+        times = np.stack([np.arange(steps)[o] for o in order])
+        seq_t = np.ascontiguousarray(seq.data).transpose(1, 0, 2)
+        dx = np.empty((len(cells), batch, steps, n_in)) if seq.requires_grad else None
+        dh, dcarry = 0.0, 0.0
+        for k in range(steps - 1, -1, -1):
+            dz, dcarry = cell._activate_backward(g[:, :, k] + dh, dcarry, saved[k])
+            h_prev = hs[:, :, k - 1] if k else h_first
+            terms = (np.matmul(seq_t[times[:, k]].transpose(0, 2, 1), dz),
+                     np.matmul(h_prev.transpose(0, 2, 1), dz), dz.sum(axis=1))
+            sums = terms if k == steps - 1 else [np.add(s, t, out=s) for s, t in zip(sums, terms)]
+            if dx is not None:
+                dx[:, :, k] = np.matmul(dz, w_x.transpose(0, 2, 1))
+            dh = np.matmul(dz, w_h.transpose(0, 2, 1))
+        for d, c in enumerate(cells):
+            for w, total in zip((c.w_x, c.w_h, c.b), sums):
+                ad._accumulate(w, total[d])
+            if dx is not None:
+                ad._accumulate(seq, dx[d][:, order[d]])
+        if h0 is not None:
+            ad._accumulate(h0, dh[0])
+
+    return hs, parents, bptt
 
 
 def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False,
@@ -207,60 +275,18 @@ def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False,
     Values and gradients are those of the same step built from autodiff ops
     and chained from that state.
     """
-    if seq.data.ndim != 3 or seq.shape[2] != cell.n_in:
-        raise ShapeMismatchError(
-            f"unroll expects (batch, time, {cell.n_in}), got {seq.shape}")
-    batch, steps, n_in = seq.shape
-    if steps == 0:
-        raise EmptySequenceError("unroll got an empty sequence")
-    if h0 is not None and h0.shape != (batch, cell.hidden):
-        raise ShapeMismatchError(f"unroll h0 must be {(batch, cell.hidden)}, got {h0.shape}")
-    w_x, w_h, b = cell.w_x, cell.w_h, cell.b
-    parents = (seq, w_x, w_h, b) + ((h0,) if h0 is not None else ())
-    track = ad.is_tracking(*parents)
-    xw = (seq.data.reshape(batch * steps, n_in) @ w_x.data).reshape(batch, steps, -1)
-    times = range(steps - 1, -1, -1) if reverse else range(steps)
-    hs = np.empty((batch, steps, cell.hidden))
-    h_first = np.zeros((batch, cell.hidden)) if h0 is None else h0.data
-    h, carry = h_first, 0.0
-    saved = []
-    for t in times:
-        z = xw[:, t] + h @ w_h.data
-        z += b.data
-        h, carry, keep = cell._activate(z, carry)
-        hs[:, t] = h
-        if track:
-            saved.append(keep)
-
-    def bwd(g):
-        # weight gradients accumulate step by step, latest step first, as a graph of
-        # chained per-step ops does, so every sum rounds the same way
-        dx = np.empty(seq.shape) if seq.requires_grad else None
-        dh, dcarry = 0.0, 0.0
-        for k in range(steps - 1, -1, -1):
-            t = times[k]
-            dz, dcarry = cell._activate_backward(g[:, t] + dh, dcarry, saved[k])
-            h_prev = hs[:, times[k - 1]] if k else h_first
-            ad._accumulate(w_x, np.ascontiguousarray(seq.data[:, t]).T @ dz)
-            ad._accumulate(w_h, h_prev.T @ dz)
-            ad._accumulate(b, dz.sum(axis=0))
-            if dx is not None:
-                dx[:, t] = dz @ w_x.data.T
-            dh = dz @ w_h.data.T
-        if dx is not None:
-            ad._accumulate(seq, dx)
-        if h0 is not None:
-            ad._accumulate(h0, dh)
-
-    return ad._make(hs, parents, bwd)
+    hs, parents, bptt = _recur((cell,), seq, (reverse,), h0)
+    o = slice(None, None, -1 if reverse else 1)
+    return ad._make(np.ascontiguousarray(hs[0][:, o]), parents, lambda g: bptt(g[None][:, :, o]))
 
 
 class BiLstmLayer:
     """One forward and one backward LSTM pass, merged per step by a tanh projection.
 
-    Both directions start from zero states; the per-step output is
-    tanh(h_fwd W_f + h_bwd W_b + b) with independent parameters per direction,
-    computed for all steps at once.
+    Both directions start from zero states and step in lockstep through one
+    recurrence node; the per-step output is tanh(h_fwd W_f + h_bwd W_b + b) with
+    independent parameters per direction, computed for all steps at once by a
+    second node that saves only its output.
     """
 
     def __init__(self, pset: ParamSet, name: str, n_in: int, hidden: int, n_out: int,
@@ -272,13 +298,28 @@ class BiLstmLayer:
         self.b_o = pset.add(f"{name}.merge.b", np.zeros(n_out))
 
     def __call__(self, seq: Tensor) -> Tensor:
-        fwd_h = unroll(self.fwd, seq)
-        bwd_h = unroll(self.bwd, seq, reverse=True)
-        batch, steps, hidden = fwd_h.shape
-        rows = (batch * steps, hidden)
-        merged = ad.add(ad.add(ad.matmul(ad.reshape(fwd_h, rows), self.w_f),
-                               ad.matmul(ad.reshape(bwd_h, rows), self.w_b)), self.b_o)
-        return ad.reshape(ad.tanh(merged), (batch, steps, self.w_f.shape[1]))
+        hs, parents, bptt = _recur((self.fwd, self.bwd), seq, (False, True))
+        rec = ad._make(hs, parents, bptt)
+
+        def time_rows():  # each direction's h in time order, as (batch * time, hidden)
+            return hs[0].reshape(-1, hs.shape[3]), hs[1, :, ::-1].reshape(-1, hs.shape[3])
+
+        h_f, h_b = time_rows()
+        out = h_f @ self.w_f.data
+        out += h_b @ self.w_b.data
+        out += self.b_o.data
+        np.tanh(out, out=out)
+
+        def bwd(g):
+            dm = g.reshape(out.shape) * (1.0 - out * out)
+            h_f, h_b = time_rows()
+            ad._accumulate(self.w_f, h_f.T @ dm)
+            ad._accumulate(self.w_b, h_b.T @ dm)
+            ad._accumulate(self.b_o, dm.sum(axis=0))
+            dh_f, dh_b = ((dm @ w.data.T).reshape(hs.shape[1:]) for w in (self.w_f, self.w_b))
+            ad._accumulate(rec, np.stack([dh_f, dh_b[:, ::-1]]))
+
+        return ad._make(out.reshape(*hs.shape[1:3], -1), (rec, self.w_f, self.w_b, self.b_o), bwd)
 
 
 # --- convolution and pooling -----------------------------------------------------

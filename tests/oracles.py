@@ -2,13 +2,15 @@
 
 Most of these are plain index-by-index loops over Python floats,
 recomputing each window from scratch, so agreement with the vectorized
-library code is meaningful. Four are former library code, kept so the code
+library code is meaningful. Five are former library code, kept so the code
 that replaced them can be held to them: ``oracle_frechet_dp`` (the row-by-row
 Fréchet program), ``oracle_logistic_where`` (the two-branch logistic),
 ``oracle_step`` (a recurrent cell's step built from autodiff ops, which
-``nn.unroll`` fuses) and ``oracle_teacher_forced_decode`` (the per-step
-decoder loop over ``oracle_step``). The last two build autodiff graphs from
-the cell's and the model's own parameters.
+``nn.unroll`` fuses), ``oracle_teacher_forced_decode`` (the per-step
+decoder loop over ``oracle_step``) and ``oracle_bilstm`` (a bidirectional
+layer as two separate ``nn.unroll`` nodes and a merge built from autodiff
+ops, which ``nn.BiLstmLayer`` steps in lockstep and fuses). The last three
+build autodiff graphs from the cell's, layer's and model's own parameters.
 """
 
 from __future__ import annotations
@@ -342,3 +344,15 @@ def oracle_teacher_forced_decode(model, latent: Tensor, teacher: Tensor) -> Tens
         state = oracle_step(model.decoder, prev, state)
         outputs.append(model.emit(state[0]))
     return ad.reshape(ad.concat(outputs, axis=1), (batch, steps))
+
+
+def oracle_bilstm(layer, seq: Tensor) -> Tensor:
+    """A BiLstmLayer's output as ten autodiff nodes: one ``nn.unroll`` per direction
+    and a tanh merge built from autodiff ops."""
+    fwd_h = nn.unroll(layer.fwd, seq)
+    bwd_h = nn.unroll(layer.bwd, seq, reverse=True)
+    batch, steps, hidden = fwd_h.shape
+    rows = (batch * steps, hidden)
+    merged = ad.add(ad.add(ad.matmul(ad.reshape(fwd_h, rows), layer.w_f),
+                           ad.matmul(ad.reshape(bwd_h, rows), layer.w_b)), layer.b_o)
+    return ad.reshape(ad.tanh(merged), (batch, steps, layer.w_f.shape[1]))

@@ -14,6 +14,9 @@ from qgf.errors import (
 )
 from qgf.gan import TrainConfig
 
+# numpy's floating-point warnings (overflow, invalid) mean a kernel read or made a bad value
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 TINY = bl.AeConfig(hidden=6, latent=3, seq_len=10, cell="rnn")
 
 

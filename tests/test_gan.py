@@ -12,6 +12,9 @@ from qgf.errors import (
     ShapeMismatchError,
 )
 
+# numpy's floating-point warnings (overflow, invalid) mean a kernel read or made a bad value
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 TINY_GEN = gan.GeneratorConfig(noise_dim=2, seq_len=16, hidden=4, dropout_p=0.0)
 TINY_DISC = gan.DiscriminatorConfig(
     input_len=16, conv1=gan.ConvSpec(2, 5, 2), pool1=gan.PoolSpec(2, 2),

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from oracles import oracle_step, oracle_zero_state
+from oracles import oracle_bilstm, oracle_step, oracle_zero_state
 
 from qgf import autodiff as ad, nn
 from qgf.autodiff import Tensor
@@ -11,6 +13,9 @@ from qgf.errors import (
     NonFiniteLossError,
     ShapeMismatchError,
 )
+
+# numpy's floating-point warnings (overflow, invalid) mean a kernel read or made a bad value
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_paramset_rejects_duplicates_and_tracks_counts():
@@ -93,6 +98,24 @@ def test_lstm_cell_forget_gate_scales_carry():
     pset["c.b"].data[:] = np.array([-40.0, 40.0, 0.0, 40.0])
     hs = nn.unroll(cell, Tensor(np.array([1.0, 0.0, 0.0, 0.0]).reshape(1, 4, 1)))
     np.testing.assert_allclose(hs.data, np.full((1, 4, 1), np.tanh(np.tanh(1.0))), rtol=1e-15)
+
+
+def test_unroll_gates_past_the_exp_overflow_are_exactly_zero_without_warnings():
+    pset = nn.ParamSet()
+    cell = nn.LSTMCell(pset, "c", 1, 1, np.random.default_rng(0))
+    # the input gate's pre-activation is -1000, below exp's overflow at -709, while the
+    # candidate is tanh(1) and the other gates are open: c and h stay 0 only if the input
+    # gate is exactly 0, not a denormal
+    pset["c.w_x"].data[:] = 0.0
+    pset["c.w_h"].data[:] = 0.0
+    pset["c.b"].data[:] = np.array([-1000.0, 40.0, 1.0, 40.0])
+    seq = Tensor(np.ones((2, 5, 1)), requires_grad=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hs = nn.unroll(cell, seq)
+        ad.backward(ad.tensor_sum(hs))
+    assert np.array_equal(hs.data, np.zeros((2, 5, 1)))
+    assert pset["c.b"].grad[0] == 0.0
 
 
 def _cell_and_sequence(kind):
@@ -212,6 +235,55 @@ def test_bilstm_output_shape_and_direction_sensitivity():
         layer(Tensor(np.zeros((2, 0, 2))))
     with pytest.raises(ShapeMismatchError):
         layer(Tensor(np.zeros((2, 2))))
+
+
+BILSTM_SHAPES = [(batch, steps, 2, 3, 4) for batch in (1, 3) for steps in (1, 2, 7)]
+
+
+@pytest.mark.parametrize("batch,steps,n_in,hidden,n_out", BILSTM_SHAPES + [(32, 40, 90, 90, 90)])
+def test_bilstm_is_bitwise_the_two_unroll_composite(batch, steps, n_in, hidden, n_out):
+    rng = np.random.default_rng(batch * 100 + steps)
+    pset = nn.ParamSet()
+    layer = nn.BiLstmLayer(pset, "bi", n_in, hidden, n_out, rng)
+    seq = Tensor(rng.standard_normal((batch, steps, n_in)), requires_grad=True)
+    weights = rng.standard_normal((batch, steps, n_out))
+    tensors = dict(pset.items(), seq=seq)
+
+    def run(build):
+        for t in tensors.values():
+            t.grad = None
+        out = build(seq)
+        ad.backward(ad.tensor_sum(ad.mul(out, weights)))
+        return out.data, {name: t.grad for name, t in tensors.items()}
+
+    out, grads = run(layer)
+    want, want_grads = run(lambda s: oracle_bilstm(layer, s))
+    assert len(grads) == 10
+    assert np.array_equal(out, want)
+    for name in tensors:
+        assert np.array_equal(grads[name], want_grads[name]), name
+
+
+def _graph_nodes(out: Tensor) -> int:
+    """Tensors reachable from ``out`` that have a backward, i.e. recorded ops."""
+    seen, stack = {}, [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return sum(node._backward is not None for node in seen.values())
+
+
+def test_bilstm_layer_records_two_graph_nodes_and_none_without_grad():
+    rng = np.random.default_rng(9)
+    layer = nn.BiLstmLayer(nn.ParamSet(), "bi", 2, 3, 4, rng)
+    seq = Tensor(rng.standard_normal((3, 5, 2)), requires_grad=True)
+    assert _graph_nodes(layer(seq)) == 2
+    assert _graph_nodes(oracle_bilstm(layer, seq)) == 10
+    with ad.no_grad():
+        out = layer(seq)
+    assert out._parents == () and out._backward is None and not out.requires_grad
 
 
 def _loop_conv1d(x, f, b, stride, padding):
