@@ -10,6 +10,13 @@ baselines need.
 Inside a ``with no_grad():`` block ops compute the same values but record
 nothing: every result is a bare, untracked ``Tensor``. Use it for forward
 passes whose graph would never be walked, such as finite-difference probes.
+
+``backward`` releases the graph as it goes, like PyTorch's default
+``retain_graph=False``: once a node's backward has run, the node drops its
+``grad``, its closure (and with it every array the op saved) and its parent
+links (``_parents`` becomes None), keeping only ``data``. A graph is walked
+once; a later ``backward`` that reaches a released node raises
+``DetachedGraphError``.
 """
 
 from __future__ import annotations
@@ -322,11 +329,11 @@ def mean(a, axis: int | None = None) -> Tensor:
 # --- graph traversal ----------------------------------------------------------
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every tracked tensor reachable from ``loss``.
+    """Populate ``grad`` on every tracked leaf reachable from ``loss``.
 
     ``loss`` must be a scalar produced from at least one tensor with
     ``requires_grad=True``; gradient accumulation is deterministic for a
-    fixed graph.
+    fixed graph, which is released as it runs (see the module docstring).
     """
     if loss.size != 1:
         raise NonScalarLossError(f"backward needs a scalar, got shape {loss.shape}")
@@ -343,6 +350,8 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._parents is None:
+            raise DetachedGraphError("backward reached a node an earlier backward released")
         visited.add(id(node))
         stack_.append((node, True))
         for parent in node._parents:
@@ -350,6 +359,10 @@ def backward(loss: Tensor) -> None:
                 stack_.append((parent, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    while topo:
+        node = topo.pop()  # the list no longer holds it, so releasing it can free it
+        run, grad = node._backward, node.grad
+        if run is not None:  # a leaf keeps its grad
+            node._backward, node._parents, node.grad = None, None, None
+            if grad is not None:
+                run(grad)

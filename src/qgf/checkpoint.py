@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IoError, ShapeMismatchError, VersionMismatchError
+from .errors import Float32RangeError, IoError, ShapeMismatchError, VersionMismatchError
 
 FORMAT_VERSION = 1
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,27 @@ def _bin_name(tensor_name: str) -> str:
     return tensor_name.replace("/", "_") + ".bin"
 
 
+def _refuse_unreadable(arrays: dict[str, np.ndarray]) -> None:
+    """Refuse what would not read back as written: two names sharing one file, and
+    values a float32 cannot hold (overflow, inf, nan)."""
+    owners: dict[str, str] = {}
+    for name, arr in arrays.items():
+        fname = _bin_name(name)
+        if fname in owners:
+            raise IoError(f"tensors {owners[fname]!r} and {name!r} would both be saved as {fname}")
+        owners[fname] = name
+        flat = np.asarray(arr, dtype=np.float64).reshape(-1)
+        bad = np.flatnonzero(~(np.abs(flat) <= _FLOAT32_MAX))
+        if bad.size:
+            raise Float32RangeError(name, int(bad[0]), float(flat[bad[0]]))
+
+
 def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path, overwrite: bool = False) -> Path:
     """Write the checkpoint directory atomically: stage it in full, then swap
-    it in, so a failed write leaves any previous checkpoint in place."""
+    it in, so a failed write leaves any previous checkpoint in place. Tensors
+    that would not read back as written are refused before anything is written."""
     path = Path(path)
+    _refuse_unreadable(ckpt.arrays)
     if path.exists() and not overwrite:
         raise IoError(f"refusing to overwrite existing checkpoint {path}")
     staging = path.with_name(path.name + f".staging{os.getpid()}")

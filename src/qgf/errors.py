@@ -120,6 +120,16 @@ class VersionMismatchError(DataError):
     pass
 
 
+class Float32RangeError(NumericError):
+    """A tensor holds a value that a float32 checkpoint file cannot store."""
+
+    def __init__(self, tensor: str, index: int, value: float):
+        super().__init__(f"tensor {tensor!r}: value {value!r} at flat index {index} "
+                         "is not a finite float32")
+        self.tensor = tensor
+        self.index = index
+
+
 # --- feature pipeline ------------------------------------------------------
 
 class DegenerateLabelsError(DataError):

@@ -137,17 +137,22 @@ class RNNCell:
         self.w_x = pset.add(f"{name}.w_x", xavier_uniform(rng, (n_in, hidden)))
         self.w_h = pset.add(f"{name}.w_h", xavier_uniform(rng, (hidden, hidden)))
         self.b = pset.add(f"{name}.b", np.zeros(hidden))
+        self._tape = None
 
     # pointwise part of one step on raw (directions, batch, ...) arrays, for the fused
-    # recurrence; z is a fresh array per step and its buffer is reused for the result
+    # recurrence; z is a fresh array per step and its buffer is reused for the result.
+    # The cell tapes nothing: BPTT reads each step's h back from the recurrence's output
     @staticmethod
-    def _activate(z: np.ndarray, carry):
-        h = np.tanh(z, out=z)
-        return h, carry, h
+    def _new_tape(steps: int, dirs: int, batch: int) -> None:
+        return None
 
     @staticmethod
-    def _activate_backward(dh: np.ndarray, dcarry, saved):
-        return dh * (1.0 - saved * saved), dcarry
+    def _activate(z: np.ndarray, carry, tape, k: int):
+        return np.tanh(z, out=z), carry
+
+    @staticmethod
+    def _activate_backward(dh: np.ndarray, dcarry, tape, k: int, h: np.ndarray):
+        return dh * (1.0 - h * h), dcarry
 
 
 class LSTMCell:
@@ -163,25 +168,33 @@ class LSTMCell:
         self.w_x = pset.add(f"{name}.w_x", xavier_uniform(rng, (n_in, 4 * hidden)))
         self.w_h = pset.add(f"{name}.w_h", xavier_uniform(rng, (hidden, 4 * hidden)))
         self.b = pset.add(f"{name}.b", np.zeros(4 * hidden))
+        self._tape = None
 
     # pointwise part of one step on raw (directions, batch, ...) arrays, for the fused
-    # recurrence, which ignores overflow in exp; carry is c. The gates are kept gate-major,
-    # (4, directions, batch, hidden), so every block the elementwise ops touch is contiguous
+    # recurrence, which ignores overflow in exp; carry is c. Step k writes its gates i, f, g,
+    # o, then c, then tanh(c) into tape[k], (6, directions, batch, hidden): gate-major, so
+    # every block the elementwise ops touch is contiguous. One block rather than three keeps
+    # the tape in one allocation, which glibc maps on its own instead of growing the heap
+    def _new_tape(self, steps: int, dirs: int, batch: int) -> np.ndarray:
+        return np.empty((steps, 6, dirs, batch, self.hidden))
+
     @staticmethod
-    def _activate(z: np.ndarray, c_prev):
-        dirs, batch, h = z.shape[0], z.shape[1], z.shape[2] // 4
-        gates = z.reshape(dirs, batch, 4, h).transpose(2, 0, 1, 3).copy()
+    def _activate(z: np.ndarray, c_prev, tape, k: int):
+        gates, c, tanh_c = tape[k, :4], tape[k, 4], tape[k, 5]
+        h = gates.shape[3]
+        gates[...] = z.reshape(z.shape[0], z.shape[1], 4, h).transpose(2, 0, 1, 3)
         # a logistic over every block is cheaper than over the i, f and o blocks
         # alone, and the g block is then overwritten with its tanh
         i, f, g, o = ad._logistic(gates, out=gates)
         np.tanh(z[..., 2 * h:3 * h], out=g)
-        c = f * c_prev + i * g
-        tanh_c = np.tanh(c)
-        return o * tanh_c, c, (gates, c_prev, tanh_c)
+        np.multiply(f, c_prev, out=c)  # c_prev may be c itself, in a one-step tape
+        c += i * g
+        return o * np.tanh(c, out=tanh_c), c
 
     @staticmethod
-    def _activate_backward(dh: np.ndarray, dc, saved):
-        gates, c_prev, tanh_c = saved
+    def _activate_backward(dh: np.ndarray, dc, tape, k: int, h: np.ndarray):
+        gates, tanh_c = tape[k, :4], tape[k, 5]
+        c_prev = tape[k - 1, 4] if k else 0.0
         i, f, g, o = gates
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
         # the i, f and o slots are ((a * b) * s) * (1 - s) for their gate s, scaled by s and
@@ -203,7 +216,11 @@ def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | No
     Returns ``(hs, parents, bptt)``: hs is (directions, batch, time, hidden) in step
     order, and ``bptt(g)`` backpropagates g, laid out as hs. Weight gradients sum latest
     step first and reach each parameter once, at the end: a parameter used twice in one
-    graph sums in another order than a chain of per-step ops would."""
+    graph sums in another order than a chain of per-step ops would.
+
+    A tracked forward takes the tape ``cells[0]`` holds when its shape fits (else a new
+    one) and ``bptt`` hands it back when done, so repeated iterations of one shape reuse
+    one tape; untracked forwards step through a private one-step tape."""
     cell = cells[0]
     if seq.data.ndim != 3 or seq.shape[2] != cell.n_in:
         raise ShapeMismatchError(
@@ -224,17 +241,20 @@ def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | No
     b = np.repeat(np.stack([c.b.data for c in cells])[:, None], batch, axis=1)  # same-shape add
     hs = np.empty((len(cells), batch, steps, cell.hidden))
     h_first = np.zeros((len(cells), batch, cell.hidden)) if h0 is None else h0.data[None]
-    h, carry, saved = h_first, 0.0, []
+    shape = (steps if track else 1, len(cells), batch)
+    spare = cell._tape if track else None
+    if track:  # until bptt returns it, a second forward makes its own
+        cell._tape = None
+    tape = spare[1] if spare is not None and spare[0] == shape else cell._new_tape(*shape)
+    h, carry = h_first, 0.0
     with np.errstate(over="ignore"):  # a gate's exp(-z) is inf below z = -709, the gate 0
         for k in range(steps):
             z = np.matmul(h, w_h)
             for d, xw in enumerate(xws):
                 z[d] += xw[:, k]
             z += b
-            h, carry, keep = cell._activate(z, carry)
+            h, carry = cell._activate(z, carry, tape, k if track else 0)
             hs[:, :, k] = h
-            if track:
-                saved.append(keep)
 
     def bptt(g):
         times = np.stack([np.arange(steps)[o] for o in order])
@@ -242,7 +262,7 @@ def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | No
         dx = np.empty((len(cells), batch, steps, n_in)) if seq.requires_grad else None
         dh, dcarry = 0.0, 0.0
         for k in range(steps - 1, -1, -1):
-            dz, dcarry = cell._activate_backward(g[:, :, k] + dh, dcarry, saved[k])
+            dz, dcarry = cell._activate_backward(g[:, :, k] + dh, dcarry, tape, k, hs[:, :, k])
             h_prev = hs[:, :, k - 1] if k else h_first
             terms = (np.matmul(seq_t[times[:, k]].transpose(0, 2, 1), dz),
                      np.matmul(h_prev.transpose(0, 2, 1), dz), dz.sum(axis=1))
@@ -257,6 +277,7 @@ def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | No
                 ad._accumulate(seq, dx[d][:, order[d]])
         if h0 is not None:
             ad._accumulate(h0, dh[0])
+        cell._tape = (shape, tape)
 
     return hs, parents, bptt
 
@@ -271,7 +292,7 @@ def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False,
     recurrence is one graph node: the input projection of all steps is a
     single GEMM, the time loop steps only ``h @ w_h`` and the cell's gates,
     and backward is hand-written backpropagation through time over the gates
-    and cell states saved per step (nothing is saved under ``ad.no_grad()``).
+    and cell states the cell's tape holds per step (no tape under ``ad.no_grad()``).
     Values and gradients are those of the same step built from autodiff ops
     and chained from that state.
     """
@@ -311,13 +332,18 @@ class BiLstmLayer:
         np.tanh(out, out=out)
 
         def bwd(g):
-            dm = g.reshape(out.shape) * (1.0 - out * out)
+            dm = np.multiply(out, out)
+            np.subtract(1.0, dm, out=dm)
+            dm *= g.reshape(out.shape)
             h_f, h_b = time_rows()
             ad._accumulate(self.w_f, h_f.T @ dm)
             ad._accumulate(self.w_b, h_b.T @ dm)
             ad._accumulate(self.b_o, dm.sum(axis=0))
-            dh_f, dh_b = ((dm @ w.data.T).reshape(hs.shape[1:]) for w in (self.w_f, self.w_b))
-            ad._accumulate(rec, np.stack([dh_f, dh_b[:, ::-1]]))
+            # both directions' dh in step order, handed to rec uncopied: this node is its
+            # only consumer, so nothing else adds into it
+            rec.grad = np.empty(hs.shape)
+            np.matmul(dm, self.w_f.data.T, out=rec.grad[0].reshape(out.shape[0], -1))
+            rec.grad[1] = (dm @ self.w_b.data.T).reshape(hs.shape[1:])[:, ::-1]
 
         return ad._make(out.reshape(*hs.shape[1:3], -1), (rec, self.w_f, self.w_b, self.b_o), bwd)
 

@@ -233,3 +233,50 @@ def test_ops_after_no_grad_track_again():
         ad.mul(p, p)
     ad.backward(ad.tensor_sum(ad.mul(p, p)))
     assert np.array_equal(p.grad, [6.0])
+
+
+def _graph(loss: Tensor) -> list[Tensor]:
+    """Every tensor reachable from ``loss``, found before its backward runs."""
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_backward_releases_every_non_leaf_and_keeps_leaf_grads():
+    rng = np.random.default_rng(4)
+    p = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    q = Tensor(rng.standard_normal(4), requires_grad=True)
+    x = Tensor(rng.standard_normal((5, 3)))
+    t = ad.tanh(ad.add(ad.matmul(x, p), q))
+    loss = ad.mean(ad.power(t, 2.0))
+    nodes = _graph(loss)
+    inner = [n for n in nodes if n._backward is not None]
+    assert len(inner) == 6 and any(n is loss for n in inner)  # matmul, add, tanh, power, sum, mul
+    ad.backward(loss)
+    for node in inner:
+        assert node._backward is None and node._parents is None and node.grad is None
+    assert loss.item() == float(np.mean(np.tanh(x.data @ p.data + q.data) ** 2))
+    # leaves keep their links (none) and their gradients
+    dz = 2.0 * t.data * (1.0 - t.data * t.data) / t.size
+    assert np.allclose(p.grad, x.data.T @ dz) and np.allclose(q.grad, dz.sum(axis=0))
+    assert p._parents == () and q._parents == () and x.grad is None
+
+
+def test_a_loss_sharing_a_released_subgraph_raises():
+    rng = np.random.default_rng(5)
+    p = Tensor(rng.standard_normal((2, 2)), requires_grad=True)
+    h = ad.tanh(ad.matmul(Tensor(rng.standard_normal((3, 2))), p))
+    first, second = ad.tensor_sum(h), ad.mean(ad.mul(h, h))
+    ad.backward(first)
+    grad = p.grad.copy()
+    with pytest.raises(DetachedGraphError, match="released"):
+        ad.backward(second)
+    with pytest.raises(DetachedGraphError, match="released"):
+        ad.backward(ad.tensor_sum(h))  # built after the release
+    with pytest.raises(DetachedGraphError, match="released"):
+        ad.backward(first)
+    assert np.array_equal(p.grad, grad)

@@ -12,7 +12,13 @@ from qgf.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from qgf.errors import IoError, ShapeMismatchError, VersionMismatchError
+from qgf.errors import (
+    Float32RangeError,
+    IoError,
+    NumericError,
+    ShapeMismatchError,
+    VersionMismatchError,
+)
 
 
 def _ckpt(rng):
@@ -207,3 +213,40 @@ def test_failed_overwrite_leaves_the_old_checkpoint_loadable(tmp_path, rng, monk
     assert loaded.model == "gan"
     assert set(loaded.arrays) == set(original.arrays)
     assert [p.name for p in tmp_path.iterdir()] == ["m"]
+
+
+def test_existing_file_names_are_unchanged(tmp_path, rng):
+    out = save_checkpoint(_ckpt(rng), tmp_path / "m")
+    tensors = json.loads((out / "manifest.json").read_text())["tensors"]
+    assert {n: t["file"] for n, t in tensors.items()} == \
+        {"gen.w": "gen.w.bin", "disc/f": "disc_f.bin", "gen.b": "gen.b.bin"}
+
+
+def test_two_names_sharing_one_file_are_refused_naming_both(tmp_path):
+    ckpt = ModelCheckpoint(model="gan", config={}, seed=1, iterations=1,
+                           arrays={"a/b": np.ones(2), "c": np.ones(1), "a_b": np.zeros(2)})
+    with pytest.raises(IoError, match="'a/b' and 'a_b'.*a_b.bin"):
+        save_checkpoint(ckpt, tmp_path / "m")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, np.inf, -np.inf, np.nan])
+def test_values_float32_cannot_hold_are_refused_naming_tensor_and_index(tmp_path, rng, value):
+    arrays = {"gen.b": rng.standard_normal(3), "gen.w": rng.standard_normal((3, 4))}
+    arrays["gen.w"][1, 2] = value
+    arrays["gen.w"][2, 0] = value  # only the first bad flat index is reported
+    ckpt = ModelCheckpoint(model="gan", config={}, seed=1, iterations=1, arrays=arrays)
+    with pytest.raises(Float32RangeError, match="tensor 'gen.w'.*flat index 6 ") as exc:
+        save_checkpoint(ckpt, tmp_path / "m")
+    assert isinstance(exc.value, NumericError)
+    assert (exc.value.tensor, exc.value.index) == ("gen.w", 6)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_float32_extremes_are_stored_exactly(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    tiny = float(np.finfo(np.float32).smallest_subnormal)
+    values = np.array([top, -top, tiny, -tiny, 0.0])
+    ckpt = ModelCheckpoint(model="gan", config={}, seed=1, iterations=1, arrays={"w": values})
+    loaded = load_checkpoint(save_checkpoint(ckpt, tmp_path / "m"))
+    assert np.array_equal(loaded.arrays["w"], values)

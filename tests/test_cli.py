@@ -246,6 +246,30 @@ def test_gradcheck_failure_exits_numeric(tmp_path, capsys):
     assert json.loads(err)["error"] == "GradientCheckError"
 
 
+@pytest.mark.parametrize("arrays,code,error,names", [
+    ({"gen.w": np.ones(2), "gen.b": np.array([0.0, 1e39])},
+     cli.EXIT_NUMERIC, "Float32RangeError", ["'gen.b'", "flat index 1"]),
+    ({"x/y": np.ones(2), "x_y": np.ones(2)}, cli.EXIT_DATA, "IoError", ["'x/y'", "'x_y'"]),
+])
+def test_train_refuses_a_checkpoint_that_would_not_read_back(tmp_path, capsys, monkeypatch,
+                                                              arrays, code, error, names):
+    from qgf.checkpoint import ModelCheckpoint
+
+    def fake_training(*args, **kwargs):
+        ckpt = ModelCheckpoint(model="rnn-ae", config={}, seed=1, iterations=1, arrays=arrays)
+        return ckpt, {"loss": np.ones(1)}
+
+    monkeypatch.setattr(cli.baselines, "train_baseline", fake_training)
+    data_path = tmp_path / "seqs.csv"
+    _write_train_data(data_path, length=16)
+    assert run("train", "--model", "rnn-ae", "--data", data_path, "--epochs", 1,
+               "--out", tmp_path / "ckpt", "--quiet") == code
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == error
+    assert all(name in payload["message"] for name in names)
+    assert not (tmp_path / "ckpt" / "manifest.json").exists()
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         run("ingest", "--out", "x.csv")  # neither --input nor --fetch-url
