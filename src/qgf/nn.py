@@ -137,15 +137,11 @@ class RNNCell:
         self.w_x = pset.add(f"{name}.w_x", xavier_uniform(rng, (n_in, hidden)))
         self.w_h = pset.add(f"{name}.w_h", xavier_uniform(rng, (hidden, hidden)))
         self.b = pset.add(f"{name}.b", np.zeros(hidden))
-        self._tape = None
+
+    _tape_slots = 0  # BPTT reads each step's h back from the recurrence's output
 
     # pointwise part of one step on raw (directions, batch, ...) arrays, for the fused
-    # recurrence; z is a fresh array per step and its buffer is reused for the result.
-    # The cell tapes nothing: BPTT reads each step's h back from the recurrence's output
-    @staticmethod
-    def _new_tape(steps: int, dirs: int, batch: int) -> None:
-        return None
-
+    # recurrence; z is a fresh array per step and its buffer is reused for the result
     @staticmethod
     def _activate(z: np.ndarray, carry, tape, k: int):
         return np.tanh(z, out=z), carry
@@ -168,16 +164,14 @@ class LSTMCell:
         self.w_x = pset.add(f"{name}.w_x", xavier_uniform(rng, (n_in, 4 * hidden)))
         self.w_h = pset.add(f"{name}.w_h", xavier_uniform(rng, (hidden, 4 * hidden)))
         self.b = pset.add(f"{name}.b", np.zeros(4 * hidden))
-        self._tape = None
+
+    _tape_slots = 6  # gates i, f, g, o, then c, then tanh(c)
 
     # pointwise part of one step on raw (directions, batch, ...) arrays, for the fused
-    # recurrence, which ignores overflow in exp; carry is c. Step k writes its gates i, f, g,
-    # o, then c, then tanh(c) into tape[k], (6, directions, batch, hidden): gate-major, so
-    # every block the elementwise ops touch is contiguous. One block rather than three keeps
-    # the tape in one allocation, which glibc maps on its own instead of growing the heap
-    def _new_tape(self, steps: int, dirs: int, batch: int) -> np.ndarray:
-        return np.empty((steps, 6, dirs, batch, self.hidden))
-
+    # recurrence, which ignores overflow in exp; carry is c. Step k writes its six slots into
+    # tape[k], (6, directions, batch, hidden): gate-major, so every block the elementwise ops
+    # touch is contiguous. One block rather than three keeps the tape in one allocation,
+    # which glibc maps on its own instead of growing the heap
     @staticmethod
     def _activate(z: np.ndarray, c_prev, tape, k: int):
         gates, c, tanh_c = tape[k, :4], tape[k, 4], tape[k, 5]
@@ -218,9 +212,9 @@ def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | No
     step first and reach each parameter once, at the end: a parameter used twice in one
     graph sums in another order than a chain of per-step ops would.
 
-    A tracked forward takes the tape ``cells[0]`` holds when its shape fits (else a new
-    one) and ``bptt`` hands it back when done, so repeated iterations of one shape reuse
-    one tape; untracked forwards step through a private one-step tape."""
+    A tracked forward writes every step's cell state into one (time, slots, directions,
+    batch, hidden) tape that only ``bptt`` holds, so releasing the graph frees it; an
+    untracked forward steps through a one-step tape."""
     cell = cells[0]
     if seq.data.ndim != 3 or seq.shape[2] != cell.n_in:
         raise ShapeMismatchError(
@@ -241,11 +235,7 @@ def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | No
     b = np.repeat(np.stack([c.b.data for c in cells])[:, None], batch, axis=1)  # same-shape add
     hs = np.empty((len(cells), batch, steps, cell.hidden))
     h_first = np.zeros((len(cells), batch, cell.hidden)) if h0 is None else h0.data[None]
-    shape = (steps if track else 1, len(cells), batch)
-    spare = cell._tape if track else None
-    if track:  # until bptt returns it, a second forward makes its own
-        cell._tape = None
-    tape = spare[1] if spare is not None and spare[0] == shape else cell._new_tape(*shape)
+    tape = np.empty((steps if track else 1, cell._tape_slots, len(cells), batch, cell.hidden))
     h, carry = h_first, 0.0
     with np.errstate(over="ignore"):  # a gate's exp(-z) is inf below z = -709, the gate 0
         for k in range(steps):
@@ -277,7 +267,6 @@ def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | No
                 ad._accumulate(seq, dx[d][:, order[d]])
         if h0 is not None:
             ad._accumulate(h0, dh[0])
-        cell._tape = (shape, tape)
 
     return hs, parents, bptt
 
@@ -292,7 +281,7 @@ def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False,
     recurrence is one graph node: the input projection of all steps is a
     single GEMM, the time loop steps only ``h @ w_h`` and the cell's gates,
     and backward is hand-written backpropagation through time over the gates
-    and cell states the cell's tape holds per step (no tape under ``ad.no_grad()``).
+    and cell states its tape holds per step (no tape under ``ad.no_grad()``).
     Values and gradients are those of the same step built from autodiff ops
     and chained from that state.
     """

@@ -288,83 +288,44 @@ def test_bilstm_layer_records_two_graph_nodes_and_none_without_grad():
 
 
 def _bilstm(rng, n_in=2, hidden=4, n_out=5):
-    pset = nn.ParamSet()
-    return pset, nn.BiLstmLayer(pset, "bi", n_in, hidden, n_out, rng)
-
-
-def _backprop(layer, seq, rng) -> Tensor:
-    """One tracked forward of ``layer`` and the backward of a weighted sum of it."""
-    out = layer(seq)
-    ad.backward(ad.tensor_sum(ad.mul(out, rng.standard_normal(out.shape))))
-    return out
-
-
-@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
-def test_two_outstanding_forwards_backprop_as_if_run_one_after_the_other(order):
-    rng = np.random.default_rng(3)
-    pset, layer = _bilstm(rng)
-    seqs = [Tensor(rng.standard_normal((3, 6, 2)), requires_grad=True) for _ in range(2)]
-    weights = [rng.standard_normal((3, 6, 5)) for _ in seqs]
-    tensors = [*pset.tensors(), *seqs]
-
-    def loss(j):
-        return ad.tensor_sum(ad.mul(layer(seqs[j]), weights[j]))
-
-    def grads(loss_):
-        for t in tensors:
-            t.grad = None
-        ad.backward(loss_)
-        return [t.grad for t in tensors]
-
-    want = {j: grads(loss(j)) for j in order}  # forward, backward, forward, backward
-    losses = [loss(0), loss(1)]  # both forwards before either backward: two tapes
-    for j in order:
-        got = grads(losses[j])
-        assert [g is None for g in got] == [g is None for g in want[j]]
-        for a, b in zip(got, want[j]):
-            assert a is None or np.array_equal(a, b)
-
-
-def test_the_next_forward_of_one_shape_reuses_the_returned_tape():
-    rng = np.random.default_rng(4)
-    _, layer = _bilstm(rng)
-    _backprop(layer, Tensor(rng.standard_normal((3, 6, 2))), rng)
-    shape, tape = layer.fwd._tape
-    assert tape.shape == (6, 6, 2, 3, 4)  # steps, gates + c + tanh(c), directions, batch, hidden
-    out = layer(Tensor(rng.standard_normal((3, 6, 2))))
-    assert layer.fwd._tape is None  # taken by the live graph
-    ad.backward(ad.tensor_sum(out))
-    assert layer.fwd._tape == (shape, tape) and layer.fwd._tape[1] is tape
-
-
-@pytest.mark.parametrize("batch,steps", [(2, 6), (3, 5)])
-def test_a_forward_of_another_shape_allocates_a_fresh_tape(batch, steps):
-    rng = np.random.default_rng(5)
-    _, layer = _bilstm(rng)
-    _backprop(layer, Tensor(rng.standard_normal((3, 6, 2))), rng)
-    old = layer.fwd._tape[1]
-    seq = Tensor(rng.standard_normal((batch, steps, 2)))
-    out = _backprop(layer, seq, rng)
-    new = layer.fwd._tape[1]
-    assert new is not old and new.shape == (steps, 6, 2, batch, 4)
-    with ad.no_grad():
-        assert np.array_equal(out.data, layer(seq).data)
+    return nn.BiLstmLayer(nn.ParamSet(), "bi", n_in, hidden, n_out, rng)
 
 
 def test_no_grad_forwards_allocate_no_tape(monkeypatch):
     rng = np.random.default_rng(6)
-    _, layer = _bilstm(rng)
-    _backprop(layer, Tensor(rng.standard_normal((3, 6, 2))), rng)
-    spare = layer.fwd._tape
-    made = []
-    new_tape = nn.LSTMCell._new_tape
-    monkeypatch.setattr(nn.LSTMCell, "_new_tape",
-                        lambda self, *shape: made.append(shape) or new_tape(self, *shape))
+    layer = _bilstm(rng)
+    empty, made = np.empty, []
+
+    def tapes():  # the recurrence's is the only five-axis array
+        shapes = [s for s in made if len(s) == 5]
+        made.clear()
+        return shapes
+
+    monkeypatch.setattr(np, "empty", lambda shape, *a, **k: made.append(shape) or empty(shape, *a, **k))
     with ad.no_grad():
         layer(Tensor(rng.standard_normal((3, 6, 2))))
         layer(Tensor(rng.standard_normal((2, 9, 2))))
-    assert made == [(1, 2, 3), (1, 2, 2)]  # only the running step's slot
-    assert layer.fwd._tape is spare and layer.bwd._tape is None
+    assert tapes() == [(1, 6, 2, 3, 4), (1, 6, 2, 2, 4)]  # only the running step's slots
+    layer(Tensor(rng.standard_normal((3, 6, 2))))
+    assert tapes() == [(6, 6, 2, 3, 4)]  # steps, gates + c + tanh(c), directions, batch, hidden
+
+
+def test_backward_frees_the_tape_with_the_graph():
+    batch, steps, width = 8, 200, 16
+    rng = np.random.default_rng(5)
+    layer = _bilstm(rng, width, width, width)
+    seq = Tensor(rng.standard_normal((batch, steps, width)))
+    tape = steps * 6 * 2 * batch * width * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ad.tensor_sum(layer(seq))
+        held = tracemalloc.get_traced_memory()[0] - before
+        ad.backward(out)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held > tape and kept < tape / 4  # what stays is the parameters' grads
 
 
 def test_a_tracked_rnn_unroll_keeps_only_its_output_alive():
@@ -387,7 +348,7 @@ def test_a_tracked_rnn_unroll_keeps_only_its_output_alive():
 def test_bilstm_backward_peak_stays_within_five_sequence_sized_buffers():
     batch, steps, width = 16, 100, 32  # n_in = hidden = n_out
     rng = np.random.default_rng(8)
-    _, layer = _bilstm(rng, width, width, width)
+    layer = _bilstm(rng, width, width, width)
     seq = Tensor(rng.standard_normal((batch, steps, width)), requires_grad=True)
     weights = Tensor(rng.standard_normal((batch, steps, width)))
     unit = batch * steps * width * 8
