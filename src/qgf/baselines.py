@@ -66,23 +66,20 @@ class RecurrentAutoencoder:
     """
 
     def __init__(self, config: AeConfig, rng: np.random.Generator,
-                 variational: bool = False, prefix: str = "ae"):
+                 variational: bool = False):
         self.config = config
         self.variational = variational
         self.params = nn.ParamSet()
         cell = nn.LSTMCell if config.cell == "lstm" else nn.RNNCell
-        self.encoder = cell(self.params, f"{prefix}.enc", 1, config.hidden, rng)
+        self.encoder = cell(self.params, "ae.enc", 1, config.hidden, rng)
         if variational:
-            self.to_mu = nn.Dense(self.params, f"{prefix}.mu", config.hidden, config.latent, rng)
-            self.to_logvar = nn.Dense(self.params, f"{prefix}.logvar", config.hidden,
-                                      config.latent, rng)
+            self.to_mu = nn.Dense(self.params, "ae.mu", config.hidden, config.latent, rng)
+            self.to_logvar = nn.Dense(self.params, "ae.logvar", config.hidden, config.latent, rng)
         else:
-            self.to_latent = nn.Dense(self.params, f"{prefix}.latent", config.hidden,
-                                      config.latent, rng)
-        self.from_latent = nn.Dense(self.params, f"{prefix}.dec0", config.latent,
-                                    config.hidden, rng)
-        self.decoder = cell(self.params, f"{prefix}.dec", 1, config.hidden, rng)
-        self.emit = nn.Dense(self.params, f"{prefix}.emit", config.hidden, 1, rng)
+            self.to_latent = nn.Dense(self.params, "ae.latent", config.hidden, config.latent, rng)
+        self.from_latent = nn.Dense(self.params, "ae.dec0", config.latent, config.hidden, rng)
+        self.decoder = cell(self.params, "ae.dec", 1, config.hidden, rng)
+        self.emit = nn.Dense(self.params, "ae.emit", config.hidden, 1, rng)
 
     def _check_input(self, x: Tensor) -> tuple[int, int]:
         if x.data.ndim != 2 or x.shape[1] != self.config.seq_len:

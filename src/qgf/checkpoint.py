@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import shutil
 from dataclasses import dataclass, field
@@ -165,7 +166,7 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
             raw = bin_path.read_bytes()
         except OSError as exc:
             raise IoError(f"cannot read {bin_path}: {exc}") from exc
-        expected = int(np.prod(shape, dtype=np.int64)) * 4
+        expected = math.prod(shape) * 4  # exact: an int64 product can wrap to a small size
         if len(raw) != expected:
             raise ShapeMismatchError(
                 f"tensor {name}: {len(raw)} bytes on disk, shape {shape} needs {expected}")

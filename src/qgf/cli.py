@@ -8,12 +8,11 @@ the flags, seed, input digests, and wall-clock duration. Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -80,46 +79,67 @@ def _finish(manifest: RunManifest, t0: float, out: Path, is_dir: bool = False,
         print(f"wrote {out} (manifest {mpath})")
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _read_rows(path: Path, keyed: bool) -> tuple[list[str], list[str], np.ndarray]:
+    """A comma-separated table of finite floats into (column names, dates, float
+    matrix); blank lines are skipped. Keyed: a header whose first column is Date,
+    then a date and the values on each row. Plain: no header, one sequence per row."""
+    lines = _read_text(path).splitlines()
+    header: list[str] = []
+    if keyed:
+        if not lines:
+            raise MalformedHeaderError(f"{path} is empty")
+        header = lines[0].split(",")
+        if header[0] != "Date":
+            raise MalformedHeaderError(f"{path}: first column must be Date, got {header[:1]}")
+    width, dates, rows = len(header), [], []
+    start = 2 if keyed else 1
+    for line_no, line in enumerate(lines[start - 1:], start=start):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        width = width or len(cells)
+        if len(cells) != width:
+            raise RowParseError(line_no, f"{path}: {len(cells)} fields, expected {width}")
+        if keyed:
+            dates.append(cells.pop(0))
+        try:
+            values = [float(v) for v in cells]
+        except ValueError as exc:
+            raise RowParseError(line_no, f"{path}: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise RowParseError(line_no, f"{path}: non-finite value")
+        rows.append(values)
+    if not rows:
+        raise EmptyDatasetError(f"{path} holds no rows")
+    return header[1:], dates, np.array(rows, dtype=np.float64)
+
+
+def _write_rows(path: Path, values: Iterable, header: list[str] | None = None,
+                keys: Iterable | None = None) -> None:
+    """The table ``_read_rows`` reads: an optional header line, then each row of
+    ``values`` as ``{v:.17g}`` fields, after its key when ``keys`` is given."""
+    lines = [] if header is None else [",".join(header)]
+    body = (",".join(f"{v:.17g}" for v in row) for row in values)
+    if keys is not None:
+        body = (f"{key},{cells}" for key, cells in zip(keys, body))
+    lines.extend(body)
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
 def _load_series(args: argparse.Namespace) -> tuple[market_data.PriceSeries, list[Path]]:
     if getattr(args, "fetch_url", None):
         text = market_data.fetch_csv(args.fetch_url, args.symbol)
         return market_data.parse_csv(text, args.symbol), []
     path = Path(args.input)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
     symbol = getattr(args, "symbol", None) or path.stem
-    return market_data.parse_csv(text, symbol), [path]
-
-
-def _load_sequences(path: Path) -> np.ndarray:
-    """CSV of finite float rows, one sequence per row, no header; blank lines are skipped."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    rows: list[list[float]] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = [float(v) for v in line.split(",")]
-        except ValueError as exc:
-            raise RowParseError(line_no, f"{path}: {exc}") from exc
-        if rows and len(row) != len(rows[0]):
-            raise RowParseError(line_no, f"{path}: {len(row)} fields, expected {len(rows[0])}")
-        if not all(map(math.isfinite, row)):
-            raise RowParseError(line_no, f"{path}: non-finite value")
-        rows.append(row)
-    if not rows:
-        raise EmptyDatasetError(f"{path} holds no sequences")
-    return np.array(rows, dtype=np.float64)
-
-
-def _write_sequences(path: Path, data: np.ndarray) -> None:
-    rows = "\n".join(",".join(f"{v:.17g}" for v in row) for row in np.atleast_2d(data))
-    write_text_atomic(path, rows + "\n")
+    return market_data.parse_csv(_read_text(path), symbol), [path]
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -140,25 +160,16 @@ def cmd_indicators(args: argparse.Namespace) -> int:
     manifest, t0 = _start(args, inputs)
     params = indicators.IndicatorParams(vr_convention=args.vr_convention)
     matrix = indicators.build_feature_matrix(series, params)
-    dates = series.dates()
-
-    out = Path(args.out)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     header = ["Date", *matrix.feature_names]
-    last_row = matrix.values.shape[0]
-    labels = None
+    values = matrix.values
     if args.label_horizon is not None:
+        # the label of bar i looks args.label_horizon bars ahead, so the last bars have none
         labels = market_data.label_trend(series, args.label_horizon)
         header.append(f"label_n{args.label_horizon}")
-        last_row -= args.label_horizon
-    writer.writerow(header)
-    for i in range(matrix.valid_from, last_row):
-        row = [dates[i].isoformat(), *(f"{v:.17g}" for v in matrix.values[i])]
-        if labels is not None:
-            row.append(labels.labels[i])
-        writer.writerow(row)
-    write_text_atomic(out, buf.getvalue())
+        values = np.column_stack([values[:len(labels)], labels.labels])
+    keys = [d.isoformat() for d in series.dates()[matrix.valid_from:len(values)]]
+    out = Path(args.out)
+    _write_rows(out, values[matrix.valid_from:], header, keys)
     _finish(manifest, t0, out, quiet=args.quiet, valid_from=matrix.valid_from,
             cap_flags={k: list(v) for k, v in matrix.cap_flags.items()})
     return 0
@@ -168,51 +179,19 @@ def cmd_label(args: argparse.Namespace) -> int:
     series, inputs = _load_series(args)
     manifest, t0 = _start(args, inputs)
     labels = market_data.label_trend(series, args.horizon)
-    dates = series.dates()
     # stamp each label with the bar whose features predict it, n bars earlier
-    lines = ["Date,label"]
-    lines += [f"{dates[i].isoformat()},{labels.labels[i]}" for i in range(len(labels))]
     out = Path(args.out)
-    write_text_atomic(out, "\n".join(lines) + "\n")
+    _write_rows(out, [[v] for v in labels.labels], ["Date", "label"],
+                [d.isoformat() for d in series.dates()[:len(labels)]])
     _finish(manifest, t0, out, quiet=args.quiet, horizon=args.horizon,
             positive=int(sum(labels.labels)), total=len(labels))
     return 0
 
 
-def _read_table(path: Path) -> tuple[list[str], list[str], np.ndarray]:
-    """A Date-keyed CSV of finite floats into (column names, dates, float matrix)."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedHeaderError(f"{path} is empty") from None
-    if not header or header[0] != "Date":
-        raise MalformedHeaderError(f"{path}: first column must be Date, got {header[:1]}")
-    dates, rows = [], []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(header):
-            raise RowParseError(line_no, f"{path}: {len(row)} fields, expected {len(header)}")
-        try:
-            values = [float(v) for v in row[1:]]
-        except ValueError as exc:
-            raise RowParseError(line_no, f"{path}: {exc}") from exc
-        if not all(map(math.isfinite, values)):
-            raise RowParseError(line_no, f"{path}: non-finite value")
-        dates.append(row[0])
-        rows.append(values)
-    return header[1:], dates, np.array(rows, dtype=np.float64)
-
-
 def cmd_select(args: argparse.Namespace) -> int:
     f_path, l_path = Path(args.features), Path(args.labels)
-    names, f_dates, x_all = _read_table(f_path)
-    l_names, l_dates, y_all = _read_table(l_path)
+    names, f_dates, x_all = _read_rows(f_path, keyed=True)
+    l_names, l_dates, y_all = _read_rows(l_path, keyed=True)
     if len(l_names) != 1:
         raise MalformedHeaderError(f"{l_path}: expected Date plus one label column")
     manifest, t0 = _start(args, [f_path, l_path])
@@ -238,18 +217,13 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     f_path = Path(args.features)
-    names, dates, x = _read_table(f_path)
+    names, dates, x = _read_rows(f_path, keyed=True)
     manifest, t0 = _start(args, [f_path])
     model = features.randomized_pca_fit(x, k=args.components,
                                         oversample=args.oversample, seed=args.seed)
     reduced = features.pca_transform(model, x)
     out = Path(args.out)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["Date", *(f"pc{i + 1}" for i in range(args.components))])
-    for date, row in zip(dates, reduced):
-        writer.writerow([date, *(f"{v:.17g}" for v in row)])
-    write_text_atomic(out, buf.getvalue())
+    _write_rows(out, reduced, ["Date", *(f"pc{i + 1}" for i in range(args.components))], dates)
     _finish(manifest, t0, out, quiet=args.quiet,
             explained=[float(v) for v in model.explained], columns=names)
     return 0
@@ -257,36 +231,32 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     data_path = Path(args.data)
-    data = _load_sequences(data_path)
+    _, _, data = _read_rows(data_path, keyed=False)
     manifest, t0 = _start(args, [data_path])
-    seq_len = args.seq_len or data.shape[1]
+    seq_len = data.shape[1] if args.seq_len is None else args.seq_len
     train_config = gan.TrainConfig(epochs=args.epochs, batch_size=args.batch,
                                    lr=args.lr, seed=args.seed, d_steps=args.d_steps,
                                    g_loss_mode=args.g_loss)
     if args.model == "gan":
-        if seq_len == 3120 and args.hidden is None:
-            gen_config = gan.GeneratorConfig()
-            disc_config = gan.DiscriminatorConfig()
-        else:
-            gen_config = gan.GeneratorConfig(
-                noise_dim=args.noise_dim, seq_len=seq_len,
-                hidden=args.hidden or gan.GeneratorConfig.desk().hidden,
-                dropout_p=args.dropout)
-            disc_config = gan.DiscriminatorConfig.desk(seq_len)
+        # 3120 points and no --hidden train the paper's network, anything else the desk one
+        paper = seq_len == 3120 and args.hidden is None
+        hidden = (gan.GeneratorConfig() if paper else gan.GeneratorConfig.desk()).hidden
+        gen_config = gan.GeneratorConfig(noise_dim=args.noise_dim, seq_len=seq_len,
+                                         hidden=hidden if args.hidden is None else args.hidden,
+                                         dropout_p=args.dropout)
+        disc_config = gan.DiscriminatorConfig() if paper else gan.DiscriminatorConfig.desk(seq_len)
         ckpt, history = gan.train_gan(data, gen_config, disc_config, train_config)
     else:
-        config = baselines.AeConfig(hidden=args.hidden or 64, latent=args.latent,
-                                    seq_len=seq_len,
-                                    cell="lstm" if args.model.startswith("lstm") else "rnn")
+        config = baselines.AeConfig(
+            hidden=baselines.AeConfig.hidden if args.hidden is None else args.hidden,
+            latent=args.latent, seq_len=seq_len,
+            cell="lstm" if args.model.startswith("lstm") else "rnn")
         ckpt, history = baselines.train_baseline(args.model, data, config, train_config)
 
     out = Path(args.out)
     save_checkpoint(ckpt, out, overwrite=True)
-    names = list(history)
-    lines = ["iteration," + ",".join(names)]
-    for i in range(train_config.epochs):
-        lines.append(f"{i}," + ",".join(f"{history[n][i]:.17g}" for n in names))
-    write_text_atomic(out / "history.csv", "\n".join(lines) + "\n")
+    _write_rows(out / "history.csv", zip(*history.values()), ["iteration", *history],
+                range(train_config.epochs))
     plotting.plot_series(history, out / "history.svg", title=f"{args.model} training loss")
     _finish(manifest, t0, out, is_dir=True, quiet=args.quiet, model=args.model,
             final_losses={n: float(v[-1]) for n, v in history.items()})
@@ -298,19 +268,19 @@ def cmd_generate(args: argparse.Namespace) -> int:
     ckpt = load_checkpoint(ckpt_path)
     manifest, t0 = _start(args, [ckpt_path / "manifest.json"])
     generator = gan.generator_from_checkpoint(ckpt)
-    seq_len = args.length or generator.config.seq_len
+    seq_len = generator.config.seq_len if args.length is None else args.length
     sequences = gan.generate_sequences(generator, count=args.count,
                                        seq_len=seq_len, seed=args.seed)
     out = Path(args.out)
-    _write_sequences(out, sequences)
+    _write_rows(out, sequences)
     _finish(manifest, t0, out, quiet=args.quiet, count=args.count, length=seq_len)
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     real_path, gen_path = Path(args.real), Path(args.generated)
-    real = _load_sequences(real_path)
-    generated = _load_sequences(gen_path)
+    _, _, real = _read_rows(real_path, keyed=False)
+    _, _, generated = _read_rows(gen_path, keyed=False)
     manifest, t0 = _start(args, [real_path, gen_path])
     report = metrics.compare_sequences(list(real), list(generated), pairing=args.pairing,
                                        real_id=str(real_path), generated_id=str(gen_path))
@@ -400,15 +370,17 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["gan", *baselines.BASELINE_KINDS])
     p.add_argument("--data", required=True, help="csv, one sequence per row")
     p.add_argument("--seq-len", type=int, help="default: data row length")
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--batch", type=int, default=100)
-    p.add_argument("--lr", type=float, default=1e-5)
-    p.add_argument("--d-steps", type=int, default=1)
-    p.add_argument("--g-loss", choices=["printed", "nonsaturating"], default="printed")
+    p.add_argument("--epochs", type=int, default=gan.TrainConfig.epochs)
+    p.add_argument("--batch", type=int, default=gan.TrainConfig.batch_size)
+    p.add_argument("--lr", type=float, default=gan.TrainConfig.lr)
+    p.add_argument("--d-steps", type=int, default=gan.TrainConfig.d_steps)
+    p.add_argument("--g-loss", choices=["printed", "nonsaturating"],
+                   default=gan.TrainConfig.g_loss_mode)
     p.add_argument("--hidden", type=int, help="gan: generator cells; baselines: hidden")
-    p.add_argument("--latent", type=int, default=16, help="baseline latent size")
-    p.add_argument("--noise-dim", type=int, default=5)
-    p.add_argument("--dropout", type=float, default=0.4)
+    p.add_argument("--latent", type=int, default=baselines.AeConfig.latent,
+                   help="baseline latent size")
+    p.add_argument("--noise-dim", type=int, default=gan.GeneratorConfig.noise_dim)
+    p.add_argument("--dropout", type=float, default=gan.GeneratorConfig.dropout_p)
     p.add_argument("--out", required=True, help="checkpoint directory")
     p.set_defaults(func=cmd_train)
 

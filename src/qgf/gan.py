@@ -121,14 +121,14 @@ def sample_noise(batch: int, seq_len: int, noise_dim: int, rng: np.random.Genera
 
 
 class Generator:
-    def __init__(self, config: GeneratorConfig, rng: np.random.Generator, prefix: str = "gen"):
+    def __init__(self, config: GeneratorConfig, rng: np.random.Generator):
         self.config = config
         self.params = nn.ParamSet()
-        self.layer1 = nn.BiLstmLayer(self.params, f"{prefix}.l1", config.noise_dim,
+        self.layer1 = nn.BiLstmLayer(self.params, "gen.l1", config.noise_dim,
                                      config.hidden, config.hidden, rng)
-        self.layer2 = nn.BiLstmLayer(self.params, f"{prefix}.l2", config.hidden,
+        self.layer2 = nn.BiLstmLayer(self.params, "gen.l2", config.hidden,
                                      config.hidden, config.hidden, rng)
-        self.proj = nn.Dense(self.params, f"{prefix}.out", config.hidden, 1, rng)
+        self.proj = nn.Dense(self.params, "gen.out", config.hidden, 1, rng)
 
     def forward(self, noise: Tensor, training: bool = False,
                 dropout_rng: np.random.Generator | None = None) -> Tensor:
@@ -144,21 +144,20 @@ class Generator:
 
 
 class Discriminator:
-    def __init__(self, config: DiscriminatorConfig, rng: np.random.Generator,
-                 prefix: str = "disc"):
+    def __init__(self, config: DiscriminatorConfig, rng: np.random.Generator):
         config.layer_shapes()  # geometry must be valid before any parameters exist
         self.config = config
         self.params = nn.ParamSet()
         c1, c2 = config.conv1, config.conv2
-        self.f1 = self.params.add(f"{prefix}.c1.f", nn.xavier_uniform(rng, (c1.filters, 1, c1.size)))
-        self.b1 = self.params.add(f"{prefix}.c1.b", np.zeros(c1.filters))
-        self.f2 = self.params.add(f"{prefix}.c2.f",
+        self.f1 = self.params.add("disc.c1.f", nn.xavier_uniform(rng, (c1.filters, 1, c1.size)))
+        self.b1 = self.params.add("disc.c1.b", np.zeros(c1.filters))
+        self.f2 = self.params.add("disc.c2.f",
                                   nn.xavier_uniform(rng, (c2.filters, c1.filters, c2.size)))
-        self.b2 = self.params.add(f"{prefix}.c2.b", np.zeros(c2.filters))
+        self.b2 = self.params.add("disc.c2.b", np.zeros(c2.filters))
         channels, length = config.layer_shapes()[-1]
         self.flat_size = channels * length
-        self.dense = nn.Dense(self.params, f"{prefix}.fc", self.flat_size, config.dense_units, rng)
-        self.head = nn.Dense(self.params, f"{prefix}.head", config.dense_units, 2, rng)
+        self.dense = nn.Dense(self.params, "disc.fc", self.flat_size, config.dense_units, rng)
+        self.head = nn.Dense(self.params, "disc.head", config.dense_units, 2, rng)
 
     def forward(self, x: Tensor) -> Tensor:
         """Sequences (B, L) to P(real) per item, strictly inside (0, 1)."""

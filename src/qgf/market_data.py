@@ -190,6 +190,8 @@ def fetch_csv(url_template: str, symbol: str, timeout: float = 30.0) -> str:
         raise NetworkError(str(exc.reason)) from exc
     except OSError as exc:
         raise NetworkError(str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise NetworkError(f"{url}: body is not UTF-8: {exc}") from exc
 
 
 def sliding_windows(series: PriceSeries, spec: WindowSpec) -> list[range]:

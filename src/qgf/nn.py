@@ -10,7 +10,7 @@ the finite-difference gradient checker used by the verification suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -439,29 +439,27 @@ def mse_half(y: Tensor, x: Tensor) -> Tensor:
 
 # --- optimizer -----------------------------------------------------------------------
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 def adam_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              t: int, lr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One bias-corrected Adam update; pure function of inputs and state."""
     if t < 1:
         raise ValueError("adam step count starts at 1")
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    return value - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
 
 
 class Adam:
     """Adam(0.9, 0.999, 1e-8) over a ParamSet; state keyed by parameter name."""
 
-    def __init__(self, pset: ParamSet, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, pset: ParamSet, lr: float):
         self.pset = pset
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._m = {name: np.zeros_like(t.data) for name, t in pset.items()}
         self._v = {name: np.zeros_like(t.data) for name, t in pset.items()}
@@ -473,8 +471,7 @@ class Adam:
             if grad is None:
                 grad = np.zeros_like(param.data)
             param.data, self._m[name], self._v[name] = adam_step(
-                param.data, grad, self._m[name], self._v[name],
-                self.t, self.lr, self.beta1, self.beta2, self.eps)
+                param.data, grad, self._m[name], self._v[name], self.t, self.lr)
 
     def minimize(self, loss: Tensor) -> float:
         """Clear this optimizer's gradients, backpropagate ``loss``, take one step."""
@@ -519,8 +516,7 @@ def fit(data: np.ndarray, epochs: int, batch_size: int, batch_rng: np.random.Gen
 # --- gradient checking -----------------------------------------------------------------
 
 def finite_difference_gradients(loss_fn: Callable[[], float], pset: ParamSet,
-                                eps: float = 1e-5,
-                                names: Iterable[str] | None = None) -> dict[str, np.ndarray]:
+                                eps: float = 1e-5) -> dict[str, np.ndarray]:
     """Central finite differences of ``loss_fn`` w.r.t. each parameter entry.
 
     ``loss_fn`` must rebuild the forward pass from the ParamSet's current
@@ -530,7 +526,7 @@ def finite_difference_gradients(loss_fn: Callable[[], float], pset: ParamSet,
     """
     out = {}
     with ad.no_grad():
-        for name in (names if names is not None else pset.names()):
+        for name in pset.names():
             param = pset[name]
             grad = np.zeros_like(param.data)
             flat = param.data.reshape(-1)
@@ -547,15 +543,14 @@ def finite_difference_gradients(loss_fn: Callable[[], float], pset: ParamSet,
     return out
 
 
-def check_gradients(build_loss: Callable[[], Tensor], pset: ParamSet,
-                    eps: float = 1e-5) -> float:
+def check_gradients(build_loss: Callable[[], Tensor], pset: ParamSet) -> float:
     """Max relative error between backprop and central finite differences."""
     pset.zero_grad()
     loss = build_loss()
     ad.backward(loss)
     analytic = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
                 for name, t in pset.items()}
-    numeric = finite_difference_gradients(lambda: build_loss().item(), pset, eps=eps)
+    numeric = finite_difference_gradients(lambda: build_loss().item(), pset)
     return max(relative_error(analytic[name], numeric[name]) for name in pset.names())
 
 

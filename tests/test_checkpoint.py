@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgf import gan
+from qgf import cli, gan
 from qgf.autodiff import Tensor
 from qgf.checkpoint import (
     FORMAT_VERSION,
@@ -183,6 +183,20 @@ def test_malformed_tensor_entry_is_io_error_naming_the_tensor(tmp_path, rng, met
     _edit_manifest(out, lambda m: m["tensors"].update({"gen.w": meta}))
     with pytest.raises(IoError, match="tensor 'gen.w'"):
         load_checkpoint(out)
+
+
+@pytest.mark.parametrize("shape,size", [([3, 4], 44), ([2**62, 4], 0)],
+                         ids=["truncated", "int64-overflow"])
+def test_tensor_bytes_that_do_not_fill_the_shape_exit_3(tmp_path, rng, capsys, shape, size):
+    # 2**62 * 4 * 4 bytes wraps to 0 in int64, which an empty file would match
+    out = save_checkpoint(_ckpt(rng), tmp_path / "m")
+    _edit_manifest(out, lambda m: m["tensors"]["gen.w"].update({"shape": shape}))
+    (out / "gen.w.bin").write_bytes(bytes(size))
+    with pytest.raises(ShapeMismatchError, match="tensor gen.w"):
+        load_checkpoint(out)
+    assert cli.main(["generate", "--ckpt", str(out), "--count", "1",
+                     "--out", str(tmp_path / "x.csv"), "--quiet"]) == cli.EXIT_DATA
+    assert json.loads(capsys.readouterr().err)["error"] == "ShapeMismatchError"
 
 
 @pytest.mark.parametrize("fname", ["../x.bin", "sub/gen.w.bin", "/tmp/x.bin", "..", ".", ""])

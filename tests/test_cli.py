@@ -1,11 +1,12 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import noisy_sine_batch
-from qgf import cli
+from qgf import baselines, cli, gan
 from qgf.market_data import parse_csv
 
 
@@ -227,6 +228,12 @@ def test_generate_on_malformed_generator_config_exits_data_error(
     assert detail in payload["message"]
 
 
+def test_generate_refuses_a_zero_length(gan_ckpt, tmp_path, capsys):
+    assert run("generate", "--ckpt", gan_ckpt, "--count", 2, "--len", 0,
+               "--out", tmp_path / "x.csv", "--quiet") == cli.EXIT_DATA
+    assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolationError"
+
+
 def test_gradcheck_prints_one_line_per_kernel(tmp_path, capsys):
     out = tmp_path / "gradcheck.json"
     assert run("gradcheck", "--seeds", 1, "--out", out) == 0
@@ -268,6 +275,63 @@ def test_train_refuses_a_checkpoint_that_would_not_read_back(tmp_path, capsys, m
     assert payload["error"] == error
     assert all(name in payload["message"] for name in names)
     assert not (tmp_path / "ckpt" / "manifest.json").exists()
+
+
+@pytest.fixture
+def training_calls(monkeypatch):
+    """Record the configs ``train`` hands to the trainers, and train nothing."""
+    from qgf.checkpoint import ModelCheckpoint
+
+    calls = []
+
+    def fake_training(*args):
+        calls.append(args)
+        epochs = args[-1].epochs
+        ckpt = ModelCheckpoint(model="x", config={}, seed=1, iterations=epochs,
+                               arrays={"w": np.ones(1)})
+        return ckpt, {"loss": np.ones(epochs)}
+
+    monkeypatch.setattr(cli.gan, "train_gan", fake_training)
+    monkeypatch.setattr(cli.baselines, "train_baseline", fake_training)
+    return calls
+
+
+def test_train_defaults_are_the_config_defaults(tmp_path, training_calls):
+    data_path = tmp_path / "seqs.csv"
+    _write_train_data(data_path, count=2, length=16)
+    for model in ("gan", "rnn-ae"):
+        assert run("train", "--model", model, "--data", data_path, "--out", tmp_path / model,
+                   "--quiet") == 0
+    (_, gen_config, disc_config, gan_train), (kind, _, ae_config, ae_train) = training_calls
+    assert gan_train == ae_train == gan.TrainConfig()
+    assert gen_config == gan.GeneratorConfig(seq_len=16, hidden=gan.GeneratorConfig.desk().hidden)
+    assert disc_config == gan.DiscriminatorConfig.desk(16)
+    assert (kind, ae_config) == ("rnn-ae", baselines.AeConfig(seq_len=16))
+
+
+@pytest.mark.parametrize("flags,hidden", [([], 90), (["--hidden", 7], 7)])
+def test_train_at_3120_points_keeps_the_generator_flags(tmp_path, training_calls, flags, hidden):
+    data_path = tmp_path / "seqs.csv"
+    _write_train_data(data_path, count=2, length=3120)
+    assert run("train", "--model", "gan", "--data", data_path, "--epochs", 1, "--noise-dim", 3,
+               "--dropout", 0.2, *flags, "--out", tmp_path / "ckpt", "--quiet") == 0
+    [(_, gen_config, disc_config, _)] = training_calls
+    assert gen_config == gan.GeneratorConfig(noise_dim=3, seq_len=3120, hidden=hidden,
+                                             dropout_p=0.2)
+    # --hidden trades the paper's discriminator for the desk one
+    want = gan.DiscriminatorConfig.desk(3120) if flags else gan.DiscriminatorConfig()
+    assert disc_config == want
+
+
+@pytest.mark.parametrize("model", ["gan", "lstm-ae"])
+@pytest.mark.parametrize("flag", ["--hidden", "--seq-len"])
+def test_train_refuses_a_zero_size_flag(tmp_path, capsys, training_calls, model, flag):
+    data_path = tmp_path / "seqs.csv"
+    _write_train_data(data_path, count=2, length=16)
+    assert run("train", "--model", model, "--data", data_path, flag, 0,
+               "--out", tmp_path / "ckpt", "--quiet") == cli.EXIT_DATA
+    assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolationError"
+    assert training_calls == []
 
 
 def test_usage_errors_exit_2():
@@ -328,6 +392,54 @@ def test_bad_feature_table_names_its_line(tmp_path, capsys, body, line, detail):
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "RowParseError"
         assert payload["message"] == f"line {line}: {bad}: {detail}"
+
+
+_OHLCV_HEADER = "Date,Open,High,Low,Close,Adj Close,Volume\n"
+BAD = object()  # where the file under test goes in a command line
+
+# every file a subcommand reads: its command line, and that file's header without rows
+FILE_READERS = {
+    "ingest": (["ingest", "--input", BAD], _OHLCV_HEADER),
+    "ingest-fetch": (["ingest", "--fetch-url", BAD, "--symbol", "bad"], _OHLCV_HEADER),
+    "indicators": (["indicators", "--input", BAD], _OHLCV_HEADER),
+    "label": (["label", "--input", BAD, "--horizon", 1], _OHLCV_HEADER),
+    "select-features": (["select", "--features", BAD, "--labels", "labels.csv", "--keep", 1],
+                        "Date,a,b\n"),
+    "select-labels": (["select", "--features", "features.csv", "--labels", BAD, "--keep", 1],
+                      "Date,label\n"),
+    "reduce": (["reduce", "--features", BAD, "--components", 1], "Date,a,b\n"),
+    "train": (["train", "--model", "rnn-ae", "--data", BAD, "--epochs", 1], "t0,t1,t2\n"),
+    "evaluate-real": (["evaluate", "--real", BAD, "--generated", "seqs.csv"], "t0,t1,t2\n"),
+    "evaluate-generated": (["evaluate", "--real", "seqs.csv", "--generated", BAD],
+                           "t0,t1,t2\n"),
+    # generate reads the checkpoint's manifest.json; its "header" is the format version alone
+    "generate": (["generate", "--ckpt", BAD, "--count", 1], '{"format_version": 1}\n'),
+}
+
+
+@pytest.mark.parametrize("body", ["missing", "non-utf8", "empty", "header-only"])
+@pytest.mark.parametrize("reader", sorted(FILE_READERS))
+def test_every_unreadable_input_exits_3_with_one_json_line(tmp_path, monkeypatch, capsys,
+                                                          reader, body):
+    monkeypatch.chdir(tmp_path)
+    Path("features.csv").write_text("Date,a,b\n2020-01-01,1,2\n2020-01-02,3,4\n")
+    Path("labels.csv").write_text("Date,label\n2020-01-01,1\n2020-01-02,0\n")
+    Path("seqs.csv").write_text("1,2,3\n4,5,6\n")
+    argv, header = FILE_READERS[reader]
+    arg = bad = Path("bad.csv")
+    if reader == "generate":
+        arg, bad = Path("ckpt"), Path("ckpt", "manifest.json")
+    elif reader == "ingest-fetch":
+        arg = f"file://{tmp_path}/{{symbol}}.csv"
+    if body != "missing":
+        bad.parent.mkdir(exist_ok=True)
+        bad.write_bytes({"non-utf8": header.encode() + b"\xff\n", "empty": b"",
+                         "header-only": header.encode()}[body])
+    argv = [arg if a is BAD else a for a in argv]
+    assert run(*argv, "--out", "out", "--quiet") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert set(json.loads(err)) == {"error", "message"}
 
 
 def test_label_horizon_out_of_range_is_data_error(prices, tmp_path):

@@ -119,6 +119,12 @@ def test_fetch_csv_reads_file_url(tmp_path):
     assert body == GOOD_CSV
 
 
+def test_fetch_csv_refuses_a_body_that_is_not_utf8(tmp_path):
+    (tmp_path / "TST.csv").write_bytes(GOOD_CSV.encode() + b"\xff\n")
+    with pytest.raises(NetworkError, match="not UTF-8"):
+        fetch_csv(f"file://{tmp_path}/{{symbol}}.csv", "TST")
+
+
 def test_fetch_csv_template_must_reference_symbol():
     with pytest.raises(UrlTemplateError):
         fetch_csv("http://example.invalid/data.csv", "TST")
