@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .autodiff import Tensor, backward
 from .market_data import (
-    Bar,
     LabelSeries,
     PriceSeries,
     WindowSpec,
@@ -19,7 +18,7 @@ from .market_data import (
     serialize_csv,
     sliding_windows,
 )
-from .indicators import FEATURE_ORDER, FeatureMatrix, IndicatorParams, build_feature_matrix
+from .indicators import FEATURE_ORDER, FeatureMatrix, build_feature_matrix
 from .metrics import (
     ConfusionCounts,
     MetricsReport,
@@ -44,9 +43,9 @@ from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 __all__ = [
     "__version__",
     "Tensor", "backward",
-    "Bar", "PriceSeries", "WindowSpec", "LabelSeries",
+    "PriceSeries", "WindowSpec", "LabelSeries",
     "parse_csv", "serialize_csv", "sliding_windows", "label_trend",
-    "FEATURE_ORDER", "FeatureMatrix", "IndicatorParams", "build_feature_matrix",
+    "FEATURE_ORDER", "FeatureMatrix", "build_feature_matrix",
     "ConfusionCounts", "MetricsReport", "precision_recall_f1", "pearson_r",
     "prd", "rmse", "frechet_distance", "compare_sequences",
     "GeneratorConfig", "DiscriminatorConfig", "TrainConfig",

@@ -30,7 +30,7 @@ from .errors import (
     NumericError,
     RowParseError,
 )
-from .ioutil import sha256_file, write_text_atomic
+from .ioutil import parse_floats, sha256_file, write_text_atomic
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -109,10 +109,7 @@ def _read_rows(path: Path, keyed: bool) -> tuple[list[str], list[str], np.ndarra
             raise RowParseError(line_no, f"{path}: {len(cells)} fields, expected {width}")
         if keyed:
             dates.append(cells.pop(0))
-        try:
-            values = [float(v) for v in cells]
-        except ValueError as exc:
-            raise RowParseError(line_no, f"{path}: {exc}") from exc
+        values = parse_floats(cells, line_no, f"{path}: ")
         if not all(map(math.isfinite, values)):
             raise RowParseError(line_no, f"{path}: non-finite value")
         rows.append(values)
@@ -158,8 +155,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 def cmd_indicators(args: argparse.Namespace) -> int:
     series, inputs = _load_series(args)
     manifest, t0 = _start(args, inputs)
-    params = indicators.IndicatorParams(vr_convention=args.vr_convention)
-    matrix = indicators.build_feature_matrix(series, params)
+    matrix = indicators.build_feature_matrix(series, args.vr_convention)
     header = ["Date", *matrix.feature_names]
     values = matrix.values
     if args.label_horizon is not None:
@@ -167,7 +163,7 @@ def cmd_indicators(args: argparse.Namespace) -> int:
         labels = market_data.label_trend(series, args.label_horizon)
         header.append(f"label_n{args.label_horizon}")
         values = np.column_stack([values[:len(labels)], labels.labels])
-    keys = [d.isoformat() for d in series.dates()[matrix.valid_from:len(values)]]
+    keys = [d.isoformat() for d in series.dates[matrix.valid_from:len(values)]]
     out = Path(args.out)
     _write_rows(out, values[matrix.valid_from:], header, keys)
     _finish(manifest, t0, out, quiet=args.quiet, valid_from=matrix.valid_from,
@@ -182,7 +178,7 @@ def cmd_label(args: argparse.Namespace) -> int:
     # stamp each label with the bar whose features predict it, n bars earlier
     out = Path(args.out)
     _write_rows(out, [[v] for v in labels.labels], ["Date", "label"],
-                [d.isoformat() for d in series.dates()[:len(labels)]])
+                [d.isoformat() for d in series.dates[:len(labels)]])
     _finish(manifest, t0, out, quiet=args.quiet, horizon=args.horizon,
             positive=int(sum(labels.labels)), total=len(labels))
     return 0

@@ -25,6 +25,8 @@ from .errors import (
     TooFewFeaturesError,
 )
 
+PROBE_L2, PROBE_STEPS, PROBE_LR = 1e-3, 500, 0.1  # the probe's penalty, step count and rate
+
 
 @dataclass(frozen=True)
 class RfeReport:
@@ -76,23 +78,21 @@ def logistic_loss_and_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray
     return (loss, *_probe_grad(w, x, y, l2, logits))
 
 
-def fit_logistic_probe(x: np.ndarray, y: np.ndarray, l2: float = 1e-3,
-                       steps: int = 500, lr: float = 0.1) -> tuple[np.ndarray, float, float]:
+def fit_logistic_probe(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Full-batch gradient descent from zero weights; returns (w, b, accuracy)."""
     w = np.zeros(x.shape[1])
     b = 0.0
-    for _ in range(steps):
-        gw, gb = _probe_grad(w, x, y, l2, x @ w + b)
-        w -= lr * gw
-        b -= lr * gb
+    for _ in range(PROBE_STEPS):
+        gw, gb = _probe_grad(w, x, y, PROBE_L2, x @ w + b)
+        w -= PROBE_LR * gw
+        b -= PROBE_LR * gb
     logits = x @ w + b
     accuracy = float(((logits >= 0).astype(int) == y).mean())
     return w, b, accuracy
 
 
 def rfe(x: np.ndarray, y: np.ndarray, keep: int,
-        feature_names: tuple[str, ...] | None = None,
-        l2: float = 1e-3, steps: int = 500, lr: float = 0.1) -> RfeReport:
+        feature_names: tuple[str, ...] | None = None) -> RfeReport:
     """Drop the smallest-|weight| feature per round until ``keep`` remain.
 
     Ties break toward the earlier column in the declared order. Inputs are
@@ -117,12 +117,12 @@ def rfe(x: np.ndarray, y: np.ndarray, keep: int,
     eliminated = []
     accuracies = []
     while len(remaining) > keep:
-        w, _, acc = fit_logistic_probe(xs[:, remaining], y, l2=l2, steps=steps, lr=lr)
+        w, _, acc = fit_logistic_probe(xs[:, remaining], y)
         accuracies.append(acc)
         worst = int(np.argmin(np.abs(w)))  # argmin keeps the earliest column on ties
         eliminated.append(feature_names[remaining[worst]])
         del remaining[worst]
-    _, _, final_acc = fit_logistic_probe(xs[:, remaining], y, l2=l2, steps=steps, lr=lr)
+    _, _, final_acc = fit_logistic_probe(xs[:, remaining], y)
     accuracies.append(final_acc)
     return RfeReport(eliminated=tuple(eliminated),
                      survivors=tuple(feature_names[i] for i in remaining),

@@ -107,8 +107,8 @@ class TrainConfig:
     g_loss_mode: str = "printed"
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.d_steps) < 1 or self.lr <= 0:
-            raise InvariantViolationError("epochs, batch_size, d_steps, lr must be positive")
+        if min(self.epochs, self.batch_size, self.d_steps) < 1 or not 0 < self.lr < np.inf:
+            raise InvariantViolationError("epochs, batch_size, d_steps, lr must be positive, lr finite")
         if self.g_loss_mode not in ("printed", "nonsaturating"):
             raise InvariantViolationError(f"unknown g_loss_mode {self.g_loss_mode!r}")
 

@@ -7,7 +7,7 @@ so a flat day never destroys a whole column:
   - flat rolling range: stochastic fractional term 50, Williams 0.5, AD 0.5
   - CCI with zero mean deviation: 0
   - RSI with no losses: 100 (checked before the no-gain rule); no gains: 0
-  - AR/BR/VR zero (for VR: non-positive) denominator: capped at ``cap``
+  - AR/BR/VR zero (for VR: non-positive) denominator: capped at ``CAP``
 """
 
 from __future__ import annotations
@@ -22,43 +22,9 @@ from .market_data import LabelSeries, PriceSeries
 
 FEATURE_ORDER = ("K", "D", "WMS%R", "CCI", "RSI", "MACD", "DIF", "MA10",
                  "MTM", "ROC", "PSY", "AR", "BR", "VR", "AD", "BIAS5")
-
-
-@dataclass(frozen=True)
-class IndicatorParams:
-    """Lookbacks, recursion seeds, and degenerate-case knobs.
-
-    ``vr_convention`` selects the volume-ratio sign convention: "printed"
-    keeps VR = 100(TVU - TVF/2)/(TVD - TVF/2); "standard" adds the flat
-    volume to both sides instead.
-    """
-
-    kd_n: int = 9
-    k0: float = 50.0
-    d0: float = 50.0
-    williams_n: int = 14
-    cci_n: int = 14
-    cci_c: float = 0.015
-    rsi_n: int = 14
-    ma_n: int = 10
-    mtm_n: int = 10
-    roc_n: int = 10
-    psy_n: int = 12
-    ar_n: int = 26
-    br_n: int = 26
-    vr_n: int = 26
-    cap: float = 1e6
-    vr_convention: str = "printed"
-
-    def __post_init__(self):
-        for name in ("kd_n", "williams_n", "cci_n", "rsi_n", "ma_n", "mtm_n",
-                     "roc_n", "psy_n", "ar_n", "br_n", "vr_n"):
-            if getattr(self, name) < 1:
-                raise InvariantViolationError(f"{name} must be >= 1")
-        if self.cci_c <= 0:
-            raise InvariantViolationError("cci constant must be positive")
-        if self.vr_convention not in ("printed", "standard"):
-            raise InvariantViolationError(f"unknown vr convention {self.vr_convention!r}")
+CAP = 1e6
+# the longest warmup of the feature matrix: BR and VR need 26 price changes
+VALID_FROM = 26
 
 
 @dataclass(frozen=True)
@@ -98,27 +64,24 @@ def _require(series: PriceSeries, minimum: int, what: str) -> None:
 
 def _rolling_high_low(series: PriceSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-day rolling extremes; index i covers bars [i-n+1, i], NaN before."""
-    length = len(series)
-    hp = np.full(length, np.nan)
-    lp = np.full(length, np.nan)
-    hp[n - 1:] = sliding_window_view(series.highs(), n).max(axis=1)
-    lp[n - 1:] = sliding_window_view(series.lows(), n).min(axis=1)
+    hp, lp = np.full((2, len(series)), np.nan)
+    hp[n - 1:] = sliding_window_view(series.high, n).max(axis=1)
+    lp[n - 1:] = sliding_window_view(series.low, n).min(axis=1)
     return hp, lp
 
 
-def stochastic_kd(series: PriceSeries, n: int, k0: float = 50.0,
-                  d0: float = 50.0) -> tuple[np.ndarray, np.ndarray]:
-    """K/D recursions: K <- (2/3)K + (1/3)*100*(CP-LP)/(HP-LP), D <- (2/3)D + (1/3)K."""
+def stochastic_kd(series: PriceSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """K/D recursions from K = D = 50: K <- (2/3)K + (1/3)*100*(CP-LP)/(HP-LP),
+    D <- (2/3)D + (1/3)K."""
     _require(series, n, "stochastic")
-    closes = series.closes()
+    close = series.close
     hp, lp = _rolling_high_low(series, n)
     length = len(series)
-    k = np.full(length, np.nan)
-    d = np.full(length, np.nan)
-    k_prev, d_prev = k0, d0
+    k, d = np.full((2, length), np.nan)
+    k_prev = d_prev = 50.0
     for i in range(n - 1, length):
         span = hp[i] - lp[i]
-        frac = 50.0 if span == 0 else 100.0 * (closes[i] - lp[i]) / span
+        frac = 50.0 if span == 0 else 100.0 * (close[i] - lp[i]) / span
         k_prev = (2.0 / 3.0) * k_prev + (1.0 / 3.0) * frac
         d_prev = (2.0 / 3.0) * d_prev + (1.0 / 3.0) * k_prev
         k[i] = k_prev
@@ -129,23 +92,22 @@ def stochastic_kd(series: PriceSeries, n: int, k0: float = 50.0,
 def williams_r(series: PriceSeries, n: int) -> np.ndarray:
     """(HP_n - CP)/(HP_n - LP_n), on [0, 1]; flat range reads 0.5."""
     _require(series, n, "williams %R")
-    closes = series.closes()
     hp, lp = _rolling_high_low(series, n)
     span = hp - lp
-    out = np.where(span == 0, 0.5, (hp - closes) / np.where(span == 0, 1.0, span))
+    out = np.where(span == 0, 0.5, (hp - series.close) / np.where(span == 0, 1.0, span))
     out[:n - 1] = np.nan
     return out
 
 
-def cci(series: PriceSeries, n: int, c: float = 0.015) -> np.ndarray:
-    """(TP - SMATP)/(c * MD) with MD the n-day mean absolute deviation; MD=0 -> 0."""
+def cci(series: PriceSeries, n: int) -> np.ndarray:
+    """(TP - SMATP)/(0.015 * MD) with MD the n-day mean absolute deviation; MD=0 -> 0."""
     _require(series, n, "cci")
-    tp = (series.highs() + series.lows() + series.closes()) / 3.0
+    tp = (series.high + series.low + series.close) / 3.0
     windows = sliding_window_view(tp, n)
     smatp = windows.mean(axis=1)
     md = np.abs(windows - smatp[:, None]).mean(axis=1)
     dev = tp[n - 1:] - smatp
-    vals = np.where(md == 0, 0.0, dev / (c * np.where(md == 0, 1.0, md)))
+    vals = np.where(md == 0, 0.0, dev / (0.015 * np.where(md == 0, 1.0, md)))
     out = np.full(len(series), np.nan)
     out[n - 1:] = vals
     return out
@@ -154,20 +116,14 @@ def cci(series: PriceSeries, n: int, c: float = 0.015) -> np.ndarray:
 def rsi(series: PriceSeries, n: int) -> np.ndarray:
     """100 - 100/(1 + sum(gains)/sum(losses)) over the last n changes."""
     _require(series, n + 1, "rsi")
-    closes = series.closes()
-    changes = np.diff(closes)
+    changes = np.diff(series.close)
     gains = np.where(changes > 0, changes, 0.0)
     losses = np.where(changes < 0, -changes, 0.0)
     sum_g = sliding_window_view(gains, n).sum(axis=1)
     sum_l = sliding_window_view(losses, n).sum(axis=1)
+    rsi_vals = 100.0 - 100.0 / (1.0 + sum_g / np.where(sum_l == 0, 1.0, sum_l))
     out = np.full(len(series), np.nan)
-    for j in range(sum_g.size):
-        if sum_l[j] == 0:
-            out[j + n] = 100.0
-        elif sum_g[j] == 0:
-            out[j + n] = 0.0
-        else:
-            out[j + n] = 100.0 - 100.0 / (1.0 + sum_g[j] / sum_l[j])
+    out[n:] = np.where(sum_l == 0, 100.0, np.where(sum_g == 0, 0.0, rsi_vals))
     return out
 
 
@@ -177,11 +133,9 @@ def macd(series: PriceSeries) -> dict[str, np.ndarray]:
     DI = (HP + LP + 2 CP)/4; EMA12 and EMA26 are seeded with DI_0 and the
     MACD line with 0, so all five series are defined from the first bar.
     """
-    di = (series.highs() + series.lows() + 2.0 * series.closes()) / 4.0
+    di = (series.high + series.low + 2.0 * series.close) / 4.0
     length = len(series)
-    ema12 = np.empty(length)
-    ema26 = np.empty(length)
-    line = np.empty(length)
+    ema12, ema26, line = np.empty((3, length))
     ema12[0] = ema26[0] = di[0]
     line[0] = 0.0
     for i in range(1, length):
@@ -195,14 +149,14 @@ def moving_average(series: PriceSeries, n: int) -> np.ndarray:
     """n-day simple moving average of closes."""
     _require(series, n, "moving average")
     out = np.full(len(series), np.nan)
-    out[n - 1:] = sliding_window_view(series.closes(), n).mean(axis=1)
+    out[n - 1:] = sliding_window_view(series.close, n).mean(axis=1)
     return out
 
 
 def momentum(series: PriceSeries, n: int) -> np.ndarray:
     """100 * (CP_i - CP_{i-n}) / CP_{i-n}; identical to roc by construction."""
     _require(series, n + 1, "momentum")
-    closes = series.closes()
+    closes = series.close
     out = np.full(len(series), np.nan)
     out[n:] = 100.0 * (closes[n:] - closes[:-n]) / closes[:-n]
     return out
@@ -217,68 +171,67 @@ def roc(series: PriceSeries, n: int) -> np.ndarray:
 def psy(series: PriceSeries, n: int) -> np.ndarray:
     """100 * (up-days among the previous n) / n."""
     _require(series, n + 1, "psy")
-    ups = (np.diff(series.closes()) > 0).astype(np.float64)
+    ups = (np.diff(series.close) > 0).astype(np.float64)
     out = np.full(len(series), np.nan)
     out[n:] = 100.0 * sliding_window_view(ups, n).sum(axis=1) / n
     return out
 
 
-def _capped_ratio(num: np.ndarray, den: np.ndarray, bad: np.ndarray, start: int,
-                  cap: float) -> tuple[np.ndarray, list[int]]:
-    """num / den from bar ``start`` on, NaN before; ``cap`` where ``bad``, whose bars
+def _capped_ratio(num: np.ndarray, den: np.ndarray, bad: np.ndarray,
+                  start: int) -> tuple[np.ndarray, list[int]]:
+    """num / den from bar ``start`` on, NaN before; ``CAP`` where ``bad``, whose bars
     come back flagged."""
     out = np.full(start + num.size, np.nan)
-    out[start:] = np.where(bad, cap, num / np.where(bad, 1.0, den))
+    out[start:] = np.where(bad, CAP, num / np.where(bad, 1.0, den))
     return out, (np.flatnonzero(bad) + start).tolist()
 
 
-def _ar_with_flags(series: PriceSeries, n: int, cap: float) -> tuple[np.ndarray, list[int]]:
+def _ar_with_flags(series: PriceSeries, n: int) -> tuple[np.ndarray, list[int]]:
     """sum(HP - OP) / sum(OP - LP) over the n-day window."""
     _require(series, n, "ar")
-    up = sliding_window_view(series.highs() - series.opens(), n).sum(axis=1)
-    down = sliding_window_view(series.opens() - series.lows(), n).sum(axis=1)
-    return _capped_ratio(up, down, down == 0, n - 1, cap)
+    up = sliding_window_view(series.high - series.open, n).sum(axis=1)
+    down = sliding_window_view(series.open - series.low, n).sum(axis=1)
+    return _capped_ratio(up, down, down == 0, n - 1)
 
 
-def _br_with_flags(series: PriceSeries, n: int, cap: float) -> tuple[np.ndarray, list[int]]:
+def _br_with_flags(series: PriceSeries, n: int) -> tuple[np.ndarray, list[int]]:
     """sum(HP_j - CP_{j-1}) / sum(CP_{j-1} - LP_j) over the n-day window."""
     _require(series, n + 1, "br")
-    highs, lows, closes = series.highs(), series.lows(), series.closes()
+    highs, lows, closes = series.high, series.low, series.close
     up = sliding_window_view(highs[1:] - closes[:-1], n).sum(axis=1)
     down = sliding_window_view(closes[:-1] - lows[1:], n).sum(axis=1)
-    return _capped_ratio(up, down, down == 0, n, cap)
+    return _capped_ratio(up, down, down == 0, n)
 
 
-def volume_ratio(series: PriceSeries, n: int, cap: float = 1e6,
-                 convention: str = "printed") -> np.ndarray:
-    return _vr_with_flags(series, n, cap, convention)[0]
+def volume_ratio(series: PriceSeries, n: int, convention: str = "printed") -> np.ndarray:
+    return _vr_with_flags(series, n, convention)[0]
 
 
-def _vr_with_flags(series: PriceSeries, n: int, cap: float,
+def _vr_with_flags(series: PriceSeries, n: int,
                    convention: str) -> tuple[np.ndarray, list[int]]:
     """100 * (TVU - TVF/2)/(TVD - TVF/2) over up/down/flat volume sums.
 
-    The "standard" convention flips both minus signs to plus.
+    The "printed" convention is the paper's formula; "standard" flips both
+    minus signs to plus, adding the flat volume to both sides.
     """
     _require(series, n + 1, "vr")
     if convention not in ("printed", "standard"):
         raise InvariantViolationError(f"unknown vr convention {convention!r}")
-    closes = series.closes()
-    vols = series.volumes()[1:]
-    change = np.diff(closes)
+    vols = series.volume[1:]
+    change = np.diff(series.close)
     tvu = sliding_window_view(np.where(change > 0, vols, 0.0), n).sum(axis=1)
     tvd = sliding_window_view(np.where(change < 0, vols, 0.0), n).sum(axis=1)
     tvf = sliding_window_view(np.where(change == 0, vols, 0.0), n).sum(axis=1)
     sign = -1.0 if convention == "printed" else 1.0
     num = tvu + sign * tvf / 2.0
     den = tvd + sign * tvf / 2.0
-    return _capped_ratio(100.0 * num, den, den <= 0, n, cap)
+    return _capped_ratio(100.0 * num, den, den <= 0, n)
 
 
 def ad_oscillator(series: PriceSeries) -> np.ndarray:
     """(HP_i - CP_{i-1})/(HP_i - LP_i); flat bar reads 0.5."""
     _require(series, 2, "ad oscillator")
-    highs, lows, closes = series.highs(), series.lows(), series.closes()
+    highs, lows, closes = series.high, series.low, series.close
     span = highs[1:] - lows[1:]
     vals = np.where(span == 0, 0.5,
                     (highs[1:] - closes[:-1]) / np.where(span == 0, 1.0, span))
@@ -291,39 +244,30 @@ def bias5(series: PriceSeries) -> np.ndarray:
     """(CP - MA5)/MA5 against the 5-day moving average."""
     _require(series, 5, "bias5")
     ma5 = moving_average(series, 5)
-    return (series.closes() - ma5) / ma5
+    return (series.close - ma5) / ma5
 
 
-def build_feature_matrix(series: PriceSeries,
-                         params: IndicatorParams | None = None) -> FeatureMatrix:
+def build_feature_matrix(series: PriceSeries, vr_convention: str = "printed") -> FeatureMatrix:
     """All 16 feature columns in FEATURE_ORDER, aligned by bar index."""
-    p = params or IndicatorParams()
-    warmups = {
-        "K": p.kd_n - 1, "D": p.kd_n - 1, "WMS%R": p.williams_n - 1,
-        "CCI": p.cci_n - 1, "RSI": p.rsi_n, "MACD": 0, "DIF": 0,
-        "MA10": p.ma_n - 1, "MTM": p.mtm_n, "ROC": p.roc_n, "PSY": p.psy_n,
-        "AR": p.ar_n - 1, "BR": p.br_n, "VR": p.vr_n, "AD": 1, "BIAS5": 4,
-    }
-    valid_from = max(warmups.values())
-    if len(series) <= valid_from:
+    if len(series) <= VALID_FROM:
         raise SeriesTooShortError(
-            f"need more than {valid_from} bars for all warmups, got {len(series)}")
+            f"need more than {VALID_FROM} bars for all warmups, got {len(series)}")
 
-    k, d = stochastic_kd(series, p.kd_n, p.k0, p.d0)
+    k, d = stochastic_kd(series, 9)
     macd_rec = macd(series)
-    ar_vals, ar_flags = _ar_with_flags(series, p.ar_n, p.cap)
-    br_vals, br_flags = _br_with_flags(series, p.br_n, p.cap)
-    vr_vals, vr_flags = _vr_with_flags(series, p.vr_n, p.cap, p.vr_convention)
+    ar_vals, ar_flags = _ar_with_flags(series, 26)
+    br_vals, br_flags = _br_with_flags(series, 26)
+    vr_vals, vr_flags = _vr_with_flags(series, 26, vr_convention)
     columns = {
         "K": k, "D": d,
-        "WMS%R": williams_r(series, p.williams_n),
-        "CCI": cci(series, p.cci_n, p.cci_c),
-        "RSI": rsi(series, p.rsi_n),
+        "WMS%R": williams_r(series, 14),
+        "CCI": cci(series, 14),
+        "RSI": rsi(series, 14),
         "MACD": macd_rec["MACD"], "DIF": macd_rec["DIF"],
-        "MA10": moving_average(series, p.ma_n),
-        "MTM": momentum(series, p.mtm_n),
-        "ROC": roc(series, p.roc_n),
-        "PSY": psy(series, p.psy_n),
+        "MA10": moving_average(series, 10),
+        "MTM": momentum(series, 10),
+        "ROC": roc(series, 10),
+        "PSY": psy(series, 12),
         "AR": ar_vals, "BR": br_vals, "VR": vr_vals,
         "AD": ad_oscillator(series),
         "BIAS5": bias5(series),
@@ -332,7 +276,7 @@ def build_feature_matrix(series: PriceSeries,
     cap_flags = {name: tuple(idx) for name, idx in
                  (("AR", ar_flags), ("BR", br_flags), ("VR", vr_flags)) if idx}
     return FeatureMatrix(feature_names=FEATURE_ORDER, values=values,
-                         valid_from=valid_from, cap_flags=cap_flags)
+                         valid_from=VALID_FROM, cap_flags=cap_flags)
 
 
 def aligned_design_matrix(matrix: FeatureMatrix, labels: LabelSeries) -> tuple[np.ndarray, np.ndarray]:

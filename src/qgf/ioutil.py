@@ -1,4 +1,4 @@
-"""Small file helpers: atomic writes and content digests."""
+"""Small file helpers: atomic writes, content digests and float cells."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import hashlib
 import os
 from pathlib import Path
 
-from .errors import IoError
+from .errors import IoError, RowParseError
 
 
 def write_text_atomic(path: str | Path, text: str) -> Path:
@@ -32,3 +32,22 @@ def sha256_file(path: str | Path) -> str:
     except OSError as exc:
         raise IoError(f"cannot digest {path}: {exc}") from exc
     return digest.hexdigest()
+
+
+def quote_cell(cell: str, limit: int = 40) -> str:
+    """``repr`` of a cell for an error message: past ``limit`` characters, only its
+    first ``limit`` and its length, so one huge cell cannot flood an error line."""
+    return repr(cell) if len(cell) <= limit else f"{cell[:limit]!r}... ({len(cell)} characters)"
+
+
+def parse_floats(cells: list[str], line: int, where: str = "") -> list[float]:
+    """``float`` of every cell on file line ``line``; a bad cell raises RowParseError,
+    after ``where``, quoting the cell through quote_cell."""
+    values = []
+    for cell in cells:
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise RowParseError(
+                line, f"{where}could not convert string to float: {quote_cell(cell)}") from None
+    return values

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-import csv
 import datetime as dt
-import io
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,73 +20,67 @@ from .errors import (
     SeriesTooShortError,
     UrlTemplateError,
 )
+from .ioutil import parse_floats, quote_cell
 
 CSV_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
+COLUMNS = ("open", "high", "low", "close", "adj_close", "volume")
+# what every bar must satisfy, in the order a bar's first broken rule is reported
+_RULES = ("prices must be finite and positive", "low exceeds open or close",
+          "high below open or close", "low exceeds high", "volume must be finite and non-negative")
 
 
-@dataclass(frozen=True, slots=True)
-class Bar:
-    """One interval of trade: calendar date, OHLC prices, adjusted close, volume."""
-
-    date: dt.date
-    open: float
-    high: float
-    low: float
-    close: float
-    adj_close: float
-    volume: int
-
-    def __post_init__(self):
-        prices = (self.open, self.high, self.low, self.close, self.adj_close)
-        if not all(np.isfinite(p) and p > 0 for p in prices):
-            raise InvariantViolationError("prices must be finite and positive")
-        if self.low > min(self.open, self.close):
-            raise InvariantViolationError("low exceeds open or close")
-        if self.high < max(self.open, self.close):
-            raise InvariantViolationError("high below open or close")
-        if self.low > self.high:
-            raise InvariantViolationError("low exceeds high")
-        if self.volume < 0:
-            raise InvariantViolationError("negative volume")
+def _validate(table: np.ndarray, line_nos: list[int] | None = None) -> None:
+    """Truncate the volume row of a (COLUMNS, bars) table toward zero, then raise for
+    the first bar that breaks a rule, naming its file line if ``line_nos`` is given."""
+    o, h, lo, c, _, v = table
+    v[:] = np.trunc(v)
+    broken = np.stack([~(np.isfinite(table[:5]) & (table[:5] > 0)).all(axis=0),
+                       lo > np.minimum(o, c), h < np.maximum(o, c), lo > h,
+                       ~(np.isfinite(v) & (v >= 0))])
+    bad = np.flatnonzero(broken.any(axis=0))
+    if bad.size:
+        i, rule = int(bad[0]), _RULES[broken[:, bad[0]].argmax()]
+        if line_nos:
+            raise InvariantViolationError(rule, line=line_nos[i])
+        raise InvariantViolationError(f"bar {i}: {rule}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PriceSeries:
-    """Date-ordered bars for one symbol."""
+    """Date-ordered OHLCV bars for one symbol, one column per field: ``dates`` a
+    tuple of ``dt.date``, every other field a read-only float64 copy of the column
+    passed in, one value per date, with ``volume`` truncated toward zero."""
 
     symbol: str
-    bars: tuple[Bar, ...]
-    adj_close_imputed: bool = field(default=False, compare=False)
+    dates: tuple[dt.date, ...]
+    open: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    close: np.ndarray
+    adj_close: np.ndarray
+    volume: np.ndarray
+    adj_close_imputed: bool = False
 
     def __post_init__(self):
-        if len(self.bars) < 1:
+        dates = tuple(self.dates)
+        if not dates:
             raise SeriesTooShortError("a series needs at least one bar")
-        for prev, cur in zip(self.bars, self.bars[1:]):
-            if cur.date == prev.date:
-                raise DuplicateDateError(f"duplicate date {cur.date}")
-            if cur.date < prev.date:
+        columns = [np.asarray(getattr(self, name)) for name in COLUMNS]
+        if any(col.shape != (len(dates),) for col in columns):
+            raise InvariantViolationError(f"every column needs one value per date ({len(dates)})")
+        table = np.array(columns, dtype=np.float64)
+        _validate(table)
+        for prev, cur in zip(dates, dates[1:]):
+            if cur == prev:
+                raise DuplicateDateError(f"duplicate date {cur}")
+            if cur < prev:
                 raise InvariantViolationError("bars out of date order")
+        table.flags.writeable = False
+        for name, value in zip(("dates", *COLUMNS), (dates, *table)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
-        return len(self.bars)
-
-    def dates(self) -> list[dt.date]:
-        return [b.date for b in self.bars]
-
-    def opens(self) -> np.ndarray:
-        return np.array([b.open for b in self.bars])
-
-    def highs(self) -> np.ndarray:
-        return np.array([b.high for b in self.bars])
-
-    def lows(self) -> np.ndarray:
-        return np.array([b.low for b in self.bars])
-
-    def closes(self) -> np.ndarray:
-        return np.array([b.close for b in self.bars])
-
-    def volumes(self) -> np.ndarray:
-        return np.array([float(b.volume) for b in self.bars])
+        return len(self.dates)
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,51 +118,42 @@ class LabelSeries:
 
 
 def parse_csv(text: str, symbol: str) -> PriceSeries:
-    """Parse Yahoo-format OHLCV rows into a validated, date-sorted series.
-
-    A missing ``Adj Close`` column is tolerated: the close is copied in and
-    the series is flagged ``adj_close_imputed``.
-    """
-    reader = csv.DictReader(io.StringIO(text))
-    fields = reader.fieldnames
-    if fields is None:
-        raise MalformedHeaderError("empty input, no header row")
-    fields = [f.strip() for f in fields]
-    required = [c for c in CSV_HEADER if c != "Adj Close"]
-    if [c for c in fields if c != "Adj Close"] != required:
+    """Parse Yahoo-format OHLCV rows, split on commas and never quoted, into a
+    validated, date-sorted series; blank lines are skipped, and every row is parsed
+    before any bar is checked. A missing ``Adj Close`` column is filled from the
+    close and flags the series ``adj_close_imputed``."""
+    lines = text.splitlines() or [""]
+    fields = [f.strip() for f in lines[0].split(",")]
+    if [c for c in fields if c != "Adj Close"] != [c for c in CSV_HEADER if c != "Adj Close"]:
         raise MalformedHeaderError(f"expected columns {CSV_HEADER}, got {fields}")
-    has_adj = "Adj Close" in fields
-
-    bars = []
-    for line_no, row in enumerate(reader, start=2):
+    at = [fields.index(c if c in fields else "Close") for c in CSV_HEADER]  # no Adj Close: Close
+    line_nos, dates, rows = [], [], []
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(fields):
+            raise RowParseError(line_no, f"{len(cells)} fields, expected {len(fields)}")
+        date, *values = (cells[i] for i in at)
         try:
-            date = dt.date.fromisoformat(row["Date"].strip())
-            open_ = float(row["Open"])
-            high = float(row["High"])
-            low = float(row["Low"])
-            close = float(row["Close"])
-            adj = float(row["Adj Close"]) if has_adj else close
-            volume = int(float(row["Volume"]))
-        except (TypeError, ValueError, KeyError) as exc:
-            raise RowParseError(line_no, str(exc)) from exc
-        try:
-            bars.append(Bar(date, open_, high, low, close, adj, volume))
-        except InvariantViolationError as exc:
-            raise InvariantViolationError(str(exc), line=line_no) from exc
-
-    bars.sort(key=lambda b: b.date)
-    return PriceSeries(symbol=symbol, bars=tuple(bars), adj_close_imputed=not has_adj)
+            dates.append(dt.date.fromisoformat(date.strip()))
+        except ValueError:
+            raise RowParseError(line_no, f"Invalid isoformat string: {quote_cell(date)}") from None
+        rows.append(parse_floats(values, line_no))
+        line_nos.append(line_no)
+    table = np.array(rows, dtype=np.float64).reshape(-1, len(COLUMNS)).T
+    _validate(table, line_nos)
+    order = sorted(range(len(dates)), key=dates.__getitem__)
+    return PriceSeries(symbol, tuple(dates[i] for i in order), *table[:, order],
+                       adj_close_imputed="Adj Close" not in fields)
 
 
 def serialize_csv(series: PriceSeries) -> str:
-    """Inverse of parse_csv for valid series (modulo float formatting)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for b in series.bars:
-        writer.writerow([b.date.isoformat(), repr(b.open), repr(b.high), repr(b.low),
-                         repr(b.close), repr(b.adj_close), b.volume])
-    return out.getvalue()
+    """Inverse of parse_csv: prices as ``repr`` floats, volume as an integer."""
+    rows = zip(series.dates, *(getattr(series, name).tolist() for name in COLUMNS))
+    body = (f"{d.isoformat()},{o!r},{h!r},{lo!r},{c!r},{a!r},{int(v)}"
+            for d, o, h, lo, c, a, v in rows)
+    return "\n".join([",".join(CSV_HEADER), *body]) + "\n"
 
 
 def fetch_csv(url_template: str, symbol: str, timeout: float = 30.0) -> str:
@@ -214,6 +197,5 @@ def label_trend(series: PriceSeries, n: int) -> LabelSeries:
         raise HorizonOutOfRangeError(f"horizon must be in [1, 10], got {n}")
     if len(series) <= n:
         raise SeriesTooShortError(f"need more than {n} bars, got {len(series)}")
-    closes = series.closes()
-    labels = tuple(int(closes[i] > closes[i - n]) for i in range(n, len(closes)))
-    return LabelSeries(horizon_n=n, labels=labels)
+    close = series.close
+    return LabelSeries(horizon_n=n, labels=tuple((close[n:] > close[:-n]).astype(int).tolist()))

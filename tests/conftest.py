@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgf.market_data import Bar, PriceSeries
+from qgf.market_data import PriceSeries
 
 
 def fixtures_dir() -> Path:
@@ -21,30 +21,29 @@ def make_series(rng: np.random.Generator, length: int, symbol: str = "TST",
                 start: dt.date = dt.date(2015, 1, 2), flat_run: tuple[int, int] | None = None,
                 base: float = 100.0) -> PriceSeries:
     """Random valid OHLCV bars; ``flat_run`` = (start, count) pins a span of
-    identical flat bars to exercise degenerate windows."""
-    bars = []
+    identical flat bars, at the last close, to exercise degenerate windows."""
+    columns = np.empty((6, length))  # open, high, low, close, adj close, volume
     close = base
     for i in range(length):
         if flat_run is not None and flat_run[0] <= i < flat_run[0] + flat_run[1]:
-            price = bars[-1].close if bars else base
-            bars.append(Bar(start + dt.timedelta(days=i), price, price, price, price,
-                            price, 5000))
-            close = price
+            columns[:, i] = close, close, close, close, close, 5000
             continue
         open_ = close * float(np.exp(rng.normal(0, 0.01)))
         close = open_ * float(np.exp(rng.normal(0, 0.02)))
         high = max(open_, close) * float(np.exp(abs(rng.normal(0, 0.006))))
         low = min(open_, close) * float(np.exp(-abs(rng.normal(0, 0.006))))
-        volume = int(rng.integers(1_000, 100_000))
-        bars.append(Bar(start + dt.timedelta(days=i), open_, high, low, close, close, volume))
-    return PriceSeries(symbol=symbol, bars=tuple(bars))
+        columns[:, i] = open_, high, low, close, close, int(rng.integers(1_000, 100_000))
+    return PriceSeries(symbol, daily_dates(length, start), *columns)
+
+
+def daily_dates(length: int, start: dt.date = dt.date(2015, 1, 2)) -> tuple[dt.date, ...]:
+    return tuple(start + dt.timedelta(days=i) for i in range(length))
 
 
 def make_flat_series(length: int, price: float = 10.0, volume: int = 100) -> PriceSeries:
-    start = dt.date(2015, 1, 2)
-    return PriceSeries(symbol="FLT", bars=tuple(
-        Bar(start + dt.timedelta(days=i), price, price, price, price, price, volume)
-        for i in range(length)))
+    flat = np.full(length, price)
+    return PriceSeries("FLT", daily_dates(length), flat, flat, flat, flat, flat,
+                       np.full(length, volume))
 
 
 def noisy_sine_batch(rng: np.random.Generator, count: int, length: int,

@@ -191,29 +191,27 @@ def oracle_bias5(closes):
     return out
 
 
-def oracle_all_indicators(series, params) -> dict[str, list[float]]:
-    """Feature columns keyed by name, computed from raw bar lists."""
-    opens = [b.open for b in series.bars]
-    highs = [b.high for b in series.bars]
-    lows = [b.low for b in series.bars]
-    closes = [b.close for b in series.bars]
-    volumes = [float(b.volume) for b in series.bars]
-    k, d = oracle_stochastic_kd(highs, lows, closes, params.kd_n, params.k0, params.d0)
+def oracle_all_indicators(series) -> dict[str, list[float]]:
+    """Feature columns keyed by name, computed from plain float lists at the
+    paper's lookbacks, seeds (K = D = 50), CCI constant (0.015), ratio cap (1e6)
+    and printed VR convention."""
+    opens, highs, lows = series.open.tolist(), series.high.tolist(), series.low.tolist()
+    closes, volumes = series.close.tolist(), series.volume.tolist()
+    k, d = oracle_stochastic_kd(highs, lows, closes, 9, 50.0, 50.0)
     rec = oracle_macd(highs, lows, closes)
     return {
         "K": k, "D": d,
-        "WMS%R": oracle_williams_r(highs, lows, closes, params.williams_n),
-        "CCI": oracle_cci(highs, lows, closes, params.cci_n, params.cci_c),
-        "RSI": oracle_rsi(closes, params.rsi_n),
+        "WMS%R": oracle_williams_r(highs, lows, closes, 14),
+        "CCI": oracle_cci(highs, lows, closes, 14, 0.015),
+        "RSI": oracle_rsi(closes, 14),
         "MACD": rec["MACD"], "DIF": rec["DIF"],
-        "MA10": oracle_ma(closes, params.ma_n),
-        "MTM": oracle_mtm(closes, params.mtm_n),
-        "ROC": oracle_mtm(closes, params.roc_n),
-        "PSY": oracle_psy(closes, params.psy_n),
-        "AR": oracle_ar(opens, highs, lows, params.ar_n, params.cap),
-        "BR": oracle_br(highs, lows, closes, params.br_n, params.cap),
-        "VR": oracle_vr(closes, volumes, params.vr_n, params.cap,
-                        printed=params.vr_convention == "printed"),
+        "MA10": oracle_ma(closes, 10),
+        "MTM": oracle_mtm(closes, 10),
+        "ROC": oracle_mtm(closes, 10),
+        "PSY": oracle_psy(closes, 12),
+        "AR": oracle_ar(opens, highs, lows, 26, 1e6),
+        "BR": oracle_br(highs, lows, closes, 26, 1e6),
+        "VR": oracle_vr(closes, volumes, 26, 1e6, printed=True),
         "AD": oracle_ad(highs, lows, closes),
         "BIAS5": oracle_bias5(closes),
     }

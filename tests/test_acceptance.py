@@ -11,13 +11,13 @@ import time
 import numpy as np
 from dataclasses import replace
 
-from conftest import make_series, noisy_sine_batch
+from conftest import daily_dates, make_series, noisy_sine_batch
 from oracles import oracle_all_indicators, oracle_frechet_exhaustive
 from qgf import baselines, features, gan, gradcheck, indicators, metrics
 from qgf.autodiff import Tensor
 from qgf.checkpoint import load_checkpoint, save_checkpoint
 from qgf.errors import IoError, ShapeMismatchError, VersionMismatchError
-from qgf.market_data import Bar, PriceSeries, WindowSpec, label_trend, sliding_windows
+from qgf.market_data import PriceSeries, WindowSpec, label_trend, sliding_windows
 
 
 def _report(num: int, name: str, ok: bool, elapsed: float, budget: float,
@@ -50,14 +50,13 @@ def test_c2_gradient_suite():
 
 def test_c3_indicator_oracle_equivalence():
     t0 = time.perf_counter()
-    params = indicators.IndicatorParams()
     worst = 0.0
     for seed in range(100):
         rng = np.random.default_rng(seed)
         flat = (18 + seed % 10, 3 + seed % 4) if seed % 2 == 0 else None
         series = make_series(rng, 60, flat_run=flat)
-        matrix = indicators.build_feature_matrix(series, params)
-        expected = oracle_all_indicators(series, params)
+        matrix = indicators.build_feature_matrix(series)
+        expected = oracle_all_indicators(series)
         for name in indicators.FEATURE_ORDER:
             got = matrix.column(name)
             want = np.asarray(expected[name])
@@ -158,10 +157,8 @@ def test_c7_windows_and_trend_labels():
     t0 = time.perf_counter()
     # 30 flat-priced bars cycling 10, 11, 12 so every label is hand-checkable
     start = dt.date(2021, 3, 1)
-    prices = [10.0 + (i % 3) for i in range(30)]
-    bars = tuple(Bar(start + dt.timedelta(days=i), p, p, p, p, p, 100)
-                 for i, p in enumerate(prices))
-    series = PriceSeries(symbol="FIX", bars=bars)
+    p = 10.0 + np.arange(30) % 3
+    series = PriceSeries("FIX", daily_dates(30, start), p, p, p, p, p, np.full(30, 100))
 
     windows = sliding_windows(series, WindowSpec(window_len=14))
     count_ok = len(windows) == 17 and all(len(w) == 14 for w in windows)

@@ -79,8 +79,8 @@ def test_label_stamps_predictor_dates(prices, tmp_path):
     assert header == ["Date", "label"]
     assert len(rows) == 55
     series = parse_csv(prices.read_text(), "TST")
-    closes = series.closes()
-    dates = series.dates()
+    closes = series.close
+    dates = series.dates
     for i, (date, label) in enumerate(rows):
         assert date == dates[i].isoformat()
         assert int(label) == int(closes[i + 5] > closes[i])
@@ -440,6 +440,53 @@ def test_every_unreadable_input_exits_3_with_one_json_line(tmp_path, monkeypatch
     err = capsys.readouterr().err
     assert err.endswith("\n") and err.count("\n") == 1
     assert set(json.loads(err)) == {"error", "message"}
+
+
+@pytest.mark.parametrize("row", [
+    "2015-01-05,10,11,9,10.5,10.5,inf",
+    "2015-01-05,10,11,9,10.5,10.5,1e400",
+    "2015-01-05,10,11,9,10.5,10.5,nan",
+    "2015-01-05,10,11,9,10.5,10.5,100,7",
+], ids=["inf-volume", "1e400-volume", "nan-volume", "extra-field"])
+@pytest.mark.parametrize("reader", ["ingest", "indicators", "label"])
+def test_bad_ohlcv_row_exits_3_naming_its_line(tmp_path, capsys, reader, row):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(_OHLCV_HEADER + "2015-01-02,10,11,9,10.5,10.5,100\n" + row + "\n")
+    argv = [bad if a is BAD else a for a in FILE_READERS[reader][0]]
+    assert run(*argv, "--out", tmp_path / "out", "--quiet") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert json.loads(err)["message"].startswith("line 3: ")
+
+
+@pytest.mark.parametrize("reader,body", [
+    ("evaluate-real", "1,2,3\n4,{cell},6\n"),
+    ("reduce", "Date,a,b\n2020-01-01,{cell},2\n"),
+    ("ingest", _OHLCV_HEADER + "2015-01-02,{cell},11,9,10.5,10.5,100\n"),
+    ("ingest", _OHLCV_HEADER + "{cell},10,11,9,10.5,10.5,100\n"),
+], ids=["sequences", "feature-table", "ohlcv-value", "ohlcv-date"])
+def test_a_huge_bad_cell_gives_a_short_error_line(tmp_path, monkeypatch, capsys, reader, body):
+    monkeypatch.chdir(tmp_path)
+    Path("seqs.csv").write_text("1,2,3\n4,5,6\n")
+    Path("bad.csv").write_text(body.format(cell="x" * 200_000))
+    argv = [Path("bad.csv") if a is BAD else a for a in FILE_READERS[reader][0]]
+    assert run(*argv, "--out", "out", "--quiet") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err.encode()) < 1024
+    message = json.loads(err)["message"]
+    assert message.startswith("line 2: ") and "(200000 characters)" in message
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_train_refuses_a_non_finite_lr(tmp_path, capsys, training_calls, lr):
+    data_path = tmp_path / "seqs.csv"
+    _write_train_data(data_path, count=2, length=16)
+    assert run("train", "--model", "rnn-ae", "--data", data_path, "--lr", lr,
+               "--out", tmp_path / "ckpt", "--quiet") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "InvariantViolationError"
+    assert training_calls == []
 
 
 def test_label_horizon_out_of_range_is_data_error(prices, tmp_path):

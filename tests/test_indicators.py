@@ -1,25 +1,22 @@
 import numpy as np
 import pytest
 
-from conftest import make_flat_series, make_series
+from conftest import daily_dates, make_flat_series, make_series
 from oracles import oracle_all_indicators
 from qgf import indicators as ind
 from qgf.errors import InvariantViolationError, SeriesTooShortError
-from qgf.market_data import Bar, PriceSeries, label_trend
+from qgf.market_data import PriceSeries, label_trend
 
 # columns whose value is unchanged when every price is scaled by a constant
 SCALE_INVARIANT = ("K", "D", "WMS%R", "RSI", "MTM", "ROC", "PSY", "AR", "BR",
                    "VR", "AD", "BIAS5")
 
 
-def test_params_validation():
-    ind.IndicatorParams()
+def test_params_validation(rng):
+    series = make_series(rng, 60)
+    ind.build_feature_matrix(series, vr_convention="standard")
     with pytest.raises(InvariantViolationError):
-        ind.IndicatorParams(rsi_n=0)
-    with pytest.raises(InvariantViolationError):
-        ind.IndicatorParams(cci_c=0.0)
-    with pytest.raises(InvariantViolationError):
-        ind.IndicatorParams(vr_convention="other")
+        ind.build_feature_matrix(series, vr_convention="other")
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -27,9 +24,8 @@ def test_all_columns_match_loop_oracle(seed):
     rng = np.random.default_rng(seed)
     flat = (20, int(rng.integers(3, 8))) if seed % 3 == 0 else None
     series = make_series(rng, 60, flat_run=flat)
-    params = ind.IndicatorParams()
-    matrix = ind.build_feature_matrix(series, params)
-    expected = oracle_all_indicators(series, params)
+    matrix = ind.build_feature_matrix(series)
+    expected = oracle_all_indicators(series)
     for name in ind.FEATURE_ORDER:
         got = matrix.column(name)
         want = np.asarray(expected[name])
@@ -62,9 +58,9 @@ def test_momentum_equals_roc(rng):
 
 def test_scale_invariant_columns(rng):
     series = make_series(rng, 60)
-    scaled = PriceSeries(symbol=series.symbol, bars=tuple(
-        Bar(b.date, 3.0 * b.open, 3.0 * b.high, 3.0 * b.low, 3.0 * b.close,
-            3.0 * b.adj_close, b.volume) for b in series.bars))
+    scaled = PriceSeries(series.symbol, series.dates, 3.0 * series.open, 3.0 * series.high,
+                         3.0 * series.low, 3.0 * series.close, 3.0 * series.adj_close,
+                         series.volume)
     m1 = ind.build_feature_matrix(series)
     m2 = ind.build_feature_matrix(scaled)
     for name in SCALE_INVARIANT:
@@ -119,7 +115,7 @@ def test_vr_conventions_differ_only_with_flat_volume(rng):
 def test_macd_chain_seeds_and_smoothing(rng):
     series = make_series(rng, 30)
     rec = ind.macd(series)
-    di = (series.highs() + series.lows() + 2 * series.closes()) / 4.0
+    di = (series.high + series.low + 2 * series.close) / 4.0
     np.testing.assert_allclose(rec["DI"], di)
     assert rec["EMA12"][0] == di[0]
     assert rec["EMA26"][0] == di[0]
@@ -142,17 +138,10 @@ def test_williams_bounded_and_rsi_range(rng):
 
 
 def test_rsi_monotone_extremes():
-    import datetime as dt
-
-    start = dt.date(2020, 1, 1)
-    rising = tuple(Bar(start + dt.timedelta(days=i), 100.0 + i, 100.0 + i,
-                       100.0 + i, 100.0 + i, 100.0 + i, 1) for i in range(20))
-    series = PriceSeries(symbol="UP", bars=rising)
-    assert np.all(ind.rsi(series, 14)[14:] == 100.0)
-    falling = tuple(Bar(start + dt.timedelta(days=i), 100.0 - i, 100.0 - i,
-                        100.0 - i, 100.0 - i, 100.0 - i, 1) for i in range(20))
-    series = PriceSeries(symbol="DN", bars=falling)
-    assert np.all(ind.rsi(series, 14)[14:] == 0.0)
+    for step, want in ((1.0, 100.0), (-1.0, 0.0)):
+        p = 100.0 + step * np.arange(20)
+        series = PriceSeries("X", daily_dates(20), p, p, p, p, p, np.ones(20))
+        assert np.all(ind.rsi(series, 14)[14:] == want)
 
 
 def test_short_series_raises(rng):
@@ -176,7 +165,7 @@ def test_feature_matrix_validates_shape_and_region():
 def test_aligned_design_matrix_pairs_feature_with_future_label(rng):
     series = make_series(rng, 60)
     matrix = ind.build_feature_matrix(series)
-    closes = series.closes()
+    closes = series.close
     for n in (1, 2, 5):
         labels = label_trend(series, n)
         x, y = ind.aligned_design_matrix(matrix, labels)

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -220,6 +223,48 @@ def test_unroll_rejects_a_feature_width_the_cell_does_not_take(kind):
     cell, _ = _cell_and_sequence(kind)
     with pytest.raises(ShapeMismatchError):
         nn.unroll(cell, Tensor(np.zeros((2, 5, 2))))
+
+
+# prints every (n_in, 4H, batch, what, step) whose rows differ from the full product's
+_GEMM_ROWS_CHECK = """
+import numpy as np
+rng = np.random.default_rng(0)
+steps, seg = 29, 7  # segments of 7, 7, 7, 7 and a remainder of 1 step
+for n_in in (4, 5, 16, 90):
+    for gates in (64, 360):
+        w_x = rng.standard_normal((n_in, gates))
+        for batch in (2, 32):
+            seq = rng.standard_normal((batch, steps, n_in))
+            full = (seq.reshape(-1, n_in) @ w_x).reshape(batch, steps, gates)
+            for t in range(0, steps, seg):
+                part = seq[:, t:t + seg]
+                rows = (part.reshape(-1, n_in) @ w_x).reshape(*part.shape[:2], gates)
+                if not np.array_equal(rows, full[:, t:t + seg]):
+                    print(n_in, gates, batch, "segment", t)
+            for t in range(steps):
+                if not np.array_equal(seq[:, t] @ w_x, full[:, t]):
+                    print(n_in, gates, batch, "step", t)
+"""
+
+
+def test_input_gemm_rows_are_bitwise_equal_per_segment_and_per_step():
+    """Rows of the hoisted (B*T, n_in) @ w_x input projection equal, bit for bit, the
+    same rows computed per segment of steps and per step, with one and with two BLAS
+    threads, so a recurrence may project its input one segment at a time. That needs
+    every smaller product to have at least 2 rows: at batch 1, a one-step segment or
+    ``seq[:, t] @ w_x`` is a 1-row product that numpy sends to GEMV, whose bits
+    differ."""
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        runs[threads] = subprocess.Popen([sys.executable, "-c", _GEMM_ROWS_CHECK], env=env,
+                                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                         text=True)
+    for threads, run in runs.items():
+        out, err = run.communicate(timeout=60)
+        assert run.returncode == 0, err
+        assert out == "", f"{threads} BLAS thread(s), rows differ at:\n{out}"
 
 
 def test_bilstm_output_shape_and_direction_sensitivity():
