@@ -64,7 +64,9 @@ def _require(series: PriceSeries, minimum: int, what: str) -> None:
 
 def _rolling_high_low(series: PriceSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n-day rolling extremes; index i covers bars [i-n+1, i], NaN before."""
-    hp, lp = np.full((2, len(series)), np.nan)
+    length = len(series)
+    hp = np.full(length, np.nan)
+    lp = np.full(length, np.nan)
     hp[n - 1:] = sliding_window_view(series.high, n).max(axis=1)
     lp[n - 1:] = sliding_window_view(series.low, n).min(axis=1)
     return hp, lp
@@ -77,7 +79,8 @@ def stochastic_kd(series: PriceSeries, n: int) -> tuple[np.ndarray, np.ndarray]:
     close = series.close
     hp, lp = _rolling_high_low(series, n)
     length = len(series)
-    k, d = np.full((2, length), np.nan)
+    k = np.full(length, np.nan)
+    d = np.full(length, np.nan)
     k_prev = d_prev = 50.0
     for i in range(n - 1, length):
         span = hp[i] - lp[i]
@@ -121,9 +124,14 @@ def rsi(series: PriceSeries, n: int) -> np.ndarray:
     losses = np.where(changes < 0, -changes, 0.0)
     sum_g = sliding_window_view(gains, n).sum(axis=1)
     sum_l = sliding_window_view(losses, n).sum(axis=1)
-    rsi_vals = 100.0 - 100.0 / (1.0 + sum_g / np.where(sum_l == 0, 1.0, sum_l))
     out = np.full(len(series), np.nan)
-    out[n:] = np.where(sum_l == 0, 100.0, np.where(sum_g == 0, 0.0, rsi_vals))
+    for j in range(sum_g.size):
+        if sum_l[j] == 0:
+            out[j + n] = 100.0
+        elif sum_g[j] == 0:
+            out[j + n] = 0.0
+        else:
+            out[j + n] = 100.0 - 100.0 / (1.0 + sum_g[j] / sum_l[j])
     return out
 
 
@@ -135,7 +143,9 @@ def macd(series: PriceSeries) -> dict[str, np.ndarray]:
     """
     di = (series.high + series.low + 2.0 * series.close) / 4.0
     length = len(series)
-    ema12, ema26, line = np.empty((3, length))
+    ema12 = np.empty(length)
+    ema26 = np.empty(length)
+    line = np.empty(length)
     ema12[0] = ema26[0] = di[0]
     line[0] = 0.0
     for i in range(1, length):

@@ -34,10 +34,10 @@ def sha256_file(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def quote_cell(cell: str, limit: int = 40) -> str:
-    """``repr`` of a cell for an error message: past ``limit`` characters, only its
-    first ``limit`` and its length, so one huge cell cannot flood an error line."""
-    return repr(cell) if len(cell) <= limit else f"{cell[:limit]!r}... ({len(cell)} characters)"
+def quote_cell(cell: str) -> str:
+    """``repr`` of a cell for an error message: past 40 characters, only its first
+    40 and its length, so one huge cell cannot flood an error line."""
+    return repr(cell) if len(cell) <= 40 else f"{cell[:40]!r}... ({len(cell)} characters)"
 
 
 def parse_floats(cells: list[str], line: int, where: str = "") -> list[float]:
