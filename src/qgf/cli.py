@@ -408,14 +408,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NumericError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_NUMERIC
-    except DataError as exc:
-        json.dump({"error": type(exc).__name__, "message": str(exc)}, sys.stderr)
-        sys.stderr.write("\n")
-        return EXIT_DATA
+    except (NumericError, DataError, MemoryError) as exc:
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
+        return EXIT_DATA if isinstance(exc, DataError) else EXIT_NUMERIC
 
 
 if __name__ == "__main__":

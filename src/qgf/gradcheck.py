@@ -40,6 +40,14 @@ def _check_lstm_cell(rng: np.random.Generator) -> float:
         lambda: ad.mean(ad.power(ad.select(nn.unroll(cell, seq), 1, 2), 2.0)), pset)
 
 
+def _check_lstm_segments(rng: np.random.Generator) -> float:
+    pset = nn.ParamSet()
+    cell = nn.LSTMCell(pset, "c", 1, 1, rng)
+    h0 = pset.add("h0", rng.standard_normal((2, 1)))
+    seq = Tensor(rng.standard_normal((2, 2 * nn.SEGMENT + 3, 1)))
+    return nn.check_gradients(lambda: ad.mean(ad.power(nn.unroll(cell, seq, h0=h0), 2.0)), pset)
+
+
 def _check_bilstm(rng: np.random.Generator) -> float:
     pset = nn.ParamSet()
     layer = nn.BiLstmLayer(pset, "b", 2, 4, 3, rng)
@@ -130,6 +138,7 @@ def _check_logistic_probe(rng: np.random.Generator) -> float:
 KERNEL_CHECKS: dict[str, Callable[[np.random.Generator], float]] = {
     "dense": _check_dense,
     "lstm_cell": _check_lstm_cell,
+    "lstm_segments": _check_lstm_segments,
     "bilstm_layer": _check_bilstm,
     "conv1d": _check_conv1d,
     "maxpool1d": _check_maxpool1d,

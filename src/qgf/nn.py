@@ -138,17 +138,19 @@ class RNNCell:
         self.w_h = pset.add(f"{name}.w_h", xavier_uniform(rng, (hidden, hidden)))
         self.b = pset.add(f"{name}.b", np.zeros(hidden))
 
-    _tape_slots = 0  # BPTT reads each step's h back from the recurrence's output
+    _tape_slots, _carries = 0, False  # BPTT reads each step's h back from the recurrence's output
 
     # pointwise part of one step on raw (directions, batch, ...) arrays, for the fused
     # recurrence; z is a fresh array per step and its buffer is reused for the result
     @staticmethod
-    def _activate(z: np.ndarray, carry, tape, k: int):
-        return np.tanh(z, out=z), carry
+    def _activate(z: np.ndarray, gates, c, tanh_c) -> np.ndarray:
+        return np.tanh(z, out=z)
+
+    _replay = staticmethod(lambda tape, cs: None)  # no cell state to recompute
 
     @staticmethod
-    def _activate_backward(dh: np.ndarray, dcarry, tape, k: int, h: np.ndarray):
-        return dh * (1.0 - h * h), dcarry
+    def _activate_backward(dh: np.ndarray, dc, gates, cs, h: np.ndarray):
+        return dh * (1.0 - h * h), dc
 
 
 class LSTMCell:
@@ -165,43 +167,49 @@ class LSTMCell:
         self.w_h = pset.add(f"{name}.w_h", xavier_uniform(rng, (hidden, 4 * hidden)))
         self.b = pset.add(f"{name}.b", np.zeros(4 * hidden))
 
-    _tape_slots = 6  # gates i, f, g, o, then c, then tanh(c)
+    _tape_slots, _carries = 4, True  # gates i, f, g, o; c is recomputed in backward
 
     # pointwise part of one step on raw (directions, batch, ...) arrays, for the fused
-    # recurrence, which ignores overflow in exp; carry is c. Step k writes its six slots into
-    # tape[k], (6, directions, batch, hidden): gate-major, so every block the elementwise ops
-    # touch is contiguous. One block rather than three keeps the tape in one allocation,
-    # which glibc maps on its own instead of growing the heap
+    # recurrence, which ignores overflow in exp: writes the gates gate-major, (4, directions,
+    # batch, hidden), so every block the elementwise ops touch is contiguous; steps c in place
     @staticmethod
-    def _activate(z: np.ndarray, c_prev, tape, k: int):
-        gates, c, tanh_c = tape[k, :4], tape[k, 4], tape[k, 5]
+    def _activate(z: np.ndarray, gates, c, tanh_c) -> np.ndarray:
         h = gates.shape[3]
         gates[...] = z.reshape(z.shape[0], z.shape[1], 4, h).transpose(2, 0, 1, 3)
         # a logistic over every block is cheaper than over the i, f and o blocks
         # alone, and the g block is then overwritten with its tanh
         i, f, g, o = ad._logistic(gates, out=gates)
         np.tanh(z[..., 2 * h:3 * h], out=g)
-        np.multiply(f, c_prev, out=c)  # c_prev may be c itself, in a one-step tape
+        np.multiply(f, c, out=c)
         c += i * g
-        return o * np.tanh(c, out=tanh_c), c
+        return o * np.tanh(c, out=tanh_c)
+
+    # c after each step of a taped segment from cs[0], by the forward's very products and sums
+    @staticmethod
+    def _replay(tape, cs) -> None:
+        np.multiply(tape[:, 0], tape[:, 2], out=cs[1:len(tape) + 1])  # every step's i * g
+        for j, f in enumerate(tape[:, 1]):
+            cs[j + 1] += f * cs[j]
 
     @staticmethod
-    def _activate_backward(dh: np.ndarray, dc, tape, k: int, h: np.ndarray):
-        gates, tanh_c = tape[k, :4], tape[k, 5]
-        c_prev = tape[k - 1, 4] if k else 0.0
-        i, f, g, o = gates
+    def _activate_backward(dh: np.ndarray, dc, gates, cs, h: np.ndarray):
+        i, f, g, o = gates  # cs[0] is c before the step, cs[1] c after it
+        tanh_c = np.tanh(cs[1], out=cs[1])  # the next step's backward has read c
         dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
         # the i, f and o slots are ((a * b) * s) * (1 - s) for their gate s, scaled by s and
         # 1 - s block-wide; the g slot holds dc * i until then, so no op reads np.empty garbage
         dz = np.empty_like(gates)
         np.multiply(dc, g, out=dz[0])
-        np.multiply(dc, c_prev, out=dz[1])
+        np.multiply(dc, cs[0], out=dz[1])
         dg = np.multiply(dc, i, out=dz[2]) * (1.0 - g * g)
         np.multiply(dh, tanh_c, out=dz[3])
         dz *= gates
         dz *= 1.0 - gates
         dz[2] = dg
         return dz.transpose(1, 2, 0, 3).reshape(dh.shape[0], dh.shape[1], -1), dc * f
+
+
+SEGMENT = 64  # steps per input GEMM and per c a tracked LSTM tapes
 
 
 def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | None = None):
@@ -212,9 +220,9 @@ def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | No
     step first and reach each parameter once, at the end: a parameter used twice in one
     graph sums in another order than a chain of per-step ops would.
 
-    A tracked forward writes every step's cell state into one (time, slots, directions,
-    batch, hidden) tape that only ``bptt`` holds, so releasing the graph frees it; an
-    untracked forward steps through a one-step tape."""
+    Steps run in segments, each with one input GEMM per direction. A tracked forward tapes
+    every step's gates and an LSTM's c before each segment, held only by ``bptt``, which
+    recomputes c per segment; an untracked forward steps through a one-step tape."""
     cell = cells[0]
     if seq.data.ndim != 3 or seq.shape[2] != cell.n_in:
         raise ShapeMismatchError(
@@ -228,38 +236,54 @@ def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | No
     parents += () if h0 is None else (h0,)
     track = ad.is_tracking(*parents)
     order = [slice(None, None, -1 if back else 1) for back in reverse]  # step k -> time
-    rows = seq.data.reshape(batch * steps, n_in)
-    xws = [(rows @ c.w_x.data).reshape(batch, steps, -1)[:, o] for c, o in zip(cells, order)]
+    bounds = [*range(0, steps, SEGMENT), steps]
+    if batch == 1 and len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]  # a one-row input GEMM would go to GEMV, whose bits differ
+    segments = [(first, stop - first) for first, stop in zip(bounds, bounds[1:])]
+    span = max(n for _, n in segments)
     w_x = np.stack([c.w_x.data for c in cells])
     w_h = np.stack([c.w_h.data for c in cells])
     b = np.repeat(np.stack([c.b.data for c in cells])[:, None], batch, axis=1)  # same-shape add
     hs = np.empty((len(cells), batch, steps, cell.hidden))
     h_first = np.zeros((len(cells), batch, cell.hidden)) if h0 is None else h0.data[None]
     tape = np.empty((steps if track else 1, cell._tape_slots, len(cells), batch, cell.hidden))
-    h, carry = h_first, 0.0
+    carry = (len(cells), batch, cell.hidden if cell._carries else 0)  # an RNN carries no c
+    c_first = np.zeros((len(segments) if track else 1, *carry))  # c before each segment
+    h, c, tanh_c = h_first, np.zeros(carry), np.empty(carry)
+    x_in = np.empty((span, batch, n_in))
+    xw = np.empty((len(cells), span, batch, w_x.shape[2]))
     with np.errstate(over="ignore"):  # a gate's exp(-z) is inf below z = -709, the gate 0
-        for k in range(steps):
-            z = np.matmul(h, w_h)
-            for d, xw in enumerate(xws):
-                z[d] += xw[:, k]
-            z += b
-            h, carry = cell._activate(z, carry, tape, k if track else 0)
-            hs[:, :, k] = h
+        for s, (first, n) in enumerate(segments):
+            for d, o in enumerate(order):  # the segment's rows, step-major, then their GEMM
+                np.copyto(x_in[:n], seq.data[:, o][:, first:first + n].transpose(1, 0, 2))
+                np.matmul(x_in[:n].reshape(-1, n_in), w_x[d], out=xw[d, :n].reshape(n * batch, -1))
+            c_first[s if track else 0] = c
+            for k in range(first, first + n):
+                z = np.matmul(h, w_h)
+                z += xw[:, k - first]
+                z += b
+                h = cell._activate(z, tape[k if track else 0], c, tanh_c)
+                hs[:, :, k] = h
 
     def bptt(g):
         times = np.stack([np.arange(steps)[o] for o in order])
         seq_t = np.ascontiguousarray(seq.data).transpose(1, 0, 2)
         dx = np.empty((len(cells), batch, steps, n_in)) if seq.requires_grad else None
-        dh, dcarry = 0.0, 0.0
-        for k in range(steps - 1, -1, -1):
-            dz, dcarry = cell._activate_backward(g[:, :, k] + dh, dcarry, tape, k, hs[:, :, k])
-            h_prev = hs[:, :, k - 1] if k else h_first
-            terms = (np.matmul(seq_t[times[:, k]].transpose(0, 2, 1), dz),
-                     np.matmul(h_prev.transpose(0, 2, 1), dz), dz.sum(axis=1))
-            sums = terms if k == steps - 1 else [np.add(s, t, out=s) for s, t in zip(sums, terms)]
-            if dx is not None:
-                dx[:, :, k] = np.matmul(dz, w_x.transpose(0, 2, 1))
-            dh = np.matmul(dz, w_h.transpose(0, 2, 1))
+        cs = np.empty((span + 1, *carry))  # c before a segment, then after each of its steps
+        dh, dc = 0.0, 0.0
+        for (first, n), c_before in zip(segments[::-1], c_first[::-1]):
+            cs[0] = c_before
+            cell._replay(tape[first:first + n], cs)
+            for k in range(first + n - 1, first - 1, -1):
+                dz, dc = cell._activate_backward(g[:, :, k] + dh, dc, tape[k], cs[k - first:],
+                                                 hs[:, :, k])
+                h_prev = hs[:, :, k - 1] if k else h_first
+                terms = (np.matmul(seq_t[times[:, k]].transpose(0, 2, 1), dz),
+                         np.matmul(h_prev.transpose(0, 2, 1), dz), dz.sum(axis=1))
+                sums = terms if k == steps - 1 else [np.add(s, t, out=s) for s, t in zip(sums, terms)]
+                if dx is not None:
+                    dx[:, :, k] = np.matmul(dz, w_x.transpose(0, 2, 1))
+                dh = np.matmul(dz, w_h.transpose(0, 2, 1))
         for d, c in enumerate(cells):
             for w, total in zip((c.w_x, c.w_h, c.b), sums):
                 ad._accumulate(w, total[d])
@@ -278,12 +302,12 @@ def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False,
     Returns h for every step as one (batch, time, hidden) tensor in time
     order; ``reverse`` walks time backwards. ``h0`` (batch, hidden), if given,
     replaces the zero initial h (an LSTM's c still starts at zero). The whole
-    recurrence is one graph node: the input projection of all steps is a
-    single GEMM, the time loop steps only ``h @ w_h`` and the cell's gates,
-    and backward is hand-written backpropagation through time over the gates
-    and cell states its tape holds per step (no tape under ``ad.no_grad()``).
-    Values and gradients are those of the same step built from autodiff ops
-    and chained from that state.
+    recurrence is one graph node: one input GEMM per ``SEGMENT`` steps, a
+    time loop that steps only ``h @ w_h`` and the cell's gates, and a
+    hand-written backpropagation through time over the gates its tape holds
+    and the cell state it recomputes (no tape under ``ad.no_grad()``). Values
+    and gradients, which ``SEGMENT`` does not change, are those of the same
+    step built from autodiff ops and chained from that state.
     """
     hs, parents, bptt = _recur((cell,), seq, (reverse,), h0)
     o = slice(None, None, -1 if reverse else 1)

@@ -43,9 +43,9 @@ def test_c2_gradient_suite():
     results = gradcheck.kernel_checks(seeds_per_kernel=50)
     worst = max(results.values())
     worst_name = max(results, key=results.get)
-    ok = len(results) == 12 and worst <= 1e-4
+    ok = len(results) == 13 and worst <= 1e-4
     _report(2, "gradient suite", ok, time.perf_counter() - t0, 120.0,
-            f"12 kernels x 50 seeds, worst rel err {worst:.2e} ({worst_name})")
+            f"13 kernels x 50 seeds, worst rel err {worst:.2e} ({worst_name})")
 
 
 def test_c3_indicator_oracle_equivalence():

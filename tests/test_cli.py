@@ -234,15 +234,39 @@ def test_generate_refuses_a_zero_length(gan_ckpt, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolationError"
 
 
+def _assert_one_memory_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    payload = json.loads(err)
+    assert payload["error"] == "MemoryError"
+    assert "shape" in payload["message"]  # numpy names the size and shape it could not allocate
+
+
+def test_generate_too_large_to_allocate_exits_numeric(gan_ckpt, tmp_path, capsys):
+    assert run("generate", "--ckpt", gan_ckpt, "--count", 1_000_000_000, "--len", 150,
+               "--out", tmp_path / "x.csv", "--quiet") == cli.EXIT_NUMERIC
+    _assert_one_memory_error_line(capsys)
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_train_too_large_to_allocate_exits_numeric(tmp_path, capsys):
+    data_path = tmp_path / "seqs.csv"
+    _write_train_data(data_path)
+    assert run("train", "--model", "gan", "--data", data_path, "--epochs", 1, "--hidden", 1_000_000,
+               "--out", tmp_path / "ckpt", "--quiet") == cli.EXIT_NUMERIC
+    _assert_one_memory_error_line(capsys)
+    assert not (tmp_path / "ckpt").exists()
+
+
 def test_gradcheck_prints_one_line_per_kernel(tmp_path, capsys):
     out = tmp_path / "gradcheck.json"
     assert run("gradcheck", "--seeds", 1, "--out", out) == 0
     lines = [l for l in capsys.readouterr().out.strip().split("\n") if l]
-    assert len(lines) == 12
+    assert len(lines) == 13
     assert all(line.endswith("ok") for line in lines)
     payload = json.loads(out.read_text())
     assert payload["passed"] is True
-    assert len(payload["max_relative_error"]) == 12
+    assert len(payload["max_relative_error"]) == 13
 
 
 def test_gradcheck_failure_exits_numeric(tmp_path, capsys):

@@ -225,6 +225,68 @@ def test_unroll_rejects_a_feature_width_the_cell_does_not_take(kind):
         nn.unroll(cell, Tensor(np.zeros((2, 5, 2))))
 
 
+def test_input_gemms_run_per_segment_and_never_on_one_row(monkeypatch):
+    monkeypatch.setattr(nn, "SEGMENT", 3)
+    matmul, rows = np.matmul, []
+
+    def spy(a, b, **kwargs):
+        if "out" in kwargs:  # the forward's only product into a buffer is the input GEMM
+            rows.append(a.shape[0])
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    cell = nn.RNNCell(nn.ParamSet(), "c", 2, 3, np.random.default_rng(0))
+    # (batch, steps): rows of each segment's GEMM; at batch 1 a one-step last segment
+    # joins the one before, and a one-step sequence is one row as it is unsegmented
+    for (batch, steps), want in {(2, 7): [6, 6, 2], (1, 7): [3, 4], (1, 8): [3, 3, 2],
+                                 (1, 1): [1]}.items():
+        rows.clear()
+        with ad.no_grad():
+            nn.unroll(cell, Tensor(np.zeros((batch, steps, 2))))
+        assert rows == want, (batch, steps)
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("segment", [2, 3, 5])
+@pytest.mark.parametrize("model", ["rnn", "lstm", "bilstm"])
+def test_segment_length_changes_no_bit(monkeypatch, model, segment):
+    """Values and every gradient equal, bit for bit, those of the same run in one segment:
+    for each direction, with and without h0, at batch 1 and 2, for T = 1, S - 1, S, S + 1
+    and 3S + 2 (at batch 1, T = S + 1 ends in a one-step segment)."""
+    for batch in (1, 2):
+        for steps in sorted({1, segment - 1, segment, segment + 1, 3 * segment + 2}):
+            rng = np.random.default_rng(batch * 100 + steps)
+            pset = nn.ParamSet()
+            seq = Tensor(rng.standard_normal((batch, steps, 3)), requires_grad=True)
+            h0 = Tensor(rng.standard_normal((batch, 4)), requires_grad=True)
+            if model == "bilstm":
+                layer = nn.BiLstmLayer(pset, "bi", 3, 4, 5, rng)
+                runs = [(lambda: layer(seq), ())]
+            else:
+                cell = CELLS[model](pset, "c", 3, 4, rng)
+                runs = [(lambda r=reverse, h=h: nn.unroll(cell, seq, reverse=r, h0=h),
+                         () if h is None else (h,)) for reverse in (False, True) for h in (None, h0)]
+            for build, extra in runs:
+                tensors = [*pset.tensors(), seq, *extra]
+
+                def run():
+                    for t in tensors:
+                        t.grad = None
+                    out = build()
+                    weights = np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape)
+                    ad.backward(ad.tensor_sum(ad.mul(out, weights)))
+                    return [out.data, *(t.grad for t in tensors)]
+
+                monkeypatch.setattr(nn, "SEGMENT", segment)
+                segmented = run()
+                monkeypatch.setattr(nn, "SEGMENT", steps)
+                whole = run()
+                assert all(map(_bitwise_equal, segmented, whole)), (batch, steps, extra)
+
+
 # prints every (n_in, 4H, batch, what, step) whose rows differ from the full product's
 _GEMM_ROWS_CHECK = """
 import numpy as np
@@ -241,6 +303,14 @@ for n_in in (4, 5, 16, 90):
                 rows = (part.reshape(-1, n_in) @ w_x).reshape(*part.shape[:2], gates)
                 if not np.array_equal(rows, full[:, t:t + seg]):
                     print(n_in, gates, batch, "segment", t)
+                # as the recurrence projects: step-major rows, each direction in step order
+                for what, o in (("forward", slice(None)), ("reversed", slice(None, None, -1))):
+                    part = np.ascontiguousarray(seq[:, o][:, t:t + seg].transpose(1, 0, 2))
+                    rows = np.empty((part.shape[0] * batch, gates))
+                    np.matmul(part.reshape(-1, n_in), w_x, out=rows)
+                    if not np.array_equal(rows.reshape(-1, batch, gates),
+                                          full[:, o][:, t:t + seg].transpose(1, 0, 2)):
+                        print(n_in, gates, batch, what, "step-major segment", t)
             for t in range(steps):
                 if not np.array_equal(seq[:, t] @ w_x, full[:, t]):
                     print(n_in, gates, batch, "step", t)
@@ -250,7 +320,9 @@ for n_in in (4, 5, 16, 90):
 def test_input_gemm_rows_are_bitwise_equal_per_segment_and_per_step():
     """Rows of the hoisted (B*T, n_in) @ w_x input projection equal, bit for bit, the
     same rows computed per segment of steps and per step, with one and with two BLAS
-    threads, so a recurrence may project its input one segment at a time. That needs
+    threads, so a recurrence may project its input one segment at a time: batch-major,
+    and step-major as ``nn._recur`` copies them, with a reversed direction's segments
+    taken from the reversed sequence, into a preallocated output. That needs
     every smaller product to have at least 2 rows: at batch 1, a one-step segment or
     ``seq[:, t] @ w_x`` is a 1-row product that numpy sends to GEMV, whose bits
     differ."""
@@ -350,9 +422,9 @@ def test_no_grad_forwards_allocate_no_tape(monkeypatch):
     with ad.no_grad():
         layer(Tensor(rng.standard_normal((3, 6, 2))))
         layer(Tensor(rng.standard_normal((2, 9, 2))))
-    assert tapes() == [(1, 6, 2, 3, 4), (1, 6, 2, 2, 4)]  # only the running step's slots
+    assert tapes() == [(1, 4, 2, 3, 4), (1, 4, 2, 2, 4)]  # only the running step's slots
     layer(Tensor(rng.standard_normal((3, 6, 2))))
-    assert tapes() == [(6, 6, 2, 3, 4)]  # steps, gates + c + tanh(c), directions, batch, hidden
+    assert tapes() == [(6, 4, 2, 3, 4)]  # steps, gates i f g o, directions, batch, hidden
 
 
 def test_backward_frees_the_tape_with_the_graph():
@@ -360,7 +432,7 @@ def test_backward_frees_the_tape_with_the_graph():
     rng = np.random.default_rng(5)
     layer = _bilstm(rng, width, width, width)
     seq = Tensor(rng.standard_normal((batch, steps, width)))
-    tape = steps * 6 * 2 * batch * width * 8
+    tape = steps * 4 * 2 * batch * width * 8  # four gates per step and direction
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -371,6 +443,25 @@ def test_backward_frees_the_tape_with_the_graph():
     finally:
         tracemalloc.stop()
     assert held > tape and kept < tape / 4  # what stays is the parameters' grads
+
+
+def test_a_tracked_bilstm_forward_projects_its_input_one_segment_at_a_time():
+    batch, width = 8, 16  # n_in = hidden = n_out
+    steps = 4 * nn.SEGMENT
+    rng = np.random.default_rng(4)
+    layer = _bilstm(rng, width, width, width)
+    seq = Tensor(rng.standard_normal((batch, steps, width)))
+    projection = batch * steps * 4 * width * 8  # one direction's whole (B, T, 4H) input GEMM
+    tracemalloc.start()
+    try:
+        out = layer(seq)
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # what the forward freed before it returned: both directions' (S, B, 4H) projections,
+    # the (S, B, n_in) input rows and a step's temporaries, a quarter of the sequence each
+    assert peak - end < projection * 3 / 4
+    assert out.shape == (batch, steps, width)
 
 
 def test_a_tracked_rnn_unroll_keeps_only_its_output_alive():
