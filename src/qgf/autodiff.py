@@ -203,11 +203,11 @@ def _logistic(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.divide(1.0, out, out=out)
 
 
-def logistic(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """1 / (1 + exp(-x)) in place in ``out`` (default: a new array). Below x = -709
-    exp overflows to inf and the result is 0, within a denormal of the truth."""
+def logistic(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-x)) as a new array. Below x = -709 exp overflows to inf and the
+    result is 0, within a denormal of the truth."""
     with np.errstate(over="ignore"):
-        return _logistic(x, np.empty(np.shape(x)) if out is None else out)
+        return _logistic(x, np.empty(np.shape(x)))
 
 
 def sigmoid(a) -> Tensor:
@@ -320,10 +320,10 @@ def tensor_sum(a, axis: int | None = None) -> Tensor:
     return _make(out_data, (a,), bwd)
 
 
-def mean(a, axis: int | None = None) -> Tensor:
+def mean(a) -> Tensor:
+    """Mean over every element."""
     a = as_tensor(a)
-    count = a.data.size if axis is None else a.shape[axis]
-    return mul(tensor_sum(a, axis=axis), 1.0 / count)
+    return mul(tensor_sum(a), 1.0 / a.data.size)
 
 
 # --- graph traversal ----------------------------------------------------------

@@ -190,6 +190,11 @@ def cmd_select(args: argparse.Namespace) -> int:
     l_names, l_dates, y_all = _read_rows(l_path, keyed=True)
     if len(l_names) != 1:
         raise MalformedHeaderError(f"{l_path}: expected Date plus one label column")
+    bad = np.flatnonzero((y_all[:, 0] != 0) & (y_all[:, 0] != 1))
+    if bad.size:
+        i = int(bad[0])
+        raise InvariantViolationError(
+            f"{l_path}: label {float(y_all[i, 0])!r} on {l_dates[i]} is not 0 or 1")
     manifest, t0 = _start(args, [f_path, l_path])
 
     by_date = {d: y_all[i, 0] for i, d in enumerate(l_dates)}
@@ -292,6 +297,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.seeds < 1:
+        raise InvariantViolationError(f"--seeds must be at least 1, got {args.seeds}")
+    if not 0.0 <= args.tolerance < math.inf:
+        raise InvariantViolationError(
+            f"--tolerance must be finite and non-negative, got {args.tolerance}")
     manifest, t0 = _start(args, [])
     results = gradcheck.kernel_checks(seeds_per_kernel=args.seeds)
     failures = {k: v for k, v in results.items() if v > args.tolerance}

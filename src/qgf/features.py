@@ -20,6 +20,7 @@ from .errors import (
     DegenerateLabelsError,
     InvariantViolationError,
     LengthMismatchError,
+    NumericError,
     RankTooHighError,
     ShapeMismatchError,
     TooFewFeaturesError,
@@ -56,9 +57,12 @@ class PcaModel:
 
 
 def _standardize(x: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=0)
-    sd = x.std(axis=0)
-    return (x - mu) / np.where(sd == 0, 1.0, sd)
+    """Columns to zero mean and unit variance; a constant column goes to zeros, and one
+    whose mean or variance overflows float64 to NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = x.mean(axis=0)
+        sd = x.std(axis=0)
+        return (x - mu) / np.where(sd == 0, 1.0, np.where(np.isfinite(sd), sd, np.nan))
 
 
 def _probe_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float,
@@ -113,6 +117,10 @@ def rfe(x: np.ndarray, y: np.ndarray, keep: int,
         raise LengthMismatchError(f"{len(feature_names)} names for {n_features} columns")
 
     xs = _standardize(x)
+    overflowed = np.flatnonzero(np.isnan(xs).any(axis=0))
+    if overflowed.size:
+        raise NumericError(
+            f"feature {feature_names[overflowed[0]]!r}: standardizing it overflows float64")
     remaining = list(range(n_features))
     eliminated = []
     accuracies = []
@@ -129,6 +137,12 @@ def rfe(x: np.ndarray, y: np.ndarray, keep: int,
                      accuracies=tuple(accuracies))
 
 
+def _finite(step: str, a: np.ndarray) -> np.ndarray:
+    if not np.isfinite(a).all():
+        raise NumericError(f"randomized pca: {step} overflows float64")
+    return a
+
+
 def randomized_pca_fit(x: np.ndarray, k: int, oversample: int = 5,
                        seed: int = 0) -> PcaModel:
     """Top-k principal components via the seeded randomized range finder."""
@@ -139,12 +153,13 @@ def randomized_pca_fit(x: np.ndarray, k: int, oversample: int = 5,
     if not 1 <= k <= min(n, m):
         raise RankTooHighError(f"k must be in [1, {min(n, m)}], got {k}")
 
-    means = x.mean(axis=0)
-    xc = x - means
     rng = np.random.default_rng(seed)
     width = min(k + max(oversample, 0), m)
-    sketch = xc @ rng.standard_normal((m, width))
-    sketch = xc @ (xc.T @ sketch)  # one power iteration sharpens the spectrum
+    with np.errstate(over="ignore", invalid="ignore"):  # checked per step below
+        means = x.mean(axis=0)
+        xc = _finite("centering", x - means)
+        sketch = xc @ rng.standard_normal((m, width))
+        sketch = _finite("power iteration", xc @ (xc.T @ sketch))  # sharpens the spectrum
     q, _ = np.linalg.qr(sketch)
     _, s, vt = np.linalg.svd(q.T @ xc, full_matrices=False)
 

@@ -23,6 +23,7 @@ from .autodiff import Tensor
 from .checkpoint import ModelCheckpoint, read_config
 from .errors import (
     EmptyDatasetError,
+    FilterLargerThanInputError,
     InvariantViolationError,
     LengthMismatchError,
     ShapeMismatchError,
@@ -78,17 +79,18 @@ class DiscriminatorConfig:
     dense_units: int = 25
 
     def layer_shapes(self) -> list[tuple[int, int]]:
-        """(channels, length) after each of C1, P1, C2, P2; raises on bad geometry."""
-        length = self.input_len
-        shapes = []
-        length = nn.conv_out_size(nn.LayerGeometry(length, self.conv1.size, self.conv1.stride))
-        shapes.append((self.conv1.filters, length))
-        length = nn.conv_out_size(nn.LayerGeometry(length, self.pool1.size, self.pool1.stride))
-        shapes.append((self.conv1.filters, length))
-        length = nn.conv_out_size(nn.LayerGeometry(length, self.conv2.size, self.conv2.stride))
-        shapes.append((self.conv2.filters, length))
-        length = nn.conv_out_size(nn.LayerGeometry(length, self.pool2.size, self.pool2.stride))
-        shapes.append((self.conv2.filters, length))
+        """(channels, length) after each of C1, P1, C2, P2; raises on bad geometry,
+        naming the stage."""
+        length, shapes = self.input_len, []
+        for stage in ("conv1", "pool1", "conv2", "pool2"):
+            spec = getattr(self, stage)
+            try:
+                length = nn.conv_out_size(length, spec.size, spec.stride)
+            except FilterLargerThanInputError as exc:
+                raise FilterLargerThanInputError(f"{stage}: {exc}") from None
+            if isinstance(spec, ConvSpec):
+                channels = spec.filters  # a pool keeps its conv's channels
+            shapes.append((channels, length))
         return shapes
 
     @classmethod
@@ -130,22 +132,23 @@ class Generator:
                                      config.hidden, config.hidden, rng)
         self.proj = nn.Dense(self.params, "gen.out", config.hidden, 1, rng)
 
-    def forward(self, noise: Tensor, training: bool = False,
-                dropout_rng: np.random.Generator | None = None) -> Tensor:
-        """Noise batch (B, T, d) to value sequences (B, T)."""
+    def forward(self, noise: Tensor, dropout_rng: np.random.Generator | None = None) -> Tensor:
+        """Noise batch (B, T, d) to value sequences (B, T); dropout draws from
+        ``dropout_rng`` when one is given (training) and is off without one."""
         if noise.data.ndim != 3 or noise.shape[2] != self.config.noise_dim:
             raise ShapeMismatchError(
                 f"noise must be (batch, T, {self.config.noise_dim}), got {noise.shape}")
         batch, steps = noise.shape[0], noise.shape[1]
         h = self.layer2(self.layer1(noise))
-        h = nn.dropout(h, self.config.dropout_p, dropout_rng, training=training)
+        h = nn.dropout(h, self.config.dropout_p, dropout_rng)
         flat = ad.reshape(h, (batch * steps, self.config.hidden))
         return ad.reshape(self.proj(flat), (batch, steps))
 
 
 class Discriminator:
     def __init__(self, config: DiscriminatorConfig, rng: np.random.Generator):
-        config.layer_shapes()  # geometry must be valid before any parameters exist
+        # geometry must be valid before any parameters exist
+        channels, length = config.layer_shapes()[-1]
         self.config = config
         self.params = nn.ParamSet()
         c1, c2 = config.conv1, config.conv2
@@ -154,7 +157,6 @@ class Discriminator:
         self.f2 = self.params.add("disc.c2.f",
                                   nn.xavier_uniform(rng, (c2.filters, c1.filters, c2.size)))
         self.b2 = self.params.add("disc.c2.b", np.zeros(c2.filters))
-        channels, length = config.layer_shapes()[-1]
         self.flat_size = channels * length
         self.dense = nn.Dense(self.params, "disc.fc", self.flat_size, config.dense_units, rng)
         self.head = nn.Dense(self.params, "disc.head", config.dense_units, 2, rng)
@@ -173,7 +175,7 @@ class Discriminator:
         h = nn.maxpool1d(h, self.config.pool2.size, self.config.pool2.stride)
         h = ad.reshape(h, (batch, self.flat_size))
         h = ad.tanh(self.dense(h))
-        probs = nn.softmax(self.head(h), axis=1)
+        probs = nn.softmax(self.head(h))
         return ad.select(probs, 1, 1)
 
 
@@ -208,12 +210,12 @@ def standardize_rows(data: np.ndarray) -> np.ndarray:
     return centered / np.where(scale == 0, 1.0, scale)
 
 
-def train_gan(data: np.ndarray, gen_config: GeneratorConfig,
-              disc_config: DiscriminatorConfig, train_config: TrainConfig,
-              standardize: bool = True) -> tuple[ModelCheckpoint, dict[str, np.ndarray]]:
+def train_gan(data: np.ndarray, gen_config: GeneratorConfig, disc_config: DiscriminatorConfig,
+              train_config: TrainConfig) -> tuple[ModelCheckpoint, dict[str, np.ndarray]]:
     """Alternating adversarial training; returns checkpoint plus loss history.
 
-    ``data`` is (N, L) with L = both configs' sequence length. History holds
+    ``data`` is (N, L) with L = both configs' sequence length; each row is
+    standardized (``standardize_rows``) before training. History holds
     one d_loss/g_loss pair per iteration (the d value from the last
     discriminator step of that iteration).
     """
@@ -224,8 +226,7 @@ def train_gan(data: np.ndarray, gen_config: GeneratorConfig,
         raise LengthMismatchError(
             f"data length {data.shape[1]} vs generator {gen_config.seq_len} "
             f"and discriminator {disc_config.input_len}")
-    if standardize:
-        data = standardize_rows(data)
+    data = standardize_rows(data)
 
     init_rng, noise_rng, batch_rng, dropout_rng = nn.seeded_streams(train_config.seed, 4)
     gen = Generator(gen_config, init_rng)
@@ -235,7 +236,7 @@ def train_gan(data: np.ndarray, gen_config: GeneratorConfig,
 
     def fake_batch(batch: int) -> Tensor:
         noise = sample_noise(batch, gen_config.seq_len, gen_config.noise_dim, noise_rng)
-        return gen.forward(noise, training=True, dropout_rng=dropout_rng)
+        return gen.forward(noise, dropout_rng)
 
     def iteration(sample) -> dict[str, float]:
         for _ in range(train_config.d_steps):
@@ -250,7 +251,7 @@ def train_gan(data: np.ndarray, gen_config: GeneratorConfig,
     ckpt = ModelCheckpoint(
         model="gan",
         config={"generator": asdict(gen_config), "discriminator": asdict(disc_config),
-                "train": asdict(train_config), "standardized": bool(standardize)},
+                "train": asdict(train_config), "standardized": True},
         seed=train_config.seed, iterations=train_config.epochs,
         arrays=gen.params.arrays() | disc.params.arrays())
     return ckpt, history
@@ -270,4 +271,4 @@ def generate_sequences(gen: Generator, count: int, seq_len: int, seed: int) -> n
     rng = np.random.default_rng(seed)
     noise = sample_noise(count, seq_len, gen.config.noise_dim, rng)
     with ad.no_grad():
-        return gen.forward(noise, training=False).data
+        return gen.forward(noise).data

@@ -164,18 +164,13 @@ def moving_average(series: PriceSeries, n: int) -> np.ndarray:
 
 
 def momentum(series: PriceSeries, n: int) -> np.ndarray:
-    """100 * (CP_i - CP_{i-n}) / CP_{i-n}; identical to roc by construction."""
+    """100 * (CP_i - CP_{i-n}) / CP_{i-n}: MTM, and ROC too, which the paper gives the
+    same formula."""
     _require(series, n + 1, "momentum")
     closes = series.close
     out = np.full(len(series), np.nan)
     out[n:] = 100.0 * (closes[n:] - closes[:-n]) / closes[:-n]
     return out
-
-
-def roc(series: PriceSeries, n: int) -> np.ndarray:
-    """100 * (CP_i - CP_{i-n}) / CP_{i-n}."""
-    _require(series, n + 1, "roc")
-    return momentum(series, n)
 
 
 def psy(series: PriceSeries, n: int) -> np.ndarray:
@@ -268,6 +263,7 @@ def build_feature_matrix(series: PriceSeries, vr_convention: str = "printed") ->
     ar_vals, ar_flags = _ar_with_flags(series, 26)
     br_vals, br_flags = _br_with_flags(series, 26)
     vr_vals, vr_flags = _vr_with_flags(series, 26, vr_convention)
+    mtm = momentum(series, 10)
     columns = {
         "K": k, "D": d,
         "WMS%R": williams_r(series, 14),
@@ -275,8 +271,7 @@ def build_feature_matrix(series: PriceSeries, vr_convention: str = "printed") ->
         "RSI": rsi(series, 14),
         "MACD": macd_rec["MACD"], "DIF": macd_rec["DIF"],
         "MA10": moving_average(series, 10),
-        "MTM": momentum(series, 10),
-        "ROC": roc(series, 10),
+        "MTM": mtm, "ROC": mtm,
         "PSY": psy(series, 12),
         "AR": ar_vals, "BR": br_vals, "VR": vr_vals,
         "AD": ad_oscillator(series),

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .ioutil import parse_floats, quote_cell
 
+FETCH_TIMEOUT = 30.0  # seconds
 CSV_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 COLUMNS = ("open", "high", "low", "close", "adj_close", "volume")
 # what every bar must satisfy, in the order a bar's first broken rule is reported
@@ -156,13 +157,14 @@ def serialize_csv(series: PriceSeries) -> str:
     return "\n".join([",".join(CSV_HEADER), *body]) + "\n"
 
 
-def fetch_csv(url_template: str, symbol: str, timeout: float = 30.0) -> str:
-    """Fetch the CSV body for ``symbol`` from a `{symbol}` URL template."""
+def fetch_csv(url_template: str, symbol: str) -> str:
+    """Fetch the CSV body for ``symbol`` from a `{symbol}` URL template, waiting at most
+    FETCH_TIMEOUT seconds for the server."""
     if "{symbol}" not in url_template:
         raise UrlTemplateError("url template must contain {symbol}")
     url = url_template.replace("{symbol}", symbol)
     try:
-        with urllib.request.urlopen(url, timeout=timeout) as resp:
+        with urllib.request.urlopen(url, timeout=FETCH_TIMEOUT) as resp:
             status = getattr(resp, "status", None)  # None for file:// responses
             if status is not None and status != 200:
                 raise HttpStatusError(status)

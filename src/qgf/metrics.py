@@ -209,21 +209,23 @@ def compare_sequences(real: list[np.ndarray], generated: list[np.ndarray],
 
     undefined = []
     metrics: dict[str, float] = {}
-    try:
-        metrics["prd"] = float(np.mean([prd(a, b) for a, b in pairs]))
-    except ZeroReferenceError:
-        undefined.append("prd")
-    metrics["rmse"] = float(np.mean([rmse(a, b) for a, b in pairs]))
-    if pairing == "paired":
-        metrics["frechet"] = float(np.mean([frechet_distance(a, b) for a, b in pairs]))
-    else:
-        metrics["frechet"] = frechet_distance(np.concatenate([a for a, _ in pairs]),
-                                              np.concatenate([b for _, b in pairs]))
-    flat_real = np.concatenate([a for a, _ in pairs])
-    flat_gen = np.concatenate([b for _, b in pairs])
-    try:
-        metrics["pearson_r"] = pearson_r(flat_real, flat_gen)
-    except (ZeroVarianceError, LengthMismatchError):
-        undefined.append("pearson_r")
+    # values near the float64 limit overflow a metric to inf or nan, which the report refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            metrics["prd"] = float(np.mean([prd(a, b) for a, b in pairs]))
+        except ZeroReferenceError:
+            undefined.append("prd")
+        metrics["rmse"] = float(np.mean([rmse(a, b) for a, b in pairs]))
+        if pairing == "paired":
+            metrics["frechet"] = float(np.mean([frechet_distance(a, b) for a, b in pairs]))
+        else:
+            metrics["frechet"] = frechet_distance(np.concatenate([a for a, _ in pairs]),
+                                                  np.concatenate([b for _, b in pairs]))
+        flat_real = np.concatenate([a for a, _ in pairs])
+        flat_gen = np.concatenate([b for _, b in pairs])
+        try:
+            metrics["pearson_r"] = pearson_r(flat_real, flat_gen)
+        except (ZeroVarianceError, LengthMismatchError):
+            undefined.append("pearson_r")
     return MetricsReport(real_id=real_id, generated_id=generated_id, pairing=pairing,
                          metrics=metrics, undefined_flags=tuple(undefined))

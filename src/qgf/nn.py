@@ -9,7 +9,6 @@ the finite-difference gradient checker used by the verification suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -72,45 +71,24 @@ class ParamSet:
             target.data = arr.copy()
 
 
-def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...],
-                   fan_in: int | None = None, fan_out: int | None = None) -> np.ndarray:
-    """Uniform init with limit sqrt(6 / (fan_in + fan_out))."""
-    if fan_in is None or fan_out is None:
-        if len(shape) == 2:
-            fan_in, fan_out = shape
-        elif len(shape) == 3:  # conv filters (out_channels, in_channels, width)
-            fan_in = shape[1] * shape[2]
-            fan_out = shape[0] * shape[2]
-        else:
-            fan_in = fan_out = int(np.prod(shape))
+def xavier_uniform(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Uniform init with limit sqrt(6 / (fan_in + fan_out)): a (n_in, n_out) matrix, or
+    conv filters (out_channels, in_channels, width) with both fans scaled by the width."""
+    if len(shape) == 3:
+        fan_in, fan_out = shape[1] * shape[2], shape[0] * shape[2]
+    else:
+        fan_in, fan_out = shape
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
 
 
-# --- layer geometry -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LayerGeometry:
-    """1-D convolution/pooling geometry: input width, filter, stride, padding."""
-
-    width: int
-    filter_size: int
-    stride: int
-    padding: int = 0
-
-    def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
-        if self.padding < 0:
-            raise ValueError("padding must be >= 0")
-        if self.filter_size > self.width + 2 * self.padding:
-            raise FilterLargerThanInputError(
-                f"filter {self.filter_size} exceeds padded input {self.width + 2 * self.padding}")
-
-
-def conv_out_size(geom: LayerGeometry) -> int:
-    """floor((W + 2P - F) / S) + 1; pooling uses P = 0."""
-    return (geom.width + 2 * geom.padding - geom.filter_size) // geom.stride + 1
+def conv_out_size(width: int, size: int, stride: int) -> int:
+    """floor((W - F) / S) + 1: the positions of an F-wide window stepping S over W."""
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
+    if size > width:
+        raise FilterLargerThanInputError(f"filter {size} exceeds input {width}")
+    return (width - size) // stride + 1
 
 
 # --- layers ---------------------------------------------------------------------
@@ -363,33 +341,26 @@ class BiLstmLayer:
 
 # --- convolution and pooling -----------------------------------------------------
 
-def conv1d(x: Tensor, filters: Tensor, bias: Tensor, stride: int, padding: int = 0) -> Tensor:
-    """1-D convolution: x (B, C, L), filters (M, C, F) -> (B, M, L_out)."""
+def conv1d(x: Tensor, filters: Tensor, bias: Tensor, stride: int) -> Tensor:
+    """1-D convolution without padding: x (B, C, L), filters (M, C, F) -> (B, M, L_out)."""
     x = ad.as_tensor(x)
     if x.data.ndim != 3 or filters.data.ndim != 3:
         raise ShapeMismatchError(f"conv1d expects 3-D x and filters, got {x.shape}, {filters.shape}")
     if x.shape[1] != filters.shape[1]:
         raise ShapeMismatchError(f"channel mismatch: input {x.shape[1]}, filters {filters.shape[1]}")
-    length = x.shape[2]
     fsize = filters.shape[2]
-    geom = LayerGeometry(length, fsize, stride, padding)
-    l_out = conv_out_size(geom)
+    l_out = conv_out_size(x.shape[2], fsize, stride)
 
-    xp = x.data
-    if padding:
-        xp = np.pad(xp, ((0, 0), (0, 0), (padding, padding)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, fsize, axis=2)[:, :, ::stride, :]
+    windows = np.lib.stride_tricks.sliding_window_view(x.data, fsize, axis=2)[:, :, ::stride, :]
     out_data = np.einsum("bclf,mcf->bml", windows, filters.data) + bias.data[None, :, None]
 
     def bwd(g):
         ad._accumulate(filters, np.einsum("bml,bclf->mcf", g, windows))
         ad._accumulate(bias, g.sum(axis=(0, 2)))
         if x.requires_grad:
-            gx = np.zeros_like(xp)
+            gx = np.zeros_like(x.data)
             for f in range(fsize):
                 gx[:, :, f:f + stride * l_out:stride] += np.einsum("bml,mc->bcl", g, filters.data[:, :, f])
-            if padding:
-                gx = gx[:, :, padding:padding + length]
             ad._accumulate(x, gx)
 
     return ad._make(out_data, (x, filters, bias), bwd)
@@ -400,9 +371,7 @@ def maxpool1d(x: Tensor, window: int, stride: int) -> Tensor:
     x = ad.as_tensor(x)
     if x.data.ndim != 3:
         raise ShapeMismatchError(f"maxpool1d expects (batch, channels, length), got {x.shape}")
-    length = x.shape[2]
-    geom = LayerGeometry(length, window, stride)  # pooling uses zero padding
-    l_out = conv_out_size(geom)
+    conv_out_size(x.shape[2], window, stride)  # raises on bad geometry
 
     views = np.lib.stride_tricks.sliding_window_view(x.data, window, axis=2)[:, :, ::stride, :]
     argmax = views.argmax(axis=3)
@@ -420,16 +389,14 @@ def maxpool1d(x: Tensor, window: int, stride: int) -> Tensor:
 
 # --- stochastic and normalizing ops ------------------------------------------------
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None,
-            training: bool = True) -> Tensor:
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout drawn from ``rng``: zero with probability p, scale survivors by
+    1/(1-p). Without an rng (evaluation) it is the identity."""
     if not (0.0 <= p < 1.0):
         raise InvalidProbabilityError(f"dropout probability must be in [0, 1), got {p}")
     x = ad.as_tensor(x)
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return x
-    if rng is None:
-        raise ValueError("training-mode dropout needs an rng")
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
     out_data = x.data * mask
 
@@ -439,15 +406,15 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None,
     return ad._make(out_data, (x,), bwd)
 
 
-def softmax(z: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax along ``axis``."""
+def softmax(z: Tensor) -> Tensor:
+    """Max-subtracted softmax along the last axis."""
     z = ad.as_tensor(z)
-    shifted = z.data - z.data.max(axis=axis, keepdims=True)
+    shifted = z.data - z.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
+        dot = (g * out_data).sum(axis=-1, keepdims=True)
         ad._accumulate(z, (g - dot) * out_data)
 
     return ad._make(out_data, (z,), bwd)
@@ -539,9 +506,11 @@ def fit(data: np.ndarray, epochs: int, batch_size: int, batch_rng: np.random.Gen
 
 # --- gradient checking -----------------------------------------------------------------
 
-def finite_difference_gradients(loss_fn: Callable[[], float], pset: ParamSet,
-                                eps: float = 1e-5) -> dict[str, np.ndarray]:
-    """Central finite differences of ``loss_fn`` w.r.t. each parameter entry.
+FD_EPS = 1e-5  # the central-difference step
+
+
+def finite_difference_gradients(loss_fn: Callable[[], float], pset: ParamSet) -> dict[str, np.ndarray]:
+    """Central finite differences of ``loss_fn`` w.r.t. each parameter entry, step FD_EPS.
 
     ``loss_fn`` must rebuild the forward pass from the ParamSet's current
     data on every call (any randomness inside must be replayed identically).
@@ -557,12 +526,12 @@ def finite_difference_gradients(loss_fn: Callable[[], float], pset: ParamSet,
             gflat = grad.reshape(-1)
             for i in range(flat.size):
                 original = flat[i]
-                flat[i] = original + eps
+                flat[i] = original + FD_EPS
                 up = loss_fn()
-                flat[i] = original - eps
+                flat[i] = original - FD_EPS
                 down = loss_fn()
                 flat[i] = original
-                gflat[i] = (up - down) / (2.0 * eps)
+                gflat[i] = (up - down) / (2.0 * FD_EPS)
             out[name] = grad
     return out
 

@@ -95,7 +95,7 @@ def test_logistic_matches_the_two_branch_formula_in_both_tails():
 def test_logistic_propagates_nan_and_fills_out():
     x = np.array([[np.nan, 0.0], [2.0, -3.0]])
     out = np.empty_like(x)
-    assert ad.logistic(x, out=out) is out
+    assert ad._logistic(x, out=out) is out
     assert np.isnan(out[0, 0])
     np.testing.assert_array_equal(out[0, 1:], [0.5])
     np.testing.assert_allclose(out[1], 1.0 / (1.0 + np.exp([-2.0, 3.0])), rtol=1e-15)

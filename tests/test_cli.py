@@ -9,6 +9,9 @@ from conftest import noisy_sine_batch
 from qgf import baselines, cli, gan
 from qgf.market_data import parse_csv
 
+# a numpy warning a command prints breaks its one-line error contract
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
@@ -277,6 +280,21 @@ def test_gradcheck_failure_exits_numeric(tmp_path, capsys):
     assert json.loads(err)["error"] == "GradientCheckError"
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--seeds", 0), ("--seeds", -1), ("--tolerance", "nan"), ("--tolerance", "inf"),
+    ("--tolerance", "-inf"), ("--tolerance", "-1e-4"),
+])
+def test_gradcheck_refuses_a_run_that_checks_nothing(tmp_path, capsys, flag, value):
+    out = tmp_path / "gradcheck.json"
+    assert run("gradcheck", f"{flag}={value}", "--out", out) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "InvariantViolationError"
+    assert payload["message"].startswith(flag)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("arrays,code,error,names", [
     ({"gen.w": np.ones(2), "gen.b": np.array([0.0, 1e39])},
      cli.EXIT_NUMERIC, "Float32RangeError", ["'gen.b'", "flat index 1"]),
@@ -523,3 +541,85 @@ def test_version_flag(capsys):
         run("--version")
     assert exc.value.code == 0
     assert "qgf" in capsys.readouterr().out
+
+
+def _write_feature_table(path, columns, dates):
+    rows = [",".join(["Date", *(f"f{j}" for j in range(len(columns)))])]
+    rows += [",".join([d, *(repr(float(c[i])) for c in columns)]) for i, d in enumerate(dates)]
+    path.write_text("\n".join(rows) + "\n")
+
+
+_DATES = [f"2020-01-{day:02d}" for day in range(1, 21)]
+
+
+@pytest.mark.parametrize("label", ["2", "0.7"])
+def test_select_refuses_a_label_that_is_not_0_or_1(tmp_path, capsys, label):
+    rng = np.random.default_rng(3)
+    feats, labels, out = tmp_path / "f.csv", tmp_path / "l.csv", tmp_path / "s.json"
+    _write_feature_table(feats, rng.standard_normal((3, 20)), _DATES)
+    values = ["1", "0"] * 10
+    values[7] = label
+    labels.write_text("Date,label\n" + "".join(f"{d},{v}\n" for d, v in zip(_DATES, values)))
+    assert run("select", "--features", feats, "--labels", labels, "--keep", 1,
+               "--out", out) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    message = json.loads(err)["message"]
+    assert str(labels) in message and _DATES[7] in message and repr(float(label)) in message
+    assert not out.exists()
+
+
+def _overflowing_features(path):
+    rng = np.random.default_rng(4)
+    columns = rng.standard_normal((3, 20))
+    columns[1] *= 1e300  # finite cells whose squares overflow float64
+    _write_feature_table(path, columns, _DATES)
+
+
+def test_reduce_on_overflowing_features_exits_numeric_naming_the_step(tmp_path, capsys):
+    feats, out = tmp_path / "f.csv", tmp_path / "r.csv"
+    _overflowing_features(feats)
+    assert run("reduce", "--features", feats, "--components", 2,
+               "--out", out) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["message"] == "randomized pca: power iteration overflows float64"
+    assert not out.exists()
+
+
+def test_select_on_overflowing_features_exits_numeric_naming_the_column(tmp_path, capsys):
+    feats, labels, out = tmp_path / "f.csv", tmp_path / "l.csv", tmp_path / "s.json"
+    _overflowing_features(feats)
+    labels.write_text("Date,label\n" + "".join(f"{d},{i % 2}\n" for i, d in enumerate(_DATES)))
+    assert run("select", "--features", feats, "--labels", labels, "--keep", 1,
+               "--out", out) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["message"] == "feature 'f1': standardizing it overflows float64"
+    assert not out.exists()
+
+
+def test_evaluate_on_overflowing_sequences_prints_one_error_line(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    real, generated, out = tmp_path / "real.csv", tmp_path / "gen.csv", tmp_path / "r.json"
+    for path in (real, generated):
+        rows = rng.standard_normal((2, 20)) * 1e300
+        path.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+    assert run("evaluate", "--real", real, "--generated", generated,
+               "--out", out) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err)["message"] == "metric prd is not finite"
+    assert not out.exists()
+
+
+def test_train_on_rows_too_short_for_the_discriminator_names_the_stage(tmp_path, capsys):
+    data_path = tmp_path / "seqs.csv"
+    _write_train_data(data_path, count=4, length=16)
+    assert run("train", "--model", "gan", "--data", data_path, "--epochs", 1,
+               "--out", tmp_path / "ckpt", "--quiet") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "FilterLargerThanInputError",
+                               "message": "conv2: filter 5 exceeds input 2"}
+    assert not (tmp_path / "ckpt").exists()

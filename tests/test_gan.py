@@ -72,11 +72,11 @@ def test_generator_training_mode_needs_rng_and_eval_is_deterministic(rng):
     cfg = gan.GeneratorConfig(noise_dim=2, seq_len=8, hidden=3, dropout_p=0.5)
     gen = gan.Generator(cfg, rng)
     noise = gan.sample_noise(2, 8, 2, rng)
-    with pytest.raises(ValueError):
-        gen.forward(noise, training=True, dropout_rng=None)
-    a = gen.forward(noise, training=False)
-    b = gen.forward(noise, training=False)
+    a = gen.forward(noise)
+    b = gen.forward(noise)
     assert np.array_equal(a.data, b.data)
+    # dropout is on only when an rng is passed
+    assert not np.array_equal(gen.forward(noise, np.random.default_rng(0)).data, a.data)
 
 
 def test_discriminator_output_is_probability(rng):
@@ -205,5 +205,5 @@ def test_non_finite_loss_is_reported_with_iteration():
     data[3, 5] = np.nan
     config = gan.TrainConfig(epochs=30, batch_size=16, lr=1e-3, seed=1)
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLossError) as err:
-        gan.train_gan(data, TINY_GEN, TINY_DISC, config, standardize=False)
+        gan.train_gan(data, TINY_GEN, TINY_DISC, config)
     assert err.value.iteration == 0

@@ -16,10 +16,4 @@ def test_kernel_checks_reports_all_kernels():
     results = gradcheck.kernel_checks(seeds_per_kernel=1)
     assert set(results) == set(gradcheck.KERNEL_CHECKS)
     assert all(v <= gradcheck.TOLERANCE for v in results.values())
-
-
-def test_kernel_checks_subset_and_determinism():
-    a = gradcheck.kernel_checks(seeds_per_kernel=2, kernels=("dense", "softmax"))
-    b = gradcheck.kernel_checks(seeds_per_kernel=2, kernels=("dense", "softmax"))
-    assert a == b
-    assert set(a) == {"dense", "softmax"}
+    assert gradcheck.kernel_checks(seeds_per_kernel=1) == results  # deterministic

@@ -51,9 +51,8 @@ def test_valid_from_and_warmup_boundaries(rng):
 
 
 def test_momentum_equals_roc(rng):
-    series = make_series(rng, 60)
-    assert np.array_equal(ind.momentum(series, 10), ind.roc(series, 10),
-                          equal_nan=True)
+    matrix = ind.build_feature_matrix(make_series(rng, 60))
+    assert matrix.column("ROC").tobytes() == matrix.column("MTM").tobytes()
 
 
 def test_scale_invariant_columns(rng):

@@ -215,7 +215,7 @@ def test_fetch_csv_maps_http_status_and_unreachable():
         server.shutdown()
 
     with pytest.raises(NetworkError):
-        fetch_csv("file:///nonexistent/{symbol}.csv", "TST", timeout=2.0)
+        fetch_csv("file:///nonexistent/{symbol}.csv", "TST")
 
 
 def test_window_spec_validation():
