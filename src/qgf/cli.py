@@ -325,9 +325,22 @@ def cmd_gradcheck(args: argparse.Namespace) -> int:
 # --- parser ----------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads an argument that ``float`` parses, such as ``-1e-4`` or ``-inf``, as a value.
+    argparse alone takes only forms like ``-1`` and ``-0.5`` for negative numbers and the
+    rest for unknown options, so ``--lr -1e-3`` would end in a usage error instead of the
+    check that names the flag."""
+
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="qgf",
-                                     description="Seeded financial time-series toolkit")
+    parser = _Parser(prog="qgf", description="Seeded financial time-series toolkit")
     parser.add_argument("--version", action="version", version=f"qgf {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42, help="rng seed (default 42)")

@@ -158,12 +158,14 @@ def randomized_pca_fit(x: np.ndarray, k: int, oversample: int = 5,
     with np.errstate(over="ignore", invalid="ignore"):  # checked per step below
         means = x.mean(axis=0)
         xc = _finite("centering", x - means)
-        sketch = xc @ rng.standard_normal((m, width))
-        sketch = _finite("power iteration", xc @ (xc.T @ sketch))  # sharpens the spectrum
-    q, _ = np.linalg.qr(sketch)
+        total = float(_finite("variance", (xc * xc).sum()))
+    # the power iteration cubes the data's scale, so the range finder runs on xc scaled
+    # by a power of two to below 1, which leaves every bit of its basis q as it was
+    xs = np.ldexp(xc, -np.frexp(np.abs(xc).max())[1])
+    sketch = xs @ rng.standard_normal((m, width))
+    q, _ = np.linalg.qr(xs @ (xs.T @ sketch))  # the power iteration sharpens the spectrum
     _, s, vt = np.linalg.svd(q.T @ xc, full_matrices=False)
 
-    total = float((xc * xc).sum())
     explained = (s[:k] ** 2 / total) if total > 0 else np.zeros(k)
     return PcaModel(components=vt[:k].copy(), means=means, explained=explained)
 

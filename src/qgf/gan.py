@@ -266,9 +266,25 @@ def generator_from_checkpoint(ckpt: ModelCheckpoint) -> Generator:
     return gen
 
 
+GENERATE_ROWS = 16  # sequences per generator forward in generate_sequences, at least 2
+
+
 def generate_sequences(gen: Generator, count: int, seq_len: int, seed: int) -> np.ndarray:
-    """Deterministic eval-mode sampling: (count, seq_len) float array."""
+    """Deterministic eval-mode sampling: (count, seq_len) float array.
+
+    Runs ``GENERATE_ROWS`` sequences at a time, drawing each block's noise in turn, so
+    memory beyond the result does not grow with ``count`` and every value is the one a
+    single batch gives. A last block of one row joins the one before: a one-row GEMM
+    goes to GEMV, whose bits differ."""
+    if min(count, seq_len) < 1:
+        raise InvariantViolationError(f"count and seq_len must be positive, got {count}, {seq_len}")
     rng = np.random.default_rng(seed)
-    noise = sample_noise(count, seq_len, gen.config.noise_dim, rng)
+    out = np.empty((count, seq_len))
+    bounds = [*range(0, count, GENERATE_ROWS), count]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
     with ad.no_grad():
-        return gen.forward(noise).data
+        for first, stop in zip(bounds, bounds[1:]):
+            noise = sample_noise(stop - first, seq_len, gen.config.noise_dim, rng)
+            out[first:stop] = gen.forward(noise).data
+    return out

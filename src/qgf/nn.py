@@ -121,10 +121,8 @@ class RNNCell:
     # pointwise part of one step on raw (directions, batch, ...) arrays, for the fused
     # recurrence; z is a fresh array per step and its buffer is reused for the result
     @staticmethod
-    def _activate(z: np.ndarray, gates, c, tanh_c) -> np.ndarray:
+    def _activate(z: np.ndarray, gates, c_prev, c, tanh_c) -> np.ndarray:
         return np.tanh(z, out=z)
-
-    _replay = staticmethod(lambda tape, cs: None)  # no cell state to recompute
 
     @staticmethod
     def _activate_backward(dh: np.ndarray, dc, gates, cs, h: np.ndarray):
@@ -145,29 +143,23 @@ class LSTMCell:
         self.w_h = pset.add(f"{name}.w_h", xavier_uniform(rng, (hidden, 4 * hidden)))
         self.b = pset.add(f"{name}.b", np.zeros(4 * hidden))
 
-    _tape_slots, _carries = 4, True  # gates i, f, g, o; c is recomputed in backward
+    _tape_slots, _carries = 4, True  # gates i, f, g, o; c is taped beside them
 
     # pointwise part of one step on raw (directions, batch, ...) arrays, for the fused
     # recurrence, which ignores overflow in exp: writes the gates gate-major, (4, directions,
-    # batch, hidden), so every block the elementwise ops touch is contiguous; steps c in place
+    # batch, hidden), so every block the elementwise ops touch is contiguous, and steps c_prev
+    # into c (the same array when nothing is taped)
     @staticmethod
-    def _activate(z: np.ndarray, gates, c, tanh_c) -> np.ndarray:
+    def _activate(z: np.ndarray, gates, c_prev, c, tanh_c) -> np.ndarray:
         h = gates.shape[3]
         gates[...] = z.reshape(z.shape[0], z.shape[1], 4, h).transpose(2, 0, 1, 3)
         # a logistic over every block is cheaper than over the i, f and o blocks
         # alone, and the g block is then overwritten with its tanh
         i, f, g, o = ad._logistic(gates, out=gates)
         np.tanh(z[..., 2 * h:3 * h], out=g)
-        np.multiply(f, c, out=c)
+        np.multiply(f, c_prev, out=c)
         c += i * g
         return o * np.tanh(c, out=tanh_c)
-
-    # c after each step of a taped segment from cs[0], by the forward's very products and sums
-    @staticmethod
-    def _replay(tape, cs) -> None:
-        np.multiply(tape[:, 0], tape[:, 2], out=cs[1:len(tape) + 1])  # every step's i * g
-        for j, f in enumerate(tape[:, 1]):
-            cs[j + 1] += f * cs[j]
 
     @staticmethod
     def _activate_backward(dh: np.ndarray, dc, gates, cs, h: np.ndarray):
@@ -187,7 +179,7 @@ class LSTMCell:
         return dz.transpose(1, 2, 0, 3).reshape(dh.shape[0], dh.shape[1], -1), dc * f
 
 
-SEGMENT = 64  # steps per input GEMM and per c a tracked LSTM tapes
+SEGMENT = 64  # steps per input GEMM and per gate tape of a tracked LSTM
 
 
 def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | None = None):
@@ -199,8 +191,10 @@ def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | No
     graph sums in another order than a chain of per-step ops would.
 
     Steps run in segments, each with one input GEMM per direction. A tracked forward tapes
-    every step's gates and an LSTM's c before each segment, held only by ``bptt``, which
-    recomputes c per segment; an untracked forward steps through a one-step tape."""
+    one segment: each of its steps' gates and c, in buffers only ``bptt`` holds, with c
+    before every segment. When the forward returns they hold the last segment;
+    ``bptt`` re-runs each earlier one by the forward's own steps from its first c and the
+    h before it, so every bit is the same. An untracked forward steps one step's slots."""
     cell = cells[0]
     if seq.data.ndim != 3 or seq.shape[2] != cell.n_in:
         raise ShapeMismatchError(
@@ -224,37 +218,53 @@ def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | No
     b = np.repeat(np.stack([c.b.data for c in cells])[:, None], batch, axis=1)  # same-shape add
     hs = np.empty((len(cells), batch, steps, cell.hidden))
     h_first = np.zeros((len(cells), batch, cell.hidden)) if h0 is None else h0.data[None]
-    tape = np.empty((steps if track else 1, cell._tape_slots, len(cells), batch, cell.hidden))
+    slots = span if track else 1
     carry = (len(cells), batch, cell.hidden if cell._carries else 0)  # an RNN carries no c
-    c_first = np.zeros((len(segments) if track else 1, *carry))  # c before each segment
-    h, c, tanh_c = h_first, np.zeros(carry), np.empty(carry)
+    gates = np.empty((slots, cell._tape_slots, len(cells), batch, cell.hidden))
+    cs = np.zeros((slots + track, *carry))  # c before each step and after the last
+    tanh_c = np.empty(carry)
+    c_first = np.zeros((len(segments), *carry)) if track else None  # c before each segment
     x_in = np.empty((span, batch, n_in))
     xw = np.empty((len(cells), span, batch, w_x.shape[2]))
+
+    def run(first, n, h):  # steps first .. first + n - 1 from h and cs[0], yielding each h
+        for d, o in enumerate(order):  # the segment's rows, step-major, then their GEMM
+            np.copyto(x_in[:n], seq.data[:, o][:, first:first + n].transpose(1, 0, 2))
+            np.matmul(x_in[:n].reshape(-1, n_in), w_x[d], out=xw[d, :n].reshape(n * batch, -1))
+        for j in range(n):
+            z = np.matmul(h, w_h)
+            z += xw[:, j]
+            z += b
+            t = j if track else 0  # untracked, c steps in place in cs[0]
+            h = cell._activate(z, gates[t], cs[t], cs[t + track], tanh_c)
+            yield h
+
+    h = h_first
     with np.errstate(over="ignore"):  # a gate's exp(-z) is inf below z = -709, the gate 0
         for s, (first, n) in enumerate(segments):
-            for d, o in enumerate(order):  # the segment's rows, step-major, then their GEMM
-                np.copyto(x_in[:n], seq.data[:, o][:, first:first + n].transpose(1, 0, 2))
-                np.matmul(x_in[:n].reshape(-1, n_in), w_x[d], out=xw[d, :n].reshape(n * batch, -1))
-            c_first[s if track else 0] = c
-            for k in range(first, first + n):
-                z = np.matmul(h, w_h)
-                z += xw[:, k - first]
-                z += b
-                h = cell._activate(z, tape[k if track else 0], c, tanh_c)
+            for k, h in enumerate(run(first, n, h), first):
                 hs[:, :, k] = h
+            if track and first + n < steps:  # the next segment starts from this one's last c
+                cs[0] = c_first[s + 1] = cs[n]
+    if not (track and cell._tape_slots and len(segments) > 1):
+        x_in = xw = None  # nothing will be replayed, so nothing holds the input workspace
 
     def bptt(g):
         times = np.stack([np.arange(steps)[o] for o in order])
         seq_t = np.ascontiguousarray(seq.data).transpose(1, 0, 2)
         dx = np.empty((len(cells), batch, steps, n_in)) if seq.requires_grad else None
-        cs = np.empty((span + 1, *carry))  # c before a segment, then after each of its steps
         dh, dc = 0.0, 0.0
         for (first, n), c_before in zip(segments[::-1], c_first[::-1]):
-            cs[0] = c_before
-            cell._replay(tape[first:first + n], cs)
+            if first + n < steps and cell._tape_slots:  # the buffers hold a later segment
+                cs[0] = c_before
+                # the h before it, as contiguous as the forward's, so h @ w_h takes the same path
+                h = np.ascontiguousarray(hs[:, :, first - 1]) if first else h_first
+                with np.errstate(over="ignore"):
+                    for _ in run(first, n, h):
+                        pass
             for k in range(first + n - 1, first - 1, -1):
-                dz, dc = cell._activate_backward(g[:, :, k] + dh, dc, tape[k], cs[k - first:],
-                                                 hs[:, :, k])
+                dz, dc = cell._activate_backward(g[:, :, k] + dh, dc, gates[k - first],
+                                                 cs[k - first:], hs[:, :, k])
                 h_prev = hs[:, :, k - 1] if k else h_first
                 terms = (np.matmul(seq_t[times[:, k]].transpose(0, 2, 1), dz),
                          np.matmul(h_prev.transpose(0, 2, 1), dz), dz.sum(axis=1))
@@ -282,8 +292,9 @@ def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False,
     replaces the zero initial h (an LSTM's c still starts at zero). The whole
     recurrence is one graph node: one input GEMM per ``SEGMENT`` steps, a
     time loop that steps only ``h @ w_h`` and the cell's gates, and a
-    hand-written backpropagation through time over the gates its tape holds
-    and the cell state it recomputes (no tape under ``ad.no_grad()``). Values
+    hand-written backpropagation through time. An LSTM tapes the gates and c
+    of one segment of steps and re-runs each earlier segment from its first c
+    before backpropagating through it (no tape under ``ad.no_grad()``). Values
     and gradients, which ``SEGMENT`` does not change, are those of the same
     step built from autodiff ops and chained from that state.
     """

@@ -2,10 +2,11 @@
 
 Most of these are plain index-by-index loops over Python floats,
 recomputing each window from scratch, so agreement with the vectorized
-library code is meaningful. Five are former library code, kept so the code
+library code is meaningful. Six are former library code, kept so the code
 that replaced them can be held to them: ``oracle_frechet_dp`` (the row-by-row
 Fréchet program), ``oracle_logistic_where`` (the two-branch logistic),
-``oracle_step`` (a recurrent cell's step built from autodiff ops, which
+``oracle_pca_unscaled`` (the randomized PCA fit whose range finder ran on the
+unscaled data), ``oracle_step`` (a recurrent cell's step built from autodiff ops, which
 ``nn.unroll`` fuses), ``oracle_teacher_forced_decode`` (the per-step
 decoder loop over ``oracle_step``) and ``oracle_bilstm`` (a bidirectional
 layer as two separate ``nn.unroll`` nodes and a merge built from autodiff
@@ -304,6 +305,20 @@ def oracle_logistic_where(x: np.ndarray) -> np.ndarray:
     t = np.exp(-np.abs(x))
     d = 1.0 + t
     return np.where(x >= 0, 1.0 / d, t / d)
+
+
+def oracle_pca_unscaled(x: np.ndarray, k: int, oversample: int = 5, seed: int = 0):
+    """(components, means, explained) of the seeded randomized range finder, with its
+    power iteration on the centered data as it is."""
+    rng = np.random.default_rng(seed)
+    width = min(k + max(oversample, 0), x.shape[1])
+    means = x.mean(axis=0)
+    xc = x - means
+    sketch = xc @ rng.standard_normal((x.shape[1], width))
+    q, _ = np.linalg.qr(xc @ (xc.T @ sketch))
+    _, s, vt = np.linalg.svd(q.T @ xc, full_matrices=False)
+    total = float((xc * xc).sum())
+    return vt[:k], means, (s[:k] ** 2 / total) if total > 0 else np.zeros(k)
 
 
 def oracle_zero_state(cell, batch: int) -> tuple[Tensor, ...]:

@@ -237,6 +237,16 @@ def test_generate_refuses_a_zero_length(gan_ckpt, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "InvariantViolationError"
 
 
+@pytest.mark.parametrize("extra", [1, 5])  # a last block of one row joins the block before
+def test_generate_in_blocks_writes_the_bytes_of_one_batch(gan_ckpt, tmp_path, monkeypatch, extra):
+    count = 2 * gan.GENERATE_ROWS + extra
+    blocks, whole = tmp_path / "blocks.csv", tmp_path / "whole.csv"
+    assert run("generate", "--ckpt", gan_ckpt, "--count", count, "--out", blocks, "--quiet") == 0
+    monkeypatch.setattr(gan, "GENERATE_ROWS", count)
+    assert run("generate", "--ckpt", gan_ckpt, "--count", count, "--out", whole, "--quiet") == 0
+    assert blocks.read_bytes() == whole.read_bytes()
+
+
 def _assert_one_memory_error_line(capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -292,6 +302,17 @@ def test_gradcheck_refuses_a_run_that_checks_nothing(tmp_path, capsys, flag, val
     payload = json.loads(err)
     assert payload["error"] == "InvariantViolationError"
     assert payload["message"].startswith(flag)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1e-4", "-inf"])
+def test_a_negative_tolerance_as_its_own_argument_reaches_the_value_check(tmp_path, capsys,
+                                                                          value):
+    out = tmp_path / "gradcheck.json"
+    assert run("gradcheck", "--tolerance", value, "--out", out) == cli.EXIT_DATA
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "InvariantViolationError"
+    assert payload["message"].startswith("--tolerance")
     assert not out.exists()
 
 
@@ -531,6 +552,17 @@ def test_train_refuses_a_non_finite_lr(tmp_path, capsys, training_calls, lr):
     assert training_calls == []
 
 
+def test_a_negative_lr_as_its_own_argument_reaches_the_value_check(tmp_path, capsys,
+                                                                   training_calls):
+    data_path = tmp_path / "seqs.csv"
+    _write_train_data(data_path, count=2, length=16)
+    assert run("train", "--model", "rnn-ae", "--data", data_path, "--lr", "-1e-3",
+               "--out", tmp_path / "ckpt", "--quiet") == cli.EXIT_DATA
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "InvariantViolationError" and "lr" in payload["message"]
+    assert training_calls == []
+
+
 def test_label_horizon_out_of_range_is_data_error(prices, tmp_path):
     assert run("label", "--input", prices, "--horizon", 11,
                "--out", tmp_path / "o.csv") == cli.EXIT_DATA
@@ -583,8 +615,19 @@ def test_reduce_on_overflowing_features_exits_numeric_naming_the_step(tmp_path, 
                "--out", out) == cli.EXIT_NUMERIC
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert json.loads(err)["message"] == "randomized pca: power iteration overflows float64"
+    assert json.loads(err)["message"] == "randomized pca: variance overflows float64"
     assert not out.exists()
+
+
+def test_reduce_fits_features_whose_cube_overflows(tmp_path):
+    feats, out = tmp_path / "f.csv", tmp_path / "r.csv"
+    columns = np.random.default_rng(4).standard_normal((17, 1250))
+    columns[3] *= 1e102
+    dates = [str(np.datetime64("2000-01-01") + i) for i in range(1250)]
+    _write_feature_table(feats, columns, dates)
+    assert run("reduce", "--features", feats, "--components", 3, "--out", out, "--quiet") == 0
+    header, rows = read_csv_rows(out)
+    assert header == ["Date", "pc1", "pc2", "pc3"] and len(rows) == 1250
 
 
 def test_select_on_overflowing_features_exits_numeric_naming_the_column(tmp_path, capsys):

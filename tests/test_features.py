@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from oracles import oracle_pca_unscaled
 
 from qgf import features as ft
 from qgf.errors import (
     DegenerateLabelsError,
     InvariantViolationError,
     LengthMismatchError,
+    NumericError,
     RankTooHighError,
     ShapeMismatchError,
     TooFewFeaturesError,
@@ -139,6 +141,31 @@ def test_randomized_pca_matches_exact_svd_subspace(rng):
         np.testing.assert_allclose(p @ p.T, np.eye(k), atol=1e-8)
         np.testing.assert_allclose(model.explained, s[:k] ** 2 / (s ** 2).sum(),
                                    atol=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-90, 1e-3, 1.0, 7.0, 1e5, 1e90])
+def test_pca_scaling_the_range_finder_changes_no_bit(rng, scale):
+    x = (rng.standard_normal((300, 17)) * rng.uniform(0.1, 10.0, 17) + 4.0) * scale
+    model = ft.randomized_pca_fit(x, k=4, seed=3)
+    for got, want in zip((model.components, model.means, model.explained),
+                         oracle_pca_unscaled(x, k=4, seed=3)):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_pca_fits_a_column_whose_cube_overflows(rng):
+    x = rng.standard_normal((1250, 17))
+    x[:, 5] *= 1e102  # the unscaled power iteration reaches about 1e306 * 1250**2
+    model = ft.randomized_pca_fit(x, k=3, seed=1)
+    assert np.isfinite(model.components).all() and np.isfinite(model.explained).all()
+    assert abs(model.components[0, 5]) == pytest.approx(1.0)
+    assert model.explained[0] == pytest.approx(1.0)
+
+
+def test_pca_refuses_a_table_whose_variance_overflows(rng):
+    x = rng.standard_normal((50, 4))
+    x[:, 1] *= 1e160
+    with pytest.raises(NumericError, match="variance overflows"):
+        ft.randomized_pca_fit(x, k=2)
 
 
 def test_pca_transform_centering_identity(rng):

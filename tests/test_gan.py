@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -189,6 +192,29 @@ def test_generator_round_trip_through_checkpoint():
     assert a.shape == (3, 16)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_generate_sequences_peak_beyond_the_result_is_flat_in_count():
+    gen = gan.Generator(replace(TINY_GEN, hidden=8), np.random.default_rng(0))
+
+    def peak_beyond_result(count):
+        tracemalloc.start()
+        try:
+            out = gan.generate_sequences(gen, count=count, seq_len=200, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - out.nbytes
+
+    one_block = peak_beyond_result(gan.GENERATE_ROWS)
+    assert peak_beyond_result(8 * gan.GENERATE_ROWS) < 1.1 * one_block
+
+
+def test_generate_sequences_refuses_an_empty_request():
+    gen = gan.Generator(TINY_GEN, np.random.default_rng(0))
+    for count, seq_len in ((0, 16), (-1, 16), (3, 0)):
+        with pytest.raises(InvariantViolationError):
+            gan.generate_sequences(gen, count=count, seq_len=seq_len, seed=1)
 
 
 def test_generator_from_checkpoint_rejects_other_models():

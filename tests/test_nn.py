@@ -115,13 +115,15 @@ def test_unroll_gates_past_the_exp_overflow_are_exactly_zero_without_warnings():
     pset["c.w_x"].data[:] = 0.0
     pset["c.w_h"].data[:] = 0.0
     pset["c.b"].data[:] = np.array([-1000.0, 40.0, 1.0, 40.0])
-    seq = Tensor(np.ones((2, 5, 1)), requires_grad=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        hs = nn.unroll(cell, seq)
-        ad.backward(ad.tensor_sum(hs))
-    assert np.array_equal(hs.data, np.zeros((2, 5, 1)))
-    assert pset["c.b"].grad[0] == 0.0
+    for steps in (5, nn.SEGMENT + 3):  # the second, in two segments, replays the first
+        seq = Tensor(np.ones((2, steps, 1)), requires_grad=True)
+        pset.zero_grad()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            hs = nn.unroll(cell, seq)
+            ad.backward(ad.tensor_sum(hs))
+        assert np.array_equal(hs.data, np.zeros((2, steps, 1)))
+        assert pset["c.b"].grad[0] == 0.0
 
 
 def _cell_and_sequence(kind):
@@ -429,12 +431,8 @@ def test_no_grad_forwards_allocate_no_tape(monkeypatch):
     assert tapes() == [(6, 4, 2, 3, 4)]  # steps, gates i f g o, directions, batch, hidden
 
 
-def test_backward_frees_the_tape_with_the_graph():
-    batch, steps, width = 8, 200, 16
-    rng = np.random.default_rng(5)
-    layer = _bilstm(rng, width, width, width)
-    seq = Tensor(rng.standard_normal((batch, steps, width)))
-    tape = steps * 4 * 2 * batch * width * 8  # four gates per step and direction
+def _held_and_kept(layer, seq):
+    """Bytes a tracked forward of ``layer`` holds, then the bytes still held after backward."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -444,7 +442,53 @@ def test_backward_frees_the_tape_with_the_graph():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held > tape and kept < tape / 4  # what stays is the parameters' grads
+    return held, kept
+
+
+def test_backward_frees_the_tape_with_the_graph():
+    batch, steps, width = 8, 200, 16
+    rng = np.random.default_rng(5)
+    layer = _bilstm(rng, width, width, width)
+    seq = Tensor(rng.standard_normal((batch, steps, width)))
+    tape = steps * 4 * 2 * batch * width * 8  # four gates per step and direction
+    _, kept = _held_and_kept(layer, seq)
+    assert kept < tape / 4  # what stays is the parameters' grads
+    # from 4 to 8 segments the forward holds more output and one c per segment, but the
+    # same one segment of gates, so less than half what a tape of every step would add
+    short, _ = _held_and_kept(layer, Tensor(rng.standard_normal((batch, 4 * nn.SEGMENT, width))))
+    long, _ = _held_and_kept(layer, Tensor(rng.standard_normal((batch, 8 * nn.SEGMENT, width))))
+    assert long - short < 4 * nn.SEGMENT * 4 * 2 * batch * width * 8 / 2
+
+
+@pytest.mark.parametrize("model", ["rnn", "lstm", "bilstm"])
+def test_bptt_reruns_the_steps_before_the_last_segment_only(monkeypatch, model):
+    """The forward runs one h @ w_h per step. An LSTM's BPTT re-runs it for every step
+    before the last segment, whose gates the forward left taped, and for no other step; an
+    RNN's BPTT, which reads h back from the output, never does."""
+    rng = np.random.default_rng(11)
+    pset = nn.ParamSet()
+    if model == "bilstm":
+        layer = nn.BiLstmLayer(pset, "bi", 2, 4, 3, rng)
+        build, w_h = layer, np.stack([layer.fwd.w_h.data, layer.bwd.w_h.data])
+    else:
+        cell = CELLS[model](pset, "c", 2, 4, rng)
+        build, w_h = (lambda seq: nn.unroll(cell, seq)), cell.w_h.data[None]
+    matmul, products = np.matmul, []
+
+    def spy(a, b, **kwargs):  # backward's products take w_h transposed, or no w_h
+        if b.shape == w_h.shape and np.array_equal(b, w_h):
+            products.append(a.shape)
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    for steps, replayed in ((1, 0), (nn.SEGMENT, 0),
+                            (3 * nn.SEGMENT + 2, 0 if model == "rnn" else 3 * nn.SEGMENT)):
+        out = build(Tensor(rng.standard_normal((2, steps, 2)), requires_grad=True))
+        assert len(products) == steps, steps
+        products.clear()
+        ad.backward(ad.tensor_sum(out))
+        assert len(products) == replayed, steps
+        products.clear()
 
 
 def test_a_tracked_bilstm_forward_projects_its_input_one_segment_at_a_time():
