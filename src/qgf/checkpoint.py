@@ -1,28 +1,30 @@
-"""Model persistence: a manifest plus one raw float32 array file per tensor.
+"""Model persistence: a manifest plus one float64 `.npy` file per tensor.
 
 A checkpoint is a directory holding `manifest.json` (format version, model
-kind, config, seed, iteration count, tensor shapes) and one little-endian
-single-precision row-major `.bin` per named tensor. Arrays come back as
-float64 whose values are exactly the stored float32s, so a reloaded model's
-forward pass is bitwise reproducible.
+kind, config, seed, iteration count, and each named tensor's file and that
+file's sha256) and one NumPy `.npy` file (NEP 1) per tensor, named by position:
+`0.npy`, `1.npy`, ... The loader checks each file's bytes against its digest
+before it parses them, and never unpickles, so a changed file is refused naming
+it and a reloaded model is the saved one bit for bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import io
 import json
-import math
 import os
 import shutil
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import Float32RangeError, IoError, ShapeMismatchError, VersionMismatchError
+from .errors import IoError, NonFiniteTensorError, VersionMismatchError
 
-FORMAT_VERSION = 1
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
+FORMAT_VERSION = 2
+_DTYPE = np.dtype("<f8")  # float64, little-endian on any host
 
 
 @dataclass(frozen=True)
@@ -34,8 +36,6 @@ class ModelCheckpoint:
     seed: int
     iterations: int
     arrays: dict[str, np.ndarray]
-    version: int = FORMAT_VERSION
-    extras: dict = field(default_factory=dict)
 
 
 # manifest keys load_checkpoint needs, with their JSON types
@@ -68,31 +68,15 @@ def read_config(ckpt: ModelCheckpoint, key: str, cls: type):
     return cls(**value)
 
 
-def _bin_name(tensor_name: str) -> str:
-    return tensor_name.replace("/", "_") + ".bin"
-
-
-def _refuse_unreadable(arrays: dict[str, np.ndarray]) -> None:
-    """Refuse what would not read back as written: two names sharing one file, and
-    values a float32 cannot hold (overflow, inf, nan)."""
-    owners: dict[str, str] = {}
-    for name, arr in arrays.items():
-        fname = _bin_name(name)
-        if fname in owners:
-            raise IoError(f"tensors {owners[fname]!r} and {name!r} would both be saved as {fname}")
-        owners[fname] = name
-        flat = np.asarray(arr, dtype=np.float64).reshape(-1)
-        bad = np.flatnonzero(~(np.abs(flat) <= _FLOAT32_MAX))
-        if bad.size:
-            raise Float32RangeError(name, int(bad[0]), float(flat[bad[0]]))
-
-
 def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path, overwrite: bool = False) -> Path:
     """Write the checkpoint directory atomically: stage it in full, then swap
-    it in, so a failed write leaves any previous checkpoint in place. Tensors
-    that would not read back as written are refused before anything is written."""
+    it in, so a failed write leaves any previous checkpoint in place. A tensor
+    holding inf or nan (a diverged last step) is refused before anything is written."""
     path = Path(path)
-    _refuse_unreadable(ckpt.arrays)
+    for name, arr in ckpt.arrays.items():
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise NonFiniteTensorError(name, int(bad[0]), float(np.ravel(arr)[bad[0]]))
     if path.exists() and not overwrite:
         raise IoError(f"refusing to overwrite existing checkpoint {path}")
     staging = path.with_name(path.name + f".staging{os.getpid()}")
@@ -100,19 +84,20 @@ def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path, overwrite: bool = F
     try:
         staging.mkdir(parents=True)
         tensors = {}
-        for name, arr in ckpt.arrays.items():
-            fname = _bin_name(name)
-            data = np.ascontiguousarray(arr, dtype="<f4")
-            (staging / fname).write_bytes(data.tobytes())
-            tensors[name] = {"shape": list(arr.shape), "file": fname}
+        # number the files in the manifest's (sorted) order, so a reloaded checkpoint saves alike
+        for i, name in enumerate(sorted(ckpt.arrays)):
+            buf = io.BytesIO()
+            np.save(buf, np.asarray(ckpt.arrays[name], dtype=_DTYPE), allow_pickle=False)
+            raw = buf.getvalue()
+            (staging / f"{i}.npy").write_bytes(raw)
+            tensors[name] = {"file": f"{i}.npy", "sha256": hashlib.sha256(raw).hexdigest()}
         manifest = {
-            "format_version": ckpt.version,
+            "format_version": FORMAT_VERSION,
             "model": ckpt.model,
             "config": ckpt.config,
             "seed": ckpt.seed,
             "iterations": ckpt.iterations,
             "tensors": tensors,
-            "extras": ckpt.extras,
         }
         (staging / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         if path.exists():
@@ -128,7 +113,8 @@ def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path, overwrite: bool = F
 
 
 def load_checkpoint(path: str | Path) -> ModelCheckpoint:
-    """Read a checkpoint directory back, validating version and shapes."""
+    """Read a checkpoint directory back, validating its version, its manifest's
+    schema and every tensor file against its sha256."""
     path = Path(path)
     manifest_path = path / "manifest.json"
     try:
@@ -141,36 +127,36 @@ def load_checkpoint(path: str | Path) -> ModelCheckpoint:
 
     version = manifest.get("format_version")
     if version != FORMAT_VERSION:
-        raise VersionMismatchError(f"checkpoint format {version!r}, reader supports {FORMAT_VERSION}")
+        raise VersionMismatchError(f"checkpoint format {version!r}, reader supports "
+                                   f"{FORMAT_VERSION}; retrain an older checkpoint")
 
     for key, kind in _MANIFEST_KEYS.items():
         _require_type(manifest.get(key), kind, f"manifest key {key!r}", path)
-    extras = manifest.get("extras", {})
-    _require_type(extras, dict, "manifest key 'extras'", path)
     arrays = {}
     for name, meta in manifest["tensors"].items():
         what = f"tensor {name!r}"
         _require_type(meta, dict, what, path)
-        shape = meta.get("shape")
-        if type(shape) is not list or any(type(d) is not int or d < 0 for d in shape):
-            raise IoError(f"{what} in {path}: shape {shape!r} is not a list of "
-                          "non-negative integers")
-        fname = meta.get("file")
+        fname, digest = meta.get("file"), meta.get("sha256")
         _require_type(fname, str, f"{what} file", path)
+        _require_type(digest, str, f"{what} sha256", path)
         if fname in ("", ".", "..") or Path(fname).name != fname or "\0" in fname:
             raise IoError(f"{what} in {path}: file {fname!r} is not a plain file name "
                           "inside the checkpoint")
-        shape = tuple(shape)
-        bin_path = path / fname
+        file = path / fname
         try:
-            raw = bin_path.read_bytes()
+            raw = file.read_bytes()
         except OSError as exc:
-            raise IoError(f"cannot read {bin_path}: {exc}") from exc
-        expected = math.prod(shape) * 4  # exact: an int64 product can wrap to a small size
-        if len(raw) != expected:
-            raise ShapeMismatchError(
-                f"tensor {name}: {len(raw)} bytes on disk, shape {shape} needs {expected}")
-        arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float64)
+            raise IoError(f"{what}: cannot read {file}: {exc}") from exc
+        if hashlib.sha256(raw).hexdigest() != digest:
+            raise IoError(f"{what}: {file} does not match its sha256 in the manifest")
+        try:
+            # the reader np.load uses for a .npy; with pickles off an object array is refused
+            arr = np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
+        except (ValueError, EOFError) as exc:
+            raise IoError(f"{what}: {file} is not a readable .npy file: {exc}") from exc
+        if arr.dtype != _DTYPE:
+            raise IoError(f"{what}: {file} holds {arr.dtype}, not float64")
+        arrays[name] = arr
     return ModelCheckpoint(model=manifest["model"], config=manifest["config"],
                            seed=manifest["seed"], iterations=manifest["iterations"],
-                           arrays=arrays, version=version, extras=extras)
+                           arrays=arrays)

@@ -120,12 +120,11 @@ class VersionMismatchError(DataError):
     pass
 
 
-class Float32RangeError(NumericError):
-    """A tensor holds a value that a float32 checkpoint file cannot store."""
+class NonFiniteTensorError(NumericError):
+    """A tensor about to be saved holds inf or nan."""
 
     def __init__(self, tensor: str, index: int, value: float):
-        super().__init__(f"tensor {tensor!r}: value {value!r} at flat index {index} "
-                         "is not a finite float32")
+        super().__init__(f"tensor {tensor!r}: value {value!r} at flat index {index} is not finite")
         self.tensor = tensor
         self.index = index
 

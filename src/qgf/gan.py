@@ -26,6 +26,7 @@ from .errors import (
     FilterLargerThanInputError,
     InvariantViolationError,
     LengthMismatchError,
+    NumericError,
     ShapeMismatchError,
 )
 
@@ -203,10 +204,16 @@ def generator_loss(d_fake: Tensor, mode: str = "printed") -> Tensor:
 
 
 def standardize_rows(data: np.ndarray) -> np.ndarray:
-    """Zero mean, unit variance per sequence; constant rows just go to zero."""
+    """Zero mean, unit variance per sequence; constant rows just go to zero. A finite
+    row whose mean or variance overflows float64 raises NumericError naming it, counted
+    from 1; a row that holds nan or inf already passes through as it is."""
     data = np.asarray(data, dtype=np.float64)
-    centered = data - data.mean(axis=1, keepdims=True)
-    scale = centered.std(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = data - data.mean(axis=1, keepdims=True)
+        scale = centered.std(axis=1, keepdims=True)
+    overflowed = np.flatnonzero(~np.isfinite(scale[:, 0]) & np.isfinite(data).all(axis=1))
+    if overflowed.size:
+        raise NumericError(f"data row {overflowed[0] + 1}: standardizing it overflows float64")
     return centered / np.where(scale == 0, 1.0, scale)
 
 

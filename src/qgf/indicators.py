@@ -47,8 +47,12 @@ class FeatureMatrix:
                 f"values {self.values.shape} do not match {len(self.feature_names)} feature names")
         if not 0 <= self.valid_from < self.values.shape[0]:
             raise InvariantViolationError("valid_from outside row range")
-        if not np.isfinite(self.values[self.valid_from:]).all():
-            raise InvariantViolationError("non-finite value in the defined region")
+        bad = np.argwhere(~np.isfinite(self.values[self.valid_from:]))
+        if bad.size:
+            bar, col = bad[0]
+            raise InvariantViolationError(
+                f"non-finite value in the defined region: column {self.feature_names[col]!r}, "
+                f"bar {self.valid_from + bar}")
 
     def valid_rows(self) -> np.ndarray:
         return self.values[self.valid_from:]
@@ -230,7 +234,8 @@ def _vr_with_flags(series: PriceSeries, n: int,
     sign = -1.0 if convention == "printed" else 1.0
     num = tvu + sign * tvf / 2.0
     den = tvd + sign * tvf / 2.0
-    return _capped_ratio(100.0 * num, den, den <= 0, n)
+    with np.errstate(over="ignore"):  # a huge volume gives inf, which FeatureMatrix refuses
+        return _capped_ratio(100.0 * num, den, den <= 0, n)
 
 
 def ad_oscillator(series: PriceSeries) -> np.ndarray:

@@ -15,8 +15,8 @@ from conftest import daily_dates, make_series, noisy_sine_batch
 from oracles import oracle_all_indicators, oracle_frechet_exhaustive
 from qgf import baselines, features, gan, gradcheck, indicators, metrics
 from qgf.autodiff import Tensor
-from qgf.checkpoint import load_checkpoint, save_checkpoint
-from qgf.errors import IoError, ShapeMismatchError, VersionMismatchError
+from qgf.checkpoint import FORMAT_VERSION, load_checkpoint, save_checkpoint
+from qgf.errors import IoError, VersionMismatchError
 from qgf.market_data import PriceSeries, WindowSpec, label_trend, sliding_windows
 
 
@@ -213,27 +213,25 @@ def test_c9_checkpoint_persistence(tmp_path):
     save_checkpoint(ckpt, tmp_path / "m")
     loaded = load_checkpoint(tmp_path / "m")
 
-    ref = gan.generator_from_checkpoint(ckpt)
-    ref.params.load_arrays({k: v.astype(np.float32).astype(np.float64)
-                            for k, v in ckpt.arrays.items() if k.startswith("gen.")})
+    ref = gan.generator_from_checkpoint(ckpt)  # the trained weights, never rounded
     restored = gan.generator_from_checkpoint(loaded)
     noise = gan.sample_noise(4, 16, 2, np.random.default_rng(9))
     bitwise = np.array_equal(ref.forward(Tensor(noise.data.copy())).data,
                              restored.forward(Tensor(noise.data.copy())).data)
 
     rejections = 0
-    target = sorted((tmp_path / "m").glob("*.bin"))[0]
+    target = sorted((tmp_path / "m").glob("*.npy"))[0]
     original = target.read_bytes()
     target.write_bytes(original[:-4])
     try:
         load_checkpoint(tmp_path / "m")
-    except ShapeMismatchError:
-        rejections += 1
+    except IoError as exc:
+        rejections += str(target) in str(exc)
     target.write_bytes(original)
 
     manifest = tmp_path / "m" / "manifest.json"
     body = manifest.read_text()
-    manifest.write_text(body.replace('"format_version": 1', '"format_version": 99'))
+    manifest.write_text(body.replace(f'"format_version": {FORMAT_VERSION}', '"format_version": 99'))
     try:
         load_checkpoint(tmp_path / "m")
     except VersionMismatchError:

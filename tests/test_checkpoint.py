@@ -1,9 +1,12 @@
+import hashlib
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import noisy_sine_batch
 from qgf import cli, gan
 from qgf.autodiff import Tensor
 from qgf.checkpoint import (
@@ -13,10 +16,9 @@ from qgf.checkpoint import (
     save_checkpoint,
 )
 from qgf.errors import (
-    Float32RangeError,
     IoError,
+    NonFiniteTensorError,
     NumericError,
-    ShapeMismatchError,
     VersionMismatchError,
 )
 
@@ -29,26 +31,35 @@ def _ckpt(rng):
         iterations=12,
         arrays={"gen.w": rng.standard_normal((3, 4)),
                 "disc/f": rng.standard_normal((2, 1, 5)),
-                "gen.b": rng.standard_normal(4)},
-        extras={"tag": "x"})
+                "gen.b": rng.standard_normal(4)})
 
 
-def test_round_trip_preserves_metadata_and_float32_values(tmp_path, rng):
+def _file(out, name):
+    return out / json.loads((out / "manifest.json").read_text())["tensors"][name]["file"]
+
+
+def _generate(ckpt, out):
+    return cli.main(["generate", "--ckpt", str(ckpt), "--count", "2", "--out", str(out),
+                     "--quiet"])
+
+
+def test_round_trip_preserves_metadata_and_float64_values(tmp_path, rng):
     ckpt = _ckpt(rng)
+    tiny = float(np.finfo(np.float64).smallest_subnormal)
+    top = float(np.finfo(np.float64).max)
+    ckpt.arrays["edges"] = np.array([1e39, -1e39, top, -top, tiny, -tiny, 0.0, -0.0, 0.1])
     out = save_checkpoint(ckpt, tmp_path / "model")
     assert (out / "manifest.json").exists()
     loaded = load_checkpoint(out)
     assert loaded.model == "gan"
     assert loaded.config == ckpt.config
     assert (loaded.seed, loaded.iterations) == (7, 12)
-    assert loaded.extras == {"tag": "x"}
     assert set(loaded.arrays) == set(ckpt.arrays)
     for name, arr in ckpt.arrays.items():
         got = loaded.arrays[name]
         assert got.dtype == np.float64
-        assert got.shape == arr.shape
-        # stored at single precision, returned as exactly those float32 values
-        assert np.array_equal(got, arr.astype(np.float32).astype(np.float64))
+        assert np.array_equal(got, arr)
+        assert got.tobytes() == arr.tobytes()  # bit for bit, the sign of -0.0 too
 
 
 def test_save_load_save_is_stable(tmp_path, rng):
@@ -61,6 +72,20 @@ def test_save_load_save_is_stable(tmp_path, rng):
         assert np.array_equal(first.arrays[name], second.arrays[name])
     assert (tmp_path / "a" / "manifest.json").read_text() == \
         (tmp_path / "b" / "manifest.json").read_text()
+
+
+def test_manifest_maps_each_tensor_to_a_file_and_its_sha256(tmp_path):
+    # files go by position in name order: names that differ only in '/' and '_' cannot collide
+    arrays = {"a/b": np.ones(2), "c": np.ones(1), "a_b": np.zeros(2)}
+    ckpt = ModelCheckpoint(model="gan", config={}, seed=1, iterations=1, arrays=arrays)
+    out = save_checkpoint(ckpt, tmp_path / "m")
+    tensors = json.loads((out / "manifest.json").read_text())["tensors"]
+    assert {n: t["file"] for n, t in tensors.items()} == \
+        {"a/b": "0.npy", "a_b": "1.npy", "c": "2.npy"}
+    for meta in tensors.values():
+        assert meta["sha256"] == hashlib.sha256((out / meta["file"]).read_bytes()).hexdigest()
+    loaded = load_checkpoint(out)
+    assert all(np.array_equal(loaded.arrays[n], a) for n, a in arrays.items())
 
 
 def test_overwrite_flag(tmp_path, rng):
@@ -101,17 +126,31 @@ def test_version_mismatch_rejected(tmp_path, rng):
         load_checkpoint(out)
 
 
+def test_a_format_1_checkpoint_exits_3(tmp_path, capsys):
+    # the float32 .bin layout: no reader is kept, such a checkpoint is retrained
+    out = tmp_path / "v1"
+    out.mkdir()
+    (out / "gen.w.bin").write_bytes(np.ones(2, dtype="<f4").tobytes())
+    (out / "manifest.json").write_text(json.dumps({
+        "format_version": 1, "model": "gan", "config": {}, "seed": 1, "iterations": 1,
+        "tensors": {"gen.w": {"shape": [2], "file": "gen.w.bin"}}, "extras": {}}))
+    with pytest.raises(VersionMismatchError, match="format 1"):
+        load_checkpoint(out)
+    assert _generate(out, tmp_path / "x.csv") == cli.EXIT_DATA
+    assert json.loads(capsys.readouterr().err)["error"] == "VersionMismatchError"
+
+
 def test_truncated_tensor_file_rejected(tmp_path, rng):
     out = save_checkpoint(_ckpt(rng), tmp_path / "m")
-    target = out / "gen.w.bin"
+    target = _file(out, "gen.w")
     target.write_bytes(target.read_bytes()[:-4])
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(IoError, match=f"{target}.*sha256"):
         load_checkpoint(out)
 
 
 def test_missing_tensor_file_rejected(tmp_path, rng):
     out = save_checkpoint(_ckpt(rng), tmp_path / "m")
-    (out / "gen.b.bin").unlink()
+    _file(out, "gen.b").unlink()
     with pytest.raises(IoError):
         load_checkpoint(out)
 
@@ -129,10 +168,7 @@ def test_forward_pass_bitwise_after_round_trip(tmp_path):
     save_checkpoint(ckpt, tmp_path / "gan")
     loaded = load_checkpoint(tmp_path / "gan")
 
-    # reference: the original generator with weights rounded to float32
-    ref = gan.generator_from_checkpoint(ckpt)
-    ref.params.load_arrays({k: v.astype(np.float32).astype(np.float64)
-                            for k, v in ckpt.arrays.items() if k.startswith("gen.")})
+    ref = gan.generator_from_checkpoint(ckpt)  # the trained weights, never rounded
     restored = gan.generator_from_checkpoint(loaded)
     noise = gan.sample_noise(3, 16, 2, np.random.default_rng(5))
     a = ref.forward(Tensor(noise.data.copy()))
@@ -140,10 +176,32 @@ def test_forward_pass_bitwise_after_round_trip(tmp_path):
     assert np.array_equal(a.data, b.data)
 
 
+def test_generate_from_a_reloaded_checkpoint_is_the_trained_generator_byte_for_byte(tmp_path):
+    gen_cfg = gan.GeneratorConfig.desk()
+    data = noisy_sine_batch(np.random.default_rng(3), 8, gen_cfg.seq_len)
+    ckpt, _ = gan.train_gan(data, gen_cfg, gan.DiscriminatorConfig.desk(gen_cfg.seq_len),
+                            gan.TrainConfig(epochs=2, batch_size=8, seed=0))
+    save_checkpoint(ckpt, tmp_path / "gan")
+    assert _generate(tmp_path / "gan", tmp_path / "reloaded.csv") == 0
+
+    in_memory = gan.generate_sequences(gan.generator_from_checkpoint(ckpt), count=2,
+                                       seq_len=gen_cfg.seq_len, seed=42)
+    cli._write_rows(tmp_path / "in_memory.csv", in_memory)
+    assert (tmp_path / "reloaded.csv").read_bytes() == (tmp_path / "in_memory.csv").read_bytes()
+
+
 def _edit_manifest(out, edit):
     manifest = json.loads((out / "manifest.json").read_text())
     edit(manifest)
     (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _replace_tensor_file(out, name, raw):
+    """Put ``raw`` in ``name``'s file and its sha256 in the manifest, so only the
+    parse of the bytes can refuse them."""
+    _file(out, name).write_bytes(raw)
+    _edit_manifest(out, lambda m: m["tensors"][name].update(
+        {"sha256": hashlib.sha256(raw).hexdigest()}))
 
 
 @pytest.mark.parametrize("key", ["tensors", "model", "config", "seed", "iterations"])
@@ -156,7 +214,7 @@ def test_missing_manifest_key_is_io_error_naming_it(tmp_path, rng, key):
 
 @pytest.mark.parametrize("key,value", [
     ("tensors", []), ("model", 3), ("config", "lr=1"), ("seed", "7"),
-    ("iterations", 1.5), ("seed", True), ("extras", [1]),
+    ("iterations", 1.5), ("seed", True),
 ])
 def test_mistyped_manifest_key_is_io_error_naming_it(tmp_path, rng, key, value):
     out = save_checkpoint(_ckpt(rng), tmp_path / "m")
@@ -173,10 +231,10 @@ def test_manifest_that_is_not_an_object_is_io_error(tmp_path, rng):
 
 
 @pytest.mark.parametrize("meta", [
-    "gen.w.bin", {"file": "gen.w.bin"}, {"shape": 12, "file": "gen.w.bin"},
-    {"shape": [3, "4"], "file": "gen.w.bin"}, {"shape": [-3, -4], "file": "gen.w.bin"},
-    {"shape": [3, True], "file": "gen.w.bin"}, {"shape": [3, 4]},
-    {"shape": [3, 4], "file": 5},
+    "gen.w.bin", {"file": "0.npy"}, {"file": "0.npy", "sha256": 12},
+    {"file": "0.npy", "sha256": ["0" * 64]}, {"file": "0.npy", "sha256": "0" * 64},
+    {"sha256": "0" * 64}, {"file": 5, "sha256": "0" * 64},
+    {"file": "absent.npy", "sha256": "0" * 64},
 ])
 def test_malformed_tensor_entry_is_io_error_naming_the_tensor(tmp_path, rng, meta):
     out = save_checkpoint(_ckpt(rng), tmp_path / "m")
@@ -185,24 +243,55 @@ def test_malformed_tensor_entry_is_io_error_naming_the_tensor(tmp_path, rng, met
         load_checkpoint(out)
 
 
-@pytest.mark.parametrize("shape,size", [([3, 4], 44), ([2**62, 4], 0)],
-                         ids=["truncated", "int64-overflow"])
-def test_tensor_bytes_that_do_not_fill_the_shape_exit_3(tmp_path, rng, capsys, shape, size):
-    # 2**62 * 4 * 4 bytes wraps to 0 in int64, which an empty file would match
+@pytest.mark.parametrize("shape", [None, (2**62, 4)], ids=["truncated", "int64-overflow"])
+def test_tensor_bytes_that_do_not_fill_the_shape_exit_3(tmp_path, rng, capsys, shape):
     out = save_checkpoint(_ckpt(rng), tmp_path / "m")
-    _edit_manifest(out, lambda m: m["tensors"]["gen.w"].update({"shape": shape}))
-    (out / "gen.w.bin").write_bytes(bytes(size))
-    with pytest.raises(ShapeMismatchError, match="tensor gen.w"):
+    target = _file(out, "gen.w")
+    if shape is None:  # the digest no longer matches
+        target.write_bytes(target.read_bytes()[:-8])
+    else:  # a header whose 2**62 * 4 * 8 bytes wrap to 0 in int64, over no data, digest matching
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": shape})
+        _replace_tensor_file(out, "gen.w", header.getvalue())
+    with pytest.raises(IoError, match=f"tensor 'gen.w': {target}"):
         load_checkpoint(out)
-    assert cli.main(["generate", "--ckpt", str(out), "--count", "1",
-                     "--out", str(tmp_path / "x.csv"), "--quiet"]) == cli.EXIT_DATA
-    assert json.loads(capsys.readouterr().err)["error"] == "ShapeMismatchError"
+    assert _generate(out, tmp_path / "x.csv") == cli.EXIT_DATA
+    assert json.loads(capsys.readouterr().err)["error"] == "IoError"
+
+
+class _Tripwire:
+    """Unpickling one calls ``_tripped``, which fails the test that loaded it."""
+
+    def __reduce__(self):
+        return _tripped, ()
+
+
+def _tripped():
+    pytest.fail("a checkpoint tensor was unpickled")
+
+
+@pytest.mark.parametrize("array,detail", [
+    (np.array([_Tripwire()], dtype=object), "Object arrays cannot be loaded"),
+    (np.ones((3, 4), dtype=np.float32), "holds float32, not float64"),
+], ids=["object", "float32"])
+def test_a_tensor_file_of_another_dtype_exits_3_and_is_never_unpickled(tmp_path, rng, capsys,
+                                                                      array, detail):
+    out = save_checkpoint(_ckpt(rng), tmp_path / "m")
+    raw = io.BytesIO()
+    np.save(raw, array, allow_pickle=True)
+    _replace_tensor_file(out, "gen.w", raw.getvalue())
+    with pytest.raises(IoError, match=detail):
+        load_checkpoint(out)
+    assert _generate(out, tmp_path / "x.csv") == cli.EXIT_DATA
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["error"] == "IoError" and str(_file(out, "gen.w")) in payload["message"]
 
 
 @pytest.mark.parametrize("fname", ["../x.bin", "sub/gen.w.bin", "/tmp/x.bin", "..", ".", ""])
 def test_tensor_file_outside_the_checkpoint_is_refused(tmp_path, rng, fname):
     out = save_checkpoint(_ckpt(rng), tmp_path / "m")
-    (tmp_path / "x.bin").write_bytes((out / "gen.w.bin").read_bytes())
+    (tmp_path / "x.bin").write_bytes(_file(out, "gen.w").read_bytes())
     _edit_manifest(out, lambda m: m["tensors"]["gen.w"].update({"file": fname}))
     with pytest.raises(IoError, match="tensor 'gen.w'.*not a plain file name"):
         load_checkpoint(out)
@@ -229,28 +318,13 @@ def test_failed_overwrite_leaves_the_old_checkpoint_loadable(tmp_path, rng, monk
     assert [p.name for p in tmp_path.iterdir()] == ["m"]
 
 
-def test_existing_file_names_are_unchanged(tmp_path, rng):
-    out = save_checkpoint(_ckpt(rng), tmp_path / "m")
-    tensors = json.loads((out / "manifest.json").read_text())["tensors"]
-    assert {n: t["file"] for n, t in tensors.items()} == \
-        {"gen.w": "gen.w.bin", "disc/f": "disc_f.bin", "gen.b": "gen.b.bin"}
-
-
-def test_two_names_sharing_one_file_are_refused_naming_both(tmp_path):
-    ckpt = ModelCheckpoint(model="gan", config={}, seed=1, iterations=1,
-                           arrays={"a/b": np.ones(2), "c": np.ones(1), "a_b": np.zeros(2)})
-    with pytest.raises(IoError, match="'a/b' and 'a_b'.*a_b.bin"):
-        save_checkpoint(ckpt, tmp_path / "m")
-    assert list(tmp_path.iterdir()) == []
-
-
-@pytest.mark.parametrize("value", [1e39, -1e39, np.inf, -np.inf, np.nan])
-def test_values_float32_cannot_hold_are_refused_naming_tensor_and_index(tmp_path, rng, value):
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_non_finite_values_are_refused_naming_tensor_and_index(tmp_path, rng, value):
     arrays = {"gen.b": rng.standard_normal(3), "gen.w": rng.standard_normal((3, 4))}
     arrays["gen.w"][1, 2] = value
     arrays["gen.w"][2, 0] = value  # only the first bad flat index is reported
     ckpt = ModelCheckpoint(model="gan", config={}, seed=1, iterations=1, arrays=arrays)
-    with pytest.raises(Float32RangeError, match="tensor 'gen.w'.*flat index 6 ") as exc:
+    with pytest.raises(NonFiniteTensorError, match="tensor 'gen.w'.*flat index 6 ") as exc:
         save_checkpoint(ckpt, tmp_path / "m")
     assert isinstance(exc.value, NumericError)
     assert (exc.value.tensor, exc.value.index) == ("gen.w", 6)
@@ -264,3 +338,57 @@ def test_float32_extremes_are_stored_exactly(tmp_path):
     ckpt = ModelCheckpoint(model="gan", config={}, seed=1, iterations=1, arrays={"w": values})
     loaded = load_checkpoint(save_checkpoint(ckpt, tmp_path / "m"))
     assert np.array_equal(loaded.arrays["w"], values)
+
+
+# Checkpoint corruption fuzz: seeded and bounded, so every run makes the same cases.
+FUZZ_SEED = 17
+FUZZ_CASES = 150
+_NAN_BYTES = np.array([np.nan]).tobytes()
+
+
+def _corrupt(raw: bytes, rng: np.random.Generator) -> tuple[str, bytes]:
+    at = int(rng.integers(len(raw)))
+    how = ("flip", "truncate", "nan")[int(rng.integers(3))]
+    if how == "flip":
+        changed = bytearray(raw)
+        changed[at] ^= 1 << int(rng.integers(8))
+        return how, bytes(changed)
+    if how == "truncate":
+        return how, raw[:at]
+    return how, raw[:at] + _NAN_BYTES + raw[at + 8:]
+
+
+def test_a_corrupted_checkpoint_never_loads_silently(tmp_path, capsys):
+    data = tmp_path / "seqs.csv"
+    rows = noisy_sine_batch(np.random.default_rng(3), 8, 64)
+    data.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows))
+    ckpt = tmp_path / "gan"
+    assert cli.main(["train", "--model", "gan", "--data", str(data), "--epochs", "1",
+                     "--batch", "8", "--out", str(ckpt), "--quiet"]) == 0
+    manifest = ckpt / "manifest.json"
+    tensor_files = [ckpt / t["file"] for t in json.loads(manifest.read_text())["tensors"].values()]
+    rng = np.random.default_rng(FUZZ_SEED)
+    for case in range(FUZZ_CASES):
+        # one case in four edits the manifest, the rest a tensor file
+        target = manifest if rng.random() < 0.25 else tensor_files[rng.integers(len(tensor_files))]
+        original = target.read_bytes()
+        how, changed = _corrupt(original, rng)
+        assert changed != original
+        target.write_bytes(changed)
+        try:
+            code = _generate(ckpt, tmp_path / "out.csv")
+        finally:
+            target.write_bytes(original)
+        err = capsys.readouterr().err
+        where = f"case {case}: {how} in {target.name}: exit {code}, stderr {err!r}"
+        if target != manifest:
+            assert code == cli.EXIT_DATA, where
+            assert err.count("\n") == 1 and str(target) in json.loads(err)["message"], where
+        # The manifest carries no digest of its own, so an edit that keeps it valid JSON
+        # and the model buildable (a digit of "seed" or "iterations", a discriminator
+        # tensor's name) still loads. What it may never do is end in a traceback.
+        elif code == 0:
+            assert err == "", where
+        else:
+            assert code == cli.EXIT_DATA and err.count("\n") == 1, where
+            assert set(json.loads(err)) == {"error", "message"}, where
