@@ -36,7 +36,7 @@ from .gan import (
     sample_noise,
     train_gan,
 )
-from .baselines import AeConfig, ElboTerms, reparameterize, rnn_ae_loss, train_baseline
+from .baselines import AeConfig, autoencoder_loss, reparameterize, train_baseline
 from .features import RfeReport, pca_transform, randomized_pca_fit, rfe
 from .checkpoint import ModelCheckpoint, load_checkpoint, save_checkpoint
 
@@ -50,7 +50,7 @@ __all__ = [
     "prd", "rmse", "frechet_distance", "compare_sequences",
     "GeneratorConfig", "DiscriminatorConfig", "TrainConfig",
     "sample_noise", "train_gan",
-    "AeConfig", "ElboTerms", "reparameterize", "rnn_ae_loss", "train_baseline",
+    "AeConfig", "autoencoder_loss", "reparameterize", "train_baseline",
     "RfeReport", "rfe", "randomized_pca_fit", "pca_transform",
     "ModelCheckpoint", "save_checkpoint", "load_checkpoint",
 ]

@@ -2,15 +2,17 @@
 
 A single-layer recurrent encoder folds the input sequence into a latent
 code; a single-layer recurrent decoder unrolls it back. The VAE encodes a
-(mu, sigma) pair, samples z = mu + sigma*eps once per evaluation, and adds
-the closed-form KL against a standard normal prior. A unit-variance
-Gaussian likelihood makes the reconstruction term half the mean squared
-error. Swapping the cell kind turns RNN-AE/VAE into LSTM-AE/VAE.
+(mu, sigma) pair and samples z = mu + sigma*eps once per forward. One
+``forward`` serves both kinds and one ``autoencoder_loss`` trains both: half
+the mean squared error (a unit-variance Gaussian likelihood), plus for the
+VAE the closed-form KL against a standard normal prior, which makes it the
+single-sample negative ELBO. Swapping the cell kind turns RNN-AE/VAE into
+LSTM-AE/VAE.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -40,22 +42,6 @@ class AeConfig:
             raise InvariantViolationError("hidden, latent, seq_len must be positive")
         if self.cell not in ("rnn", "lstm"):
             raise InvariantViolationError(f"cell must be rnn or lstm, got {self.cell!r}")
-
-
-@dataclass(frozen=True)
-class ElboTerms:
-    """reconstruction log-likelihood (up to its constant), KL term, and their
-    difference; total = reconstruction - kl and kl is never negative."""
-
-    reconstruction: float
-    kl: float
-    total: float
-
-    def __post_init__(self):
-        if self.kl < -1e-12:
-            raise InvariantViolationError(f"negative KL {self.kl}")
-        if abs(self.total - (self.reconstruction - self.kl)) > 1e-9:
-            raise InvariantViolationError("total != reconstruction - kl")
 
 
 class RecurrentAutoencoder:
@@ -101,26 +87,16 @@ class RecurrentAutoencoder:
         y = self.emit(ad.reshape(hs, (batch * steps, self.config.hidden)))
         return ad.reshape(y, (batch, steps))
 
-    def forward(self, x: Tensor) -> Tensor:
-        if self.variational:
-            raise InvariantViolationError("variational model: use forward_vae")
-        return self.decode(self.to_latent(self.encode(x)), x)
-
-    def forward_vae(self, x: Tensor, rng: np.random.Generator) -> tuple[Tensor, Tensor, Tensor]:
-        """Returns (reconstruction, mu, sigma) with one sampled z."""
-        if not self.variational:
-            raise InvariantViolationError("non-variational model: use forward")
+    def forward(self, x: Tensor,
+                rng: np.random.Generator) -> tuple[Tensor, Tensor | None, Tensor | None]:
+        """Returns (reconstruction, mu, sigma). A VAE decodes one z drawn with ``rng``;
+        a plain autoencoder decodes its code and returns None for mu and sigma."""
         h = self.encode(x)
+        if not self.variational:
+            return self.decode(self.to_latent(h), x), None, None
         mu = self.to_mu(h)
         sigma = ad.exp(ad.mul(self.to_logvar(h), 0.5))
-        z = reparameterize(mu, sigma, rng)
-        return self.decode(z, x), mu, sigma
-
-
-def rnn_ae_loss(y: Tensor, x: Tensor) -> Tensor:
-    """Half mean squared error: the unit-variance Gaussian negative
-    log-likelihood with its constant dropped."""
-    return nn.mse_half(y, x)
+        return self.decode(reparameterize(mu, sigma, rng), x), mu, sigma
 
 
 def reparameterize(mu: Tensor, sigma: Tensor, rng: np.random.Generator) -> Tensor:
@@ -135,28 +111,23 @@ def reparameterize(mu: Tensor, sigma: Tensor, rng: np.random.Generator) -> Tenso
 
 def kl_standard_normal(mu: Tensor, sigma: Tensor) -> Tensor:
     """Closed-form KL(N(mu, sigma^2) || N(0, 1)): (1/2) sum(mu^2 + s^2 - log s^2 - 1),
-    summed over latent dims and averaged over the batch."""
-    mu = ad.as_tensor(mu)
-    sigma = ad.as_tensor(sigma)
-    if mu.shape != sigma.shape:
-        raise ShapeMismatchError(f"mu {mu.shape} vs sigma {sigma.shape}")
+    summed over latent dims and averaged over the batch; both are (batch, latent)."""
+    mu, sigma = ad.as_tensor(mu), ad.as_tensor(sigma)
+    if mu.data.ndim != 2 or mu.shape != sigma.shape:
+        raise ShapeMismatchError(f"need (batch, latent) mu and sigma, got {mu.shape}, {sigma.shape}")
     s2 = ad.mul(sigma, sigma)
     per_entry = ad.sub(ad.sub(ad.add(ad.mul(mu, mu), s2), ad.log(s2)), 1.0)
-    if mu.data.ndim == 2:
-        per_row = ad.tensor_sum(per_entry, axis=1)
-        return ad.mul(ad.mean(per_row), 0.5)
-    return ad.mul(ad.tensor_sum(per_entry), 0.5)
+    return ad.mul(ad.mean(ad.tensor_sum(per_entry, axis=1)), 0.5)
 
 
-def rnn_vae_loss(model: RecurrentAutoencoder, x: Tensor,
-                 rng: np.random.Generator) -> tuple[Tensor, ElboTerms]:
-    """Single-sample negative ELBO as the training objective, plus its parts."""
-    y, mu, sigma = model.forward_vae(x, rng)
-    recon_nll = rnn_ae_loss(y, x)
-    kl = kl_standard_normal(mu, sigma)
-    loss = ad.add(recon_nll, kl)
-    terms = ElboTerms(reconstruction=-recon_nll.item(), kl=kl.item(), total=-loss.item())
-    return loss, terms
+def autoencoder_loss(model: RecurrentAutoencoder, x: Tensor,
+                     rng: np.random.Generator) -> Tensor:
+    """The training objective. Half the mean squared error is the unit-variance
+    Gaussian negative log-likelihood with its constant dropped; a VAE adds the KL
+    of its one sample, making the loss the single-sample negative ELBO."""
+    y, mu, sigma = model.forward(x, rng)
+    recon = nn.mse_half(y, x)
+    return recon if mu is None else ad.add(recon, kl_standard_normal(mu, sigma))
 
 
 def train_baseline(kind: str, data: np.ndarray, config: AeConfig,
@@ -169,23 +140,14 @@ def train_baseline(kind: str, data: np.ndarray, config: AeConfig,
         raise EmptyDatasetError(f"need a nonempty (N, T) dataset, got {data.shape}")
     if data.shape[1] != config.seq_len:
         raise ShapeMismatchError(f"data length {data.shape[1]} vs config {config.seq_len}")
-    cell = "lstm" if kind.startswith("lstm") else "rnn"
-    if config.cell != cell:
-        config = AeConfig(hidden=config.hidden, latent=config.latent,
-                          seq_len=config.seq_len, cell=cell)
-    variational = kind.endswith("vae")
+    config = replace(config, cell="lstm" if kind.startswith("lstm") else "rnn")
 
     init_rng, batch_rng, sample_rng = nn.seeded_streams(train_config.seed, 3)
-    model = RecurrentAutoencoder(config, init_rng, variational=variational)
+    model = RecurrentAutoencoder(config, init_rng, variational=kind.endswith("vae"))
     opt = nn.Adam(model.params, lr=train_config.lr)
 
     def iteration(sample) -> dict[str, float]:
-        x = sample()
-        if variational:
-            loss, _ = rnn_vae_loss(model, x, sample_rng)
-        else:
-            loss = rnn_ae_loss(model.forward(x), x)
-        return {"loss": opt.minimize(loss)}
+        return {"loss": opt.minimize(autoencoder_loss(model, sample(), sample_rng))}
 
     history = nn.fit(data, train_config.epochs, train_config.batch_size, batch_rng, iteration)
 

@@ -234,7 +234,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     data_path = Path(args.data)
     _, _, data = _read_rows(data_path, keyed=False)
     manifest, t0 = _start(args, [data_path])
-    seq_len = data.shape[1] if args.seq_len is None else args.seq_len
+    seq_len = data.shape[1]
     train_config = gan.TrainConfig(epochs=args.epochs, batch_size=args.batch,
                                    lr=args.lr, seed=args.seed, d_steps=args.d_steps,
                                    g_loss_mode=args.g_loss)
@@ -388,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True,
                    choices=["gan", *baselines.BASELINE_KINDS])
     p.add_argument("--data", required=True, help="csv, one sequence per row")
-    p.add_argument("--seq-len", type=int, help="default: data row length")
     p.add_argument("--epochs", type=int, default=gan.TrainConfig.epochs)
     p.add_argument("--batch", type=int, default=gan.TrainConfig.batch_size)
     p.add_argument("--lr", type=float, default=gan.TrainConfig.lr)

@@ -152,9 +152,11 @@ def randomized_pca_fit(x: np.ndarray, k: int, oversample: int = 5,
     n, m = x.shape
     if not 1 <= k <= min(n, m):
         raise RankTooHighError(f"k must be in [1, {min(n, m)}], got {k}")
+    if oversample < 0:
+        raise InvariantViolationError(f"oversample must be >= 0, got {oversample}")
 
     rng = np.random.default_rng(seed)
-    width = min(k + max(oversample, 0), m)
+    width = min(k + oversample, m)
     with np.errstate(over="ignore", invalid="ignore"):  # checked per step below
         means = x.mean(axis=0)
         xc = _finite("centering", x - means)

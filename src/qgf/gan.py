@@ -251,6 +251,8 @@ def train_gan(data: np.ndarray, gen_config: GeneratorConfig, disc_config: Discri
             with ad.no_grad():
                 fake = fake_batch(real.shape[0])
             d_value = opt_d.minimize(discriminator_loss(disc.forward(real), disc.forward(fake)))
+            if not np.isfinite(d_value):
+                break  # a later finite step must not hide this loss from fit
         g_loss = generator_loss(disc.forward(fake_batch(real.shape[0])), train_config.g_loss_mode)
         return {"d_loss": d_value, "g_loss": opt_g.minimize(g_loss)}
 

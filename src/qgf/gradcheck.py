@@ -99,26 +99,16 @@ def _check_gan_g_loss(rng: np.random.Generator) -> float:
     return nn.check_gradients(loss, generator.params)
 
 
-def _check_ae_loss(rng: np.random.Generator) -> float:
-    config = baselines.AeConfig(hidden=3, latent=2, seq_len=4, cell="rnn")
-    model = baselines.RecurrentAutoencoder(config, rng)
-    x = Tensor(rng.standard_normal((2, 4)))
-    return nn.check_gradients(
-        lambda: baselines.rnn_ae_loss(model.forward(x), x), model.params)
-
-
-def _check_vae_loss(rng: np.random.Generator, cell: str = "rnn") -> float:
+def _check_autoencoder(rng: np.random.Generator, cell: str = "rnn",
+                       variational: bool = False) -> float:
     # an lstm decoder also covers the gradient of ``unroll``'s h0
     config = baselines.AeConfig(hidden=3, latent=2, seq_len=4, cell=cell)
-    model = baselines.RecurrentAutoencoder(config, rng, variational=True)
+    model = baselines.RecurrentAutoencoder(config, rng, variational=variational)
     x = Tensor(rng.standard_normal((2, 4)))
     eps_seed = int(rng.integers(1 << 30))
-
-    def loss():
-        # a fresh rng with a fixed seed replays the same eps draw every call
-        return baselines.rnn_vae_loss(model, x, np.random.default_rng(eps_seed))[0]
-
-    return nn.check_gradients(loss, model.params)
+    # a fresh rng with a fixed seed replays the same eps draw every call
+    return nn.check_gradients(
+        lambda: baselines.autoencoder_loss(model, x, np.random.default_rng(eps_seed)), model.params)
 
 
 def _check_logistic_probe(rng: np.random.Generator) -> float:
@@ -145,9 +135,9 @@ KERNEL_CHECKS: dict[str, Callable[[np.random.Generator], float]] = {
     "softmax": _check_softmax,
     "gan_d_loss": _check_gan_d_loss,
     "gan_g_loss": _check_gan_g_loss,
-    "ae_loss": _check_ae_loss,
-    "vae_loss": _check_vae_loss,
-    "lstm_vae_loss": functools.partial(_check_vae_loss, cell="lstm"),
+    "ae_loss": _check_autoencoder,
+    "vae_loss": functools.partial(_check_autoencoder, variational=True),
+    "lstm_vae_loss": functools.partial(_check_autoencoder, cell="lstm", variational=True),
     "logistic_probe": _check_logistic_probe,
 }
 

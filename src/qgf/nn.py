@@ -436,7 +436,8 @@ def mse_half(y: Tensor, x: Tensor) -> Tensor:
     y, x = ad.as_tensor(y), ad.as_tensor(x)
     if y.shape != x.shape:
         raise ShapeMismatchError(f"mse over unequal shapes {y.shape} vs {x.shape}")
-    return ad.mul(ad.mean(ad.power(ad.sub(y, x), 2.0)), 0.5)
+    with np.errstate(over="ignore"):  # a square or sum past float64 is inf, which fit refuses
+        return ad.mul(ad.mean(ad.power(ad.sub(y, x), 2.0)), 0.5)
 
 
 # --- optimizer -----------------------------------------------------------------------
@@ -476,11 +477,15 @@ class Adam:
                 param.data, grad, self._m[name], self._v[name], self.t, self.lr)
 
     def minimize(self, loss: Tensor) -> float:
-        """Clear this optimizer's gradients, backpropagate ``loss``, take one step."""
-        self.pset.zero_grad()
-        ad.backward(loss)
-        self.step()
-        return loss.item()
+        """Clear this optimizer's gradients, backpropagate ``loss``, take one step and
+        return the loss. A non-finite loss is only returned: ``fit`` refuses it, so a
+        backward and a step through it would be wasted work."""
+        value = loss.item()
+        if np.isfinite(value):
+            self.pset.zero_grad()
+            ad.backward(loss)
+            self.step()
+        return value
 
 
 # --- training loop ---------------------------------------------------------------------

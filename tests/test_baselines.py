@@ -4,6 +4,7 @@ from oracles import oracle_teacher_forced_decode
 
 from qgf import autodiff as ad
 from qgf import baselines as bl
+from qgf import nn
 from qgf.autodiff import Tensor
 from qgf.errors import (
     EmptyDatasetError,
@@ -33,26 +34,19 @@ def test_config_validation():
         bl.AeConfig(cell="gru")
 
 
-def test_elbo_terms_invariants():
-    bl.ElboTerms(reconstruction=-1.0, kl=0.5, total=-1.5)
-    with pytest.raises(InvariantViolationError):
-        bl.ElboTerms(reconstruction=-1.0, kl=-0.1, total=-0.9)
-    with pytest.raises(InvariantViolationError):
-        bl.ElboTerms(reconstruction=-1.0, kl=0.5, total=0.0)
-
-
 @pytest.mark.parametrize("cell", ["rnn", "lstm"])
 def test_forward_shapes(cell, rng):
     config = bl.AeConfig(hidden=6, latent=3, seq_len=10, cell=cell)
     model = bl.RecurrentAutoencoder(config, rng)
     x = Tensor(_data())
-    y = model.forward(x)
+    state = rng.bit_generator.state
+    y, mu, sigma = model.forward(x, rng)
     assert y.shape == (12, 10)
     assert np.isfinite(y.data).all()
+    assert mu is None and sigma is None
+    assert rng.bit_generator.state == state  # a plain autoencoder draws nothing
     with pytest.raises(ShapeMismatchError):
-        model.forward(Tensor(np.zeros((2, 11))))
-    with pytest.raises(InvariantViolationError):
-        model.forward_vae(x, rng)
+        model.forward(Tensor(np.zeros((2, 11))), rng)
 
 
 def test_zero_init_model_reconstructs_zero():
@@ -60,10 +54,11 @@ def test_zero_init_model_reconstructs_zero():
     for t in model.params.tensors():
         t.data[:] = 0.0
     x = Tensor(_data())
-    y = model.forward(x)
+    y, _, _ = model.forward(x, np.random.default_rng(1))
     assert np.array_equal(y.data, np.zeros((12, 10)))
     # so the loss is exactly mean(x^2)/2
-    assert bl.rnn_ae_loss(y, x).item() == pytest.approx(float((x.data ** 2).mean()) / 2.0)
+    loss = bl.autoencoder_loss(model, x, np.random.default_rng(1))
+    assert loss.item() == pytest.approx(float((x.data ** 2).mean()) / 2.0)
 
 
 @pytest.mark.parametrize("cell", ["rnn", "lstm"])
@@ -106,7 +101,7 @@ def test_teacher_forced_vae_graph_does_not_grow_with_length():
         config = bl.AeConfig(hidden=16, latent=4, seq_len=steps, cell="lstm")
         model = bl.RecurrentAutoencoder(config, np.random.default_rng(1), variational=True)
         x = Tensor(np.random.default_rng(2).standard_normal((32, steps)))
-        return _graph_size(bl.rnn_vae_loss(model, x, np.random.default_rng(3))[0])
+        return _graph_size(bl.autoencoder_loss(model, x, np.random.default_rng(3)))
 
     assert desk_lstm_vae_graph(8) == desk_lstm_vae_graph(64)
 
@@ -115,13 +110,11 @@ def test_vae_forward_returns_consistent_sample(rng):
     config = bl.AeConfig(hidden=6, latent=3, seq_len=10, cell="rnn")
     model = bl.RecurrentAutoencoder(config, rng, variational=True)
     x = Tensor(_data())
-    y, mu, sigma = model.forward_vae(x, np.random.default_rng(3))
+    y, mu, sigma = model.forward(x, np.random.default_rng(3))
     assert y.shape == (12, 10)
     assert mu.shape == (12, 3)
     assert sigma.shape == (12, 3)
     assert np.all(sigma.data > 0)
-    with pytest.raises(InvariantViolationError):
-        model.forward(x)
 
 
 def test_reparameterize_zero_sigma_returns_mu(rng):
@@ -150,6 +143,8 @@ def test_kl_closed_form_values():
     mu = Tensor(np.ones((1, 4)))
     sigma = Tensor(np.ones((1, 4)))
     assert bl.kl_standard_normal(mu, sigma).item() == 2.0
+    with pytest.raises(ShapeMismatchError):  # the batch axis is required
+        bl.kl_standard_normal(Tensor(np.ones(4)), Tensor(np.ones(4)))
 
 
 def test_kl_nonnegative_and_zero_only_at_the_prior(rng):
@@ -166,10 +161,10 @@ def test_vae_loss_terms_reconcile(rng):
     config = bl.AeConfig(hidden=6, latent=3, seq_len=10, cell="rnn")
     model = bl.RecurrentAutoencoder(config, rng, variational=True)
     x = Tensor(_data())
-    loss, terms = bl.rnn_vae_loss(model, x, np.random.default_rng(5))
-    assert loss.item() == pytest.approx(-terms.total)
-    assert terms.kl >= 0
-    assert terms.total == pytest.approx(terms.reconstruction - terms.kl)
+    loss = bl.autoencoder_loss(model, x, np.random.default_rng(5))
+    y, mu, sigma = model.forward(x, np.random.default_rng(5))
+    parts = ad.add(nn.mse_half(y, x), bl.kl_standard_normal(mu, sigma))
+    assert loss.item() == parts.item()
 
 
 @pytest.mark.parametrize("kind", bl.BASELINE_KINDS)
@@ -210,7 +205,7 @@ def test_train_baseline_is_deterministic_per_seed():
 def test_non_finite_data_is_reported():
     data = _data()
     data[0, 0] = np.inf
-    with np.errstate(invalid="ignore", over="ignore"), pytest.raises(NonFiniteLossError) as err:
+    with pytest.raises(NonFiniteLossError) as err:
         bl.train_baseline("rnn-ae", data, TINY,
                           TrainConfig(epochs=3, batch_size=12, lr=0.01, seed=0))
     assert err.value.iteration == 0
@@ -222,7 +217,7 @@ def test_baseline_round_trip_through_checkpoint():
                                 TrainConfig(epochs=3, batch_size=8, lr=0.01, seed=1))
     model = bl.baseline_from_checkpoint(ckpt)
     x = Tensor(_data(seed=4))
-    y = model.forward(x)
+    y, _, _ = model.forward(x, np.random.default_rng(0))
     assert y.shape == (12, 10)
     with pytest.raises(InvariantViolationError):
         bad = type(ckpt)(model="gan", config=ckpt.config, seed=0, iterations=1,

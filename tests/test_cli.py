@@ -382,7 +382,7 @@ def test_train_at_3120_points_keeps_the_generator_flags(tmp_path, training_calls
 
 
 @pytest.mark.parametrize("model", ["gan", "lstm-ae"])
-@pytest.mark.parametrize("flag", ["--hidden", "--seq-len"])
+@pytest.mark.parametrize("flag", ["--hidden"])
 def test_train_refuses_a_zero_size_flag(tmp_path, capsys, training_calls, model, flag):
     data_path = tmp_path / "seqs.csv"
     _write_train_data(data_path, count=2, length=16)
@@ -398,6 +398,9 @@ def test_usage_errors_exit_2():
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         run("no-such-command")
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:  # train takes its length from the data
+        run("train", "--model", "gan", "--data", "x.csv", "--seq-len", 16, "--out", "o")
     assert exc.value.code == 2
 
 
@@ -614,6 +617,18 @@ def test_reduce_on_overflowing_features_exits_numeric_naming_the_step(tmp_path, 
     assert not out.exists()
 
 
+def test_reduce_refuses_a_negative_oversample(tmp_path, capsys):
+    feats, out = tmp_path / "f.csv", tmp_path / "r.csv"
+    _write_feature_table(feats, np.random.default_rng(3).standard_normal((3, 20)), _DATES)
+    assert run("reduce", "--features", feats, "--components", 1, "--oversample", -5,
+               "--out", out) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "InvariantViolationError",
+                               "message": "oversample must be >= 0, got -5"}
+    assert not out.exists()
+
+
 def test_reduce_fits_features_whose_cube_overflows(tmp_path):
     feats, out = tmp_path / "f.csv", tmp_path / "r.csv"
     columns = np.random.default_rng(4).standard_normal((17, 1250))
@@ -665,6 +680,23 @@ def test_train_gan_on_a_row_that_overflows_standardizing_exits_numeric_naming_it
     assert err.count("\n") == 1
     assert json.loads(err) == {"error": "NumericError",
                                "message": "data row 3: standardizing it overflows float64"}
+    assert not (tmp_path / "ckpt").exists()
+
+
+@pytest.mark.parametrize("model", ["rnn-ae", "lstm-vae"])
+def test_train_baseline_on_a_row_that_overflows_its_loss_prints_one_error_line(
+        tmp_path, capsys, model):
+    data_path = tmp_path / "seqs.csv"
+    rows = noisy_sine_batch(np.random.default_rng(1), 6, 64)
+    cells = [[f"{v:.17g}" for v in row] for row in rows]
+    cells[2][5] = "1e300"  # its square overflows float64
+    data_path.write_text("".join(",".join(row) + "\n" for row in cells))
+    assert run("train", "--model", model, "--data", data_path, "--epochs", 2, "--batch", 6,
+               "--hidden", 4, "--out", tmp_path / "ckpt", "--quiet") == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "NonFiniteLossError",
+                               "message": "non-finite loss at iteration 0"}
     assert not (tmp_path / "ckpt").exists()
 
 

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qgf import gan
+from qgf import gan, nn
 from qgf.autodiff import Tensor
 from qgf.errors import (
     EmptyDatasetError,
@@ -225,11 +225,23 @@ def test_generator_from_checkpoint_rejects_other_models():
         gan.generator_from_checkpoint(wrong)
 
 
+def test_a_non_finite_discriminator_step_is_reported_although_later_steps_are_finite():
+    data = _tiny_data()
+    data[3, 5] = np.nan  # a nan row stays nan through standardizing; every other row is clean
+    config = gan.TrainConfig(epochs=30, batch_size=2, lr=1e-3, seed=5, d_steps=3)
+    batches = nn.seeded_streams(config.seed, 4)[2]  # train_gan's batch stream
+    first = next(k for k in range(90) if 3 in batches.choice(16, size=2, replace=False))
+    assert first % 3 != 2  # the nan batch is not the iteration's last discriminator step
+    with pytest.raises(NonFiniteLossError) as err:
+        gan.train_gan(data, TINY_GEN, TINY_DISC, config)
+    assert err.value.iteration == first // 3
+
+
 def test_non_finite_loss_is_reported_with_iteration():
     # probability clamping keeps healthy runs finite, so poison the data
     data = _tiny_data()
     data[3, 5] = np.nan
     config = gan.TrainConfig(epochs=30, batch_size=16, lr=1e-3, seed=1)
-    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteLossError) as err:
+    with pytest.raises(NonFiniteLossError) as err:
         gan.train_gan(data, TINY_GEN, TINY_DISC, config)
     assert err.value.iteration == 0

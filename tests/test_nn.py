@@ -698,6 +698,15 @@ def test_adam_minimize_equals_zero_grad_backward_step():
     assert np.array_equal(explicit["w"].data, fused["w"].data)
 
 
+def test_adam_minimize_makes_no_update_from_a_non_finite_loss():
+    pset, loss = _quadratic_problem(3)
+    before = pset["w"].data.copy()
+    opt = nn.Adam(pset, lr=0.05)
+    assert opt.minimize(ad.mul(loss(), np.inf)) == np.inf
+    assert opt.t == 0 and pset["w"].grad is None
+    assert np.array_equal(pset["w"].data, before)
+
+
 def test_seeded_streams_spawn_in_order():
     streams = nn.seeded_streams(11, 3)
     spawned = np.random.SeedSequence(11).spawn(3)
