@@ -35,6 +35,8 @@ from .ioutil import parse_floats, sha256_file, write_text_atomic
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+# the column ``indicators --label-horizon N`` appends; ``select`` and ``reduce`` skip it
+LABEL_PREFIX = "label_n"
 
 
 @dataclass
@@ -118,6 +120,13 @@ def _read_rows(path: Path, keyed: bool) -> tuple[list[str], list[str], np.ndarra
     return header[1:], dates, np.array(rows, dtype=np.float64)
 
 
+def _read_features(path: Path) -> tuple[list[str], list[str], np.ndarray]:
+    """A keyed feature table without its label columns."""
+    names, dates, x = _read_rows(path, keyed=True)
+    keep = [i for i, name in enumerate(names) if not name.startswith(LABEL_PREFIX)]
+    return [names[i] for i in keep], dates, x.take(keep, axis=1)
+
+
 def _write_rows(path: Path, values: Iterable, header: list[str] | None = None,
                 keys: Iterable | None = None) -> None:
     """The table ``_read_rows`` reads: an optional header line, then each row of
@@ -161,7 +170,7 @@ def cmd_indicators(args: argparse.Namespace) -> int:
     if args.label_horizon is not None:
         # the label of bar i looks args.label_horizon bars ahead, so the last bars have none
         labels = market_data.label_trend(series, args.label_horizon)
-        header.append(f"label_n{args.label_horizon}")
+        header.append(f"{LABEL_PREFIX}{args.label_horizon}")
         values = np.column_stack([values[:len(labels)], labels.labels])
     keys = [d.isoformat() for d in series.dates[matrix.valid_from:len(values)]]
     out = Path(args.out)
@@ -186,7 +195,7 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 def cmd_select(args: argparse.Namespace) -> int:
     f_path, l_path = Path(args.features), Path(args.labels)
-    names, f_dates, x_all = _read_rows(f_path, keyed=True)
+    names, f_dates, x_all = _read_features(f_path)
     l_names, l_dates, y_all = _read_rows(l_path, keyed=True)
     if len(l_names) != 1:
         raise MalformedHeaderError(f"{l_path}: expected Date plus one label column")
@@ -218,7 +227,7 @@ def cmd_select(args: argparse.Namespace) -> int:
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     f_path = Path(args.features)
-    names, dates, x = _read_rows(f_path, keyed=True)
+    names, dates, x = _read_features(f_path)
     manifest, t0 = _start(args, [f_path])
     model = features.randomized_pca_fit(x, k=args.components,
                                         oversample=args.oversample, seed=args.seed)
@@ -250,8 +259,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     else:
         config = baselines.AeConfig(
             hidden=baselines.AeConfig.hidden if args.hidden is None else args.hidden,
-            latent=args.latent, seq_len=seq_len,
-            cell="lstm" if args.model.startswith("lstm") else "rnn")
+            latent=args.latent, seq_len=seq_len)
         ckpt, history = baselines.train_baseline(args.model, data, config, train_config)
 
     out = Path(args.out)

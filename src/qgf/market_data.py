@@ -114,9 +114,6 @@ class LabelSeries:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.labels, dtype=np.int64)
-
 
 def parse_csv(text: str, symbol: str) -> PriceSeries:
     """Parse Yahoo-format OHLCV rows, split on commas and never quoted, into a

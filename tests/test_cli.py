@@ -120,6 +120,30 @@ def test_reduce_writes_components_and_explained(prices, tmp_path):
     assert explained == sorted(explained, reverse=True)
 
 
+@pytest.mark.parametrize("command", ["select", "reduce"])
+def test_select_and_reduce_skip_the_label_column_indicators_appends(prices, tmp_path, command):
+    with_label, without = tmp_path / "with_label.csv", tmp_path / "without.csv"
+    labels = tmp_path / "labels.csv"
+    assert run("indicators", "--input", prices, "--label-horizon", 5, "--out", with_label,
+               "--quiet") == 0
+    assert run("label", "--input", prices, "--horizon", 5, "--out", labels, "--quiet") == 0
+    lines = with_label.read_text().splitlines()
+    assert lines[0].endswith(",label_n5")
+    without.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+    extra = {"select": ["--labels", labels, "--keep", 10], "reduce": ["--components", 3]}
+    written = []
+    for feats in (with_label, without):
+        out = tmp_path / f"{feats.stem}.out"
+        assert run(command, "--features", feats, *extra[command], "--out", out,
+                   "--quiet") == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+    assert b"label_n5" not in written[0]
+    if command == "reduce":
+        manifest = json.loads((tmp_path / "with_label.manifest.json").read_text())
+        assert manifest["extras"]["columns"] == lines[0].split(",")[1:-1]
+
+
 def _write_train_data(path, count=12, length=64):
     data = noisy_sine_batch(np.random.default_rng(1), count, length)
     rows = "\n".join(",".join(f"{v:.17g}" for v in row) for row in data)
@@ -714,6 +738,34 @@ def test_indicators_on_a_volume_that_overflows_vr_names_the_column_and_bar(
     assert json.loads(err) == {
         "error": "InvariantViolationError",
         "message": "non-finite value in the defined region: column 'VR', bar 26"}
+    assert not out.exists()
+
+
+def _one_row_at_1e308(lines):
+    cells = lines[40].split(",")
+    lines[40] = ",".join([cells[0], *["1e308"] * 6])  # line 41: every price and the volume
+
+
+def _every_price_times_5e305(lines):
+    for i, line in enumerate(lines[1:], start=1):
+        date, *prices, volume = line.split(",")
+        lines[i] = ",".join([date, *(repr(float(v) * 5e305) for v in prices), volume])
+
+
+@pytest.mark.parametrize("damage,bar", [(_one_row_at_1e308, 39), (_every_price_times_5e305, 26)])
+def test_indicators_on_prices_near_the_float64_limit_prints_one_error_line(
+        prices, tmp_path, capsys, damage, bar):
+    lines = prices.read_text().splitlines()
+    damage(lines)
+    bad, out = tmp_path / "TST.csv", tmp_path / "features.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    # an overflow warning would raise here: the module turns RuntimeWarning into an error
+    assert run("indicators", "--input", bad, "--out", out, "--quiet") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert json.loads(err) == {
+        "error": "InvariantViolationError",
+        "message": f"non-finite value in the defined region: column 'K', bar {bar}"}
     assert not out.exists()
 
 

@@ -77,7 +77,7 @@ def _mutate(text: str, rng: np.random.Generator) -> bytes:
         elif kind == 2:
             cells.insert(j, "1")
         else:
-            huge = ("1e300", "1e154")[int(rng.integers(2))]
+            huge = ("1e300", "1e154", "1e308")[int(rng.integers(3))]
             cells = [huge if _is_number(c) else c for c in cells]
         lines[i] = ",".join(cells)
     return ("\n".join(lines) + "\n").encode()

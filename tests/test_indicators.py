@@ -5,7 +5,7 @@ from conftest import daily_dates, make_flat_series, make_series
 from oracles import oracle_all_indicators
 from qgf import indicators as ind
 from qgf.errors import InvariantViolationError, SeriesTooShortError
-from qgf.market_data import PriceSeries, label_trend
+from qgf.market_data import PriceSeries
 
 # columns whose value is unchanged when every price is scaled by a constant
 SCALE_INVARIANT = ("K", "D", "WMS%R", "RSI", "MTM", "ROC", "PSY", "AR", "BR",
@@ -39,7 +39,7 @@ def test_valid_from_and_warmup_boundaries(rng):
     series = make_series(rng, 60)
     matrix = ind.build_feature_matrix(series)
     assert matrix.valid_from == 26
-    assert np.isfinite(matrix.valid_rows()).all()
+    assert np.isfinite(matrix.values[matrix.valid_from:]).all()
     # the last NaN in each column sits exactly at its warmup boundary
     warmup = {"K": 8, "D": 8, "WMS%R": 13, "CCI": 13, "RSI": 14, "MACD": 0,
               "DIF": 0, "MA10": 9, "MTM": 10, "ROC": 10, "PSY": 12, "AR": 25,
@@ -104,43 +104,36 @@ def test_cap_flags_absent_on_clean_series(rng):
 
 def test_vr_conventions_differ_only_with_flat_volume(rng):
     series = make_series(rng, 60, flat_run=(30, 4))
-    printed = ind.volume_ratio(series, 26, convention="printed")
-    standard = ind.volume_ratio(series, 26, convention="standard")
-    assert not np.array_equal(printed, standard, equal_nan=True)
-    with pytest.raises(InvariantViolationError):
-        ind.volume_ratio(series, 26, convention="bogus")
+    printed = ind.build_feature_matrix(series, vr_convention="printed")
+    standard = ind.build_feature_matrix(series, vr_convention="standard")
+    assert not np.array_equal(printed.column("VR"), standard.column("VR"), equal_nan=True)
+    others = [j for j, name in enumerate(ind.FEATURE_ORDER) if name != "VR"]
+    assert np.array_equal(printed.values[:, others], standard.values[:, others], equal_nan=True)
 
 
 def test_macd_chain_seeds_and_smoothing(rng):
-    series = make_series(rng, 30)
-    rec = ind.macd(series)
-    di = (series.high + series.low + 2 * series.close) / 4.0
-    np.testing.assert_allclose(rec["DI"], di)
-    assert rec["EMA12"][0] == di[0]
-    assert rec["EMA26"][0] == di[0]
-    assert rec["MACD"][0] == 0.0
-    assert rec["DIF"][0] == 0.0
-    np.testing.assert_allclose(rec["DIF"], rec["EMA12"] - rec["EMA26"])
-    i = 10
-    assert rec["EMA12"][i] == pytest.approx((11 / 13) * rec["EMA12"][i - 1] + (2 / 13) * di[i])
-    assert rec["MACD"][i] == pytest.approx(0.8 * rec["MACD"][i - 1] + 0.2 * rec["DIF"][i])
+    matrix = ind.build_feature_matrix(make_series(rng, 30))
+    line, dif = matrix.column("MACD"), matrix.column("DIF")
+    assert line[0] == dif[0] == 0.0  # both EMAs start at DI_0, the MACD line at 0
+    for i in range(1, 30):
+        assert line[i] == pytest.approx(0.8 * line[i - 1] + 0.2 * dif[i])
 
 
 def test_williams_bounded_and_rsi_range(rng):
-    series = make_series(rng, 60)
-    w = ind.williams_r(series, 14)[13:]
+    matrix = ind.build_feature_matrix(make_series(rng, 60))
+    w = matrix.column("WMS%R")[13:]
     assert np.all((w >= 0.0) & (w <= 1.0))
-    r = ind.rsi(series, 14)[14:]
+    r = matrix.column("RSI")[14:]
     assert np.all((r >= 0.0) & (r <= 100.0))
-    p = ind.psy(series, 12)[12:]
+    p = matrix.column("PSY")[12:]
     assert np.all((p >= 0.0) & (p <= 100.0))
 
 
 def test_rsi_monotone_extremes():
     for step, want in ((1.0, 100.0), (-1.0, 0.0)):
-        p = 100.0 + step * np.arange(20)
-        series = PriceSeries("X", daily_dates(20), p, p, p, p, p, np.ones(20))
-        assert np.all(ind.rsi(series, 14)[14:] == want)
+        p = 100.0 + step * np.arange(30)
+        series = PriceSeries("X", daily_dates(30), p, p, p, p, p, np.ones(30))
+        assert np.all(ind.build_feature_matrix(series).column("RSI")[14:] == want)
 
 
 def test_short_series_raises(rng):
@@ -160,25 +153,3 @@ def test_feature_matrix_validates_shape_and_region():
     with pytest.raises(InvariantViolationError):
         ind.FeatureMatrix(feature_names=("a", "b"), values=np.ones((4, 2)), valid_from=4)
 
-
-def test_aligned_design_matrix_pairs_feature_with_future_label(rng):
-    series = make_series(rng, 60)
-    matrix = ind.build_feature_matrix(series)
-    closes = series.close
-    for n in (1, 2, 5):
-        labels = label_trend(series, n)
-        x, y = ind.aligned_design_matrix(matrix, labels)
-        assert x.shape == (60 - n - matrix.valid_from, 16)
-        assert y.shape == (x.shape[0],)
-        for row in range(x.shape[0]):
-            i = matrix.valid_from + row
-            assert np.array_equal(x[row], matrix.values[i])
-            assert y[row] == int(closes[i + n] > closes[i])
-
-
-def test_aligned_design_matrix_requires_survivors(rng):
-    series = make_series(rng, 28)
-    matrix = ind.build_feature_matrix(series)
-    labels = label_trend(series, 2)
-    with pytest.raises(SeriesTooShortError):
-        ind.aligned_design_matrix(matrix, labels)

@@ -281,4 +281,3 @@ def test_label_series_validation():
         LabelSeries(horizon_n=1, labels=(0, 2))
     with pytest.raises(HorizonOutOfRangeError):
         LabelSeries(horizon_n=0, labels=(0,))
-    assert np.array_equal(LabelSeries(horizon_n=1, labels=(0, 1)).as_array(), [0, 1])
