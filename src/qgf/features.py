@@ -65,31 +65,41 @@ def _standardize(x: np.ndarray) -> np.ndarray:
         return (x - mu) / np.where(sd == 0, 1.0, np.where(np.isfinite(sd), sd, np.nan))
 
 
-def _probe_grad(w: np.ndarray, x: np.ndarray, y: np.ndarray, l2: float,
-                logits: np.ndarray) -> tuple[np.ndarray, float]:
-    """Gradient of the probe loss in (w, b) at ``logits`` = x w + b."""
-    err = ad.logistic(logits) - y
-    return x.T @ err / x.shape[0] + l2 * w, float(err.mean())
-
-
 def logistic_loss_and_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
                            l2: float) -> tuple[float, np.ndarray, float]:
-    """Mean cross-entropy plus (l2/2)||w||^2 and its exact gradient."""
+    """Mean cross-entropy plus (l2/2)||w||^2 and its exact gradient in (w, b)."""
     logits = x @ w + b
     # log(1 + exp(z)) - y z, computed from the softplus identity for stability
     softplus = np.logaddexp(0.0, logits)
     loss = float((softplus - y * logits).mean() + 0.5 * l2 * (w @ w))
-    return (loss, *_probe_grad(w, x, y, l2, logits))
+    err = ad.logistic(logits) - y
+    return loss, x.T @ err / x.shape[0] + l2 * w, float(err.mean())
 
 
 def fit_logistic_probe(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Full-batch gradient descent from zero weights; returns (w, b, accuracy)."""
+    """Full-batch gradient descent from zero weights; returns (w, b, accuracy).
+
+    Each step is logits = x w + b, err = logistic(logits) - y,
+    w -= rate * (x^T err / n + l2 w) and b -= rate * mean(err), written into
+    buffers allocated once.
+    """
+    n = x.shape[0]
+    y_float = np.asarray(y, dtype=np.float64)
     w = np.zeros(x.shape[1])
     b = 0.0
-    for _ in range(PROBE_STEPS):
-        gw, gb = _probe_grad(w, x, y, PROBE_L2, x @ w + b)
-        w -= PROBE_LR * gw
-        b -= PROBE_LR * gb
+    logits, err, gw = np.empty(n), np.empty(n), np.empty(w.size)
+    # below logit -709 exp overflows to inf and the logistic reads 0
+    with np.errstate(over="ignore"):
+        for _ in range(PROBE_STEPS):
+            np.matmul(x, w, out=logits)
+            logits += b
+            ad._logistic(logits, out=err)
+            err -= y_float
+            np.matmul(x.T, err, out=gw)
+            gw /= n
+            gw += PROBE_L2 * w
+            w -= PROBE_LR * gw
+            b -= PROBE_LR * float(np.add.reduce(err) / n)
     logits = x @ w + b
     accuracy = float(((logits >= 0).astype(int) == y).mean())
     return w, b, accuracy

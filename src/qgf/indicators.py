@@ -59,19 +59,20 @@ class FeatureMatrix:
 
 
 def _stochastic_kd(high: np.ndarray, low: np.ndarray, close: np.ndarray, n: int) -> np.ndarray:
-    """Rows K <- (2/3)K + (1/3)*100*(CP-LP)/(HP-LP) and D <- (2/3)D + (1/3)K, from 50."""
+    """Rows K <- (2/3)K + (1/3)*100*(CP-LP)/(HP-LP) and D <- (2/3)D + (1/3)K, from 50,
+    stepped on Python floats (the span guard also keeps ZeroDivisionError out)."""
     hp = sliding_window_view(high, n).max(axis=1)
     lp = sliding_window_view(low, n).min(axis=1)
-    kd = np.empty((2, hp.size))
+    ks, ds = [], []
     k_prev = d_prev = 50.0
-    for i in range(hp.size):
-        span = hp[i] - lp[i]
-        frac = 50.0 if span == 0 else 100.0 * (close[i + n - 1] - lp[i]) / span
+    for h, lo, c in zip(hp.tolist(), lp.tolist(), close[n - 1:].tolist()):
+        span = h - lo
+        frac = 50.0 if span == 0 else 100.0 * (c - lo) / span
         k_prev = (2.0 / 3.0) * k_prev + (1.0 / 3.0) * frac
         d_prev = (2.0 / 3.0) * d_prev + (1.0 / 3.0) * k_prev
-        kd[0, i] = k_prev
-        kd[1, i] = d_prev
-    return kd
+        ks.append(k_prev)
+        ds.append(d_prev)
+    return np.array([ks, ds])
 
 
 def _williams_r(high: np.ndarray, low: np.ndarray, close: np.ndarray, n: int) -> np.ndarray:
@@ -101,15 +102,17 @@ def _rsi(close: np.ndarray, n: int) -> np.ndarray:
 
 def _macd(high: np.ndarray, low: np.ndarray, close: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(MACD, DIF) of DI = (HP + LP + 2 CP)/4: DIF = EMA12 - EMA26, both seeded with DI_0,
-    and MACD <- 0.8 MACD + 0.2 DIF from 0, so both are defined from the first bar."""
-    di = (high + low + 2.0 * close) / 4.0
-    ema12, ema26, line = np.zeros((3, di.size))
-    ema12[0] = ema26[0] = di[0]
-    for i in range(1, di.size):
-        ema12[i] = (11.0 / 13.0) * ema12[i - 1] + (2.0 / 13.0) * di[i]
-        ema26[i] = (25.0 / 27.0) * ema26[i - 1] + (2.0 / 27.0) * di[i]
-        line[i] = 0.8 * line[i - 1] + 0.2 * (ema12[i] - ema26[i])
-    return line, ema12 - ema26
+    and MACD <- 0.8 MACD + 0.2 DIF from 0, so both are defined from the first bar.
+    The recursions step Python floats."""
+    di = ((high + low + 2.0 * close) / 4.0).tolist()
+    ema12 = ema26 = di[0]
+    line, dif = [0.0], [ema12 - ema26]
+    for v in di[1:]:
+        ema12 = (11.0 / 13.0) * ema12 + (2.0 / 13.0) * v
+        ema26 = (25.0 / 27.0) * ema26 + (2.0 / 27.0) * v
+        dif.append(ema12 - ema26)
+        line.append(0.8 * line[-1] + 0.2 * dif[-1])
+    return np.array(line), np.array(dif)
 
 
 def _moving_average(close: np.ndarray, n: int) -> np.ndarray:

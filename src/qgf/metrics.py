@@ -129,35 +129,41 @@ def _as_curve(p) -> np.ndarray:
     return arr
 
 
-def frechet_distance(p, q) -> float:
-    """Discrete Fréchet distance: min over monotone couplings of the max
-    pointwise Euclidean distance.
+def _frechet_wavefront(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Discrete Fréchet distances of B curve pairs, p (n, B, d) against q (m, B, d).
 
     The Eiter & Mannila dynamic program, swept over the anti-diagonals
     k = i + j: cell (i, j) needs only diagonals k-1 and k-2, so each
-    diagonal is one vectorized step (n+m-1 in all) and memory is O(n).
-    Diagonal values live in three rotating buffers indexed by i + 1; slot 0
-    and every slot a diagonal never reaches hold inf, so out-of-range
-    neighbours drop out of the min.
+    diagonal is one vectorized step across all B pairs (n+m-1 in all) and
+    memory is O(B n). Diagonal values live in three rotating (n+1, B)
+    buffers indexed by i + 1; slot 0 and every slot a diagonal never reaches
+    hold inf, so out-of-range neighbours drop out of the min. The point
+    index leads, so each diagonal's slices are contiguous.
     """
-    p = _as_curve(p)
-    q = _as_curve(q)
-    if p.shape[1] != q.shape[1]:
-        raise DimensionMismatchError(f"point dimensions differ: {p.shape[1]} vs {q.shape[1]}")
     n, m = p.shape[0], q.shape[0]
     q_rev = q[::-1]
-    prev2, prev1, cur = np.full((3, n + 1), np.inf)
-    prev1[1:2] = np.linalg.norm(p[:1] - q[:1], axis=1)
+    prev2, prev1, cur = np.full((3, n + 1, p.shape[1]), np.inf)
+    prev1[1:2] = np.linalg.norm(p[:1] - q[:1], axis=2)
     for k in range(1, n + m - 1):
         lo, hi = max(0, k - m + 1), min(n - 1, k)
         # row i pairs with column k - i, i.e. q_rev[m - 1 - k + i]
-        d = np.linalg.norm(p[lo:hi + 1] - q_rev[m - 1 - k + lo:m - k + hi], axis=1)
+        d = np.linalg.norm(p[lo:hi + 1] - q_rev[m - 1 - k + lo:m - k + hi], axis=2)
         out = cur[lo + 1:hi + 2]
         np.minimum(prev1[lo:hi + 1], prev1[lo + 1:hi + 2], out=out)   # up, left
         np.minimum(out, prev2[lo:hi + 1], out=out)                     # diagonal
         np.maximum(out, d, out=out)
         prev2, prev1, cur = prev1, cur, prev2
-    return float(prev1[n])
+    return prev1[n]
+
+
+def frechet_distance(p, q) -> float:
+    """Discrete Fréchet distance: min over monotone couplings of the max
+    pointwise Euclidean distance, as a batch of one pair."""
+    p = _as_curve(p)
+    q = _as_curve(q)
+    if p.shape[1] != q.shape[1]:
+        raise DimensionMismatchError(f"point dimensions differ: {p.shape[1]} vs {q.shape[1]}")
+    return float(_frechet_wavefront(p[:, None], q[:, None])[0])
 
 
 @dataclass(frozen=True)
@@ -186,6 +192,20 @@ class MetricsReport:
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
+def _paired_frechet(pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Fréchet distance of each equal-length 1-D pair, in pair order: one wavefront
+    per distinct length."""
+    by_length: dict[int, list[int]] = {}
+    for i, (a, _) in enumerate(pairs):
+        by_length.setdefault(a.size, []).append(i)
+    distances = np.empty(len(pairs))
+    for rows in by_length.values():
+        real = np.stack([pairs[i][0] for i in rows], axis=1)[:, :, None]
+        gen = np.stack([pairs[i][1] for i in rows], axis=1)[:, :, None]
+        distances[rows] = _frechet_wavefront(real, gen)
+    return distances
+
+
 def compare_sequences(real: list[np.ndarray], generated: list[np.ndarray],
                       pairing: str = "paired", real_id: str = "real",
                       generated_id: str = "generated") -> MetricsReport:
@@ -206,6 +226,8 @@ def compare_sequences(real: list[np.ndarray], generated: list[np.ndarray],
     for a, b in pairs:
         if a.size != b.size:
             raise PairingMismatchError(f"paired lengths differ: {a.size} vs {b.size}")
+        if a.size == 0:
+            raise EmptySequenceError("empty curve")
 
     undefined = []
     metrics: dict[str, float] = {}
@@ -216,13 +238,12 @@ def compare_sequences(real: list[np.ndarray], generated: list[np.ndarray],
         except ZeroReferenceError:
             undefined.append("prd")
         metrics["rmse"] = float(np.mean([rmse(a, b) for a, b in pairs]))
-        if pairing == "paired":
-            metrics["frechet"] = float(np.mean([frechet_distance(a, b) for a, b in pairs]))
-        else:
-            metrics["frechet"] = frechet_distance(np.concatenate([a for a, _ in pairs]),
-                                                  np.concatenate([b for _, b in pairs]))
         flat_real = np.concatenate([a for a, _ in pairs])
         flat_gen = np.concatenate([b for _, b in pairs])
+        if pairing == "paired":
+            metrics["frechet"] = float(np.mean(_paired_frechet(pairs)))
+        else:
+            metrics["frechet"] = frechet_distance(flat_real, flat_gen)
         try:
             metrics["pearson_r"] = pearson_r(flat_real, flat_gen)
         except (ZeroVarianceError, LengthMismatchError):

@@ -2,9 +2,10 @@
 
 Most of these are plain index-by-index loops over Python floats,
 recomputing each window from scratch, so agreement with the vectorized
-library code is meaningful. Six are former library code, kept so the code
+library code is meaningful. Seven are former library code, kept so the code
 that replaced them can be held to them: ``oracle_frechet_dp`` (the row-by-row
 Fréchet program), ``oracle_logistic_where`` (the two-branch logistic),
+``oracle_logistic_probe`` (the RFE probe's loop before its buffers were reused),
 ``oracle_pca_unscaled`` (the randomized PCA fit whose range finder ran on the
 unscaled data), ``oracle_step`` (a recurrent cell's step built from autodiff ops, which
 ``nn.unroll`` fuses), ``oracle_teacher_forced_decode`` (the per-step
@@ -21,7 +22,7 @@ import math
 
 import numpy as np
 
-from qgf import autodiff as ad, nn
+from qgf import autodiff as ad, features as ft, nn
 from qgf.autodiff import Tensor
 
 
@@ -305,6 +306,21 @@ def oracle_logistic_where(x: np.ndarray) -> np.ndarray:
     t = np.exp(-np.abs(x))
     d = 1.0 + t
     return np.where(x >= 0, 1.0 / d, t / d)
+
+
+def oracle_logistic_probe(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """The RFE probe's gradient descent with fresh arrays at every step."""
+    w = np.zeros(x.shape[1])
+    b = 0.0
+    for _ in range(ft.PROBE_STEPS):
+        logits = x @ w + b
+        err = ad.logistic(logits) - y
+        gw, gb = x.T @ err / x.shape[0] + ft.PROBE_L2 * w, float(err.mean())
+        w -= ft.PROBE_LR * gw
+        b -= ft.PROBE_LR * gb
+    logits = x @ w + b
+    accuracy = float(((logits >= 0).astype(int) == y).mean())
+    return w, b, accuracy
 
 
 def oracle_pca_unscaled(x: np.ndarray, k: int, oversample: int = 5, seed: int = 0):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import oracle_pca_unscaled
+from oracles import oracle_logistic_probe, oracle_pca_unscaled
 
 from qgf import features as ft
 from qgf.errors import (
@@ -56,6 +56,19 @@ def test_probe_separates_easy_data():
     w, b, acc = ft.fit_logistic_probe(ft._standardize(x), y)
     assert acc > 0.95
     assert np.abs(w[0]) > np.abs(w[1:]).max()
+
+
+@pytest.mark.parametrize("n, k, scale", [(500, 1, 1.0), (7, 4, 1.0), (3, 1, 1.0),
+                                         (500, 10, 50.0), (9, 2, 50.0)])
+def test_probe_equals_its_fresh_array_loop_bit_for_bit(n, k, scale):
+    """At x * 50 exp overflows in the logistic from the first step: the probe must
+    ignore that, not warn."""
+    x, y = _informative_dataset(seed=n + k, n=n, noise_cols=k - 1)
+    w, b, acc = ft.fit_logistic_probe(x * scale, y)
+    w_ref, b_ref, acc_ref = oracle_logistic_probe(x * scale, y)
+    assert np.array_equal(w, w_ref)
+    assert b == b_ref
+    assert acc == acc_ref
 
 
 def test_rfe_keeps_the_informative_column():

@@ -1,10 +1,14 @@
 import datetime as dt
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 
+import qgf
 from conftest import daily_dates, make_flat_series, make_series
 from qgf.errors import (
     DuplicateDateError,
@@ -192,6 +196,17 @@ def test_fetch_csv_refuses_a_body_that_is_not_utf8(tmp_path):
 def test_fetch_csv_template_must_reference_symbol():
     with pytest.raises(UrlTemplateError):
         fetch_csv("http://example.invalid/data.csv", "TST")
+
+
+def test_importing_the_cli_leaves_urllib_request_unloaded():
+    """fetch_csv imports urllib.request itself, so no command but a fetch pays for it."""
+    src = os.path.dirname(os.path.dirname(qgf.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    check = "import sys, qgf.cli; print('urllib.request' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", check], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 def test_fetch_csv_maps_http_status_and_unreachable():

@@ -151,6 +151,16 @@ def test_frechet_is_symmetric_on_long_unequal_curves():
         assert mt.frechet_distance(p, q) == mt.frechet_distance(q, p)
 
 
+def test_frechet_wavefront_batch_equals_each_pair_alone():
+    rng = np.random.default_rng(13)
+    for n, m in [(1, 1), (1, 9), (9, 1), (6, 11), (40, 3)]:
+        p = np.cumsum(rng.standard_normal((4, n, 2)), axis=1)
+        q = np.cumsum(rng.standard_normal((4, m, 2)), axis=1)
+        got = mt._frechet_wavefront(p.transpose(1, 0, 2), q.transpose(1, 0, 2))
+        assert got.tolist() == [oracle_frechet_dp(a, b) for a, b in zip(p, q)], (n, m)
+        assert got.tolist() == [mt.frechet_distance(a, b) for a, b in zip(p, q)], (n, m)
+
+
 def test_frechet_memory_is_linear_in_length():
     rng = np.random.default_rng(9)
     p = np.cumsum(rng.standard_normal(3120))
@@ -188,6 +198,16 @@ def test_compare_sequences_paired(rng):
     assert payload["rmse"] == report.metrics["rmse"]
 
 
+def test_compare_sequences_paired_mixed_lengths_equals_mean_of_row_dp():
+    rng = np.random.default_rng(21)
+    lengths = (5, 7, 5, 1)
+    real = [np.cumsum(rng.standard_normal(n)) for n in lengths]
+    gen = [np.cumsum(rng.standard_normal(n)) for n in lengths]
+    report = mt.compare_sequences(real, gen, pairing="paired")
+    assert report.metrics["frechet"] == float(
+        np.mean([oracle_frechet_dp(a, b) for a, b in zip(real, gen)]))
+
+
 def test_compare_sequences_concatenated(rng):
     real = [rng.standard_normal(16) for _ in range(3)]
     gen = [rng.standard_normal(16) for _ in range(3)]
@@ -222,6 +242,10 @@ def test_compare_sequences_errors():
         mt.compare_sequences([np.ones(4)], [np.ones(4), np.ones(4)])
     with pytest.raises(PairingMismatchError):
         mt.compare_sequences([np.ones(4)], [np.ones(5)])
+    for pairing in ("paired", "concatenated"):  # refused before any metric warns
+        with pytest.raises(EmptySequenceError):
+            mt.compare_sequences([np.ones(4), np.ones(0)], [np.ones(4), np.ones(0)],
+                                 pairing=pairing)
 
 
 def test_report_rejects_non_finite_metric():
