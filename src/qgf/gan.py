@@ -283,8 +283,9 @@ def generate_sequences(gen: Generator, count: int, seq_len: int, seed: int) -> n
 
     Runs ``GENERATE_ROWS`` sequences at a time, drawing each block's noise in turn, so
     memory beyond the result does not grow with ``count`` and every value is the one a
-    single batch gives. A last block of one row joins the one before: a one-row GEMM
-    goes to GEMV, whose bits differ."""
+    single batch gives. Not ``nn.blocks``: a block of sequences x steps no multiple of 4
+    puts other rows on the tail path of the one-output projection's GEMV. A last block
+    of one row joins the one before: a one-row GEMM goes to GEMV, whose bits differ."""
     if min(count, seq_len) < 1:
         raise InvariantViolationError(f"count and seq_len must be positive, got {count}, {seq_len}")
     rng = np.random.default_rng(seed)

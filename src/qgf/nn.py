@@ -179,26 +179,35 @@ class LSTMCell:
         return dz.transpose(1, 2, 0, 3).reshape(dh.shape[0], dh.shape[1], -1), dc * f
 
 
-SEGMENT = 64  # steps per input GEMM and per gate tape of a tracked LSTM
+SEGMENT = 64  # most steps per input GEMM and per gate tape of a tracked LSTM
 
 
-def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | None = None):
+def blocks(total: int, most: int) -> list[tuple[int, int]]:
+    """The fewest ``(first, length)`` blocks of at most ``most`` that cover ``range(total)``,
+    lengths within one of each other: none is one row (a GEMV) unless ``total`` is one."""
+    if total > most < 3:
+        raise ValueError(f"blocks of at most {most} < 3 may leave one row of {total}")
+    count = -(-total // most)
+    edges = [k * total // count for k in range(count + 1)]
+    return [(first, stop - first) for first, stop in zip(edges, edges[1:])]
+
+
+def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None):
     """Step ``cells`` (one per direction, all of one kind and size; ``h0`` needs one
-    direction) over ``seq`` in lockstep, direction d backwards in time if ``reverse[d]``.
-    Returns ``(hs, parents, bptt)``: hs is (directions, batch, time, hidden) in step
-    order, and ``bptt(g)`` backpropagates g, laid out as hs. Weight gradients sum latest
-    step first and reach each parameter once, at the end: a parameter used twice in one
-    graph sums in another order than a chain of per-step ops would.
+    direction) over ``seq`` in lockstep, the first forwards and a second backwards in
+    time. Returns ``(hs, parents, bptt)``: hs is (directions, batch, time, hidden) in
+    step order, and ``bptt(g)`` backpropagates g, laid out as hs. Weight gradients sum
+    latest step first and reach each parameter once, at the end: a parameter used twice
+    in one graph sums in another order than a chain of per-step ops would.
 
-    Steps run in segments, each with one input GEMM per direction. A tracked forward tapes
-    one segment: each of its steps' gates and c, in buffers only ``bptt`` holds, with c
-    before every segment. When the forward returns they hold the last segment;
-    ``bptt`` re-runs each earlier one by the forward's own steps from its first c and the
-    h before it, so every bit is the same. An untracked forward steps one step's slots."""
+    Steps run in ``blocks(steps, SEGMENT)``, one input GEMM per segment and direction. A
+    tracked forward tapes one segment, each step's gates and c, in buffers only ``bptt``
+    holds, and c before every segment. Returned, they hold the last segment; ``bptt``
+    re-runs each earlier one by the forward's own steps from its first c and the h before
+    it, so every bit is the same. An untracked forward steps one step's slots."""
     cell = cells[0]
     if seq.data.ndim != 3 or seq.shape[2] != cell.n_in:
-        raise ShapeMismatchError(
-            f"unroll expects (batch, time, {cell.n_in}), got {seq.shape}")
+        raise ShapeMismatchError(f"unroll expects (batch, time, {cell.n_in}), got {seq.shape}")
     batch, steps, n_in = seq.shape
     if steps == 0:
         raise EmptySequenceError("unroll got an empty sequence")
@@ -207,11 +216,8 @@ def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | No
     parents = (seq, *[w for c in cells for w in (c.w_x, c.w_h, c.b)])
     parents += () if h0 is None else (h0,)
     track = ad.is_tracking(*parents)
-    order = [slice(None, None, -1 if back else 1) for back in reverse]  # step k -> time
-    bounds = [*range(0, steps, SEGMENT), steps]
-    if batch == 1 and len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]  # a one-row input GEMM would go to GEMV, whose bits differ
-    segments = [(first, stop - first) for first, stop in zip(bounds, bounds[1:])]
+    order = [slice(None), slice(None, None, -1)][:len(cells)]  # step k -> time
+    segments = blocks(steps, SEGMENT)
     span = max(n for _, n in segments)
     w_x = np.stack([c.w_x.data for c in cells])
     w_h = np.stack([c.w_h.data for c in cells])
@@ -283,24 +289,18 @@ def _recur(cells: tuple, seq: Tensor, reverse: tuple[bool, ...], h0: Tensor | No
     return hs, parents, bptt
 
 
-def unroll(cell: RNNCell | LSTMCell, seq: Tensor, reverse: bool = False,
-           h0: Tensor | None = None) -> Tensor:
-    """Step ``cell`` over ``seq`` (batch, time, features) from its zero state.
+def unroll(cell: RNNCell | LSTMCell, seq: Tensor, h0: Tensor | None = None) -> Tensor:
+    """Step ``cell`` forwards over ``seq`` (batch, time, features) from its zero state.
 
-    Returns h for every step as one (batch, time, hidden) tensor in time
-    order; ``reverse`` walks time backwards. ``h0`` (batch, hidden), if given,
-    replaces the zero initial h (an LSTM's c still starts at zero). The whole
-    recurrence is one graph node: one input GEMM per ``SEGMENT`` steps, a
-    time loop that steps only ``h @ w_h`` and the cell's gates, and a
-    hand-written backpropagation through time. An LSTM tapes the gates and c
-    of one segment of steps and re-runs each earlier segment from its first c
-    before backpropagating through it (no tape under ``ad.no_grad()``). Values
-    and gradients, which ``SEGMENT`` does not change, are those of the same
-    step built from autodiff ops and chained from that state.
-    """
-    hs, parents, bptt = _recur((cell,), seq, (reverse,), h0)
-    o = slice(None, None, -1 if reverse else 1)
-    return ad._make(np.ascontiguousarray(hs[0][:, o]), parents, lambda g: bptt(g[None][:, :, o]))
+    Returns h for every step as one (batch, time, hidden) tensor. ``h0`` (batch, hidden),
+    if given, replaces the zero initial h (an LSTM's c still starts at zero). The whole
+    recurrence is one ``_recur`` graph node: one input GEMM per segment, a time loop that
+    steps only ``h @ w_h`` and the gates, and a hand-written BPTT. An LSTM tapes one
+    segment's gates and c and re-runs each earlier segment before backpropagating through
+    it (no tape under ``ad.no_grad()``). Values and gradients, which ``SEGMENT`` does not
+    change, are those of the same step built from autodiff ops and chained from that state."""
+    hs, parents, bptt = _recur((cell,), seq, h0)
+    return ad._make(hs[0], parents, lambda g: bptt(g[None]))
 
 
 class BiLstmLayer:
@@ -309,8 +309,7 @@ class BiLstmLayer:
     Both directions start from zero states and step in lockstep through one
     recurrence node; the per-step output is tanh(h_fwd W_f + h_bwd W_b + b) with
     independent parameters per direction, computed for all steps at once by a
-    second node that saves only its output.
-    """
+    second node that saves only its output."""
 
     def __init__(self, pset: ParamSet, name: str, n_in: int, hidden: int, n_out: int,
                  rng: np.random.Generator):
@@ -321,7 +320,7 @@ class BiLstmLayer:
         self.b_o = pset.add(f"{name}.merge.b", np.zeros(n_out))
 
     def __call__(self, seq: Tensor) -> Tensor:
-        hs, parents, bptt = _recur((self.fwd, self.bwd), seq, (False, True))
+        hs, parents, bptt = _recur((self.fwd, self.bwd), seq)
         rec = ad._make(hs, parents, bptt)
 
         def time_rows():  # each direction's h in time order, as (batch * time, hidden)

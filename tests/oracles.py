@@ -375,11 +375,17 @@ def oracle_teacher_forced_decode(model, latent: Tensor, teacher: Tensor) -> Tens
     return ad.reshape(ad.concat(outputs, axis=1), (batch, steps))
 
 
+def oracle_flip(x: Tensor) -> Tensor:
+    """``x`` (batch, time, ...) in reversed time: one ``ad.narrow`` per step and an ``ad.concat``."""
+    return ad.concat([ad.narrow(x, 1, t, 1) for t in range(x.shape[1] - 1, -1, -1)], axis=1)
+
+
 def oracle_bilstm(layer, seq: Tensor) -> Tensor:
-    """A BiLstmLayer's output as ten autodiff nodes: one ``nn.unroll`` per direction
-    and a tanh merge built from autodiff ops."""
+    """A BiLstmLayer's output from autodiff ops: one ``nn.unroll`` per direction, the
+    backward one over ``oracle_flip(seq)`` and flipped back, and a tanh merge. That is
+    10 + 2 (T + 1) graph nodes for T steps."""
     fwd_h = nn.unroll(layer.fwd, seq)
-    bwd_h = nn.unroll(layer.bwd, seq, reverse=True)
+    bwd_h = oracle_flip(nn.unroll(layer.bwd, oracle_flip(seq)))
     batch, steps, hidden = fwd_h.shape
     rows = (batch * steps, hidden)
     merged = ad.add(ad.add(ad.matmul(ad.reshape(fwd_h, rows), layer.w_f),

@@ -224,13 +224,30 @@ def test_generate_on_checkpoint_without_tensors_exits_data_error(tmp_path, capsy
     assert "'tensors'" in payload["message"]
 
 
+def test_paper_geometry_trains_generates_and_evaluates(tmp_path):
+    """The paper's 3120-point windows through the CLI: the default H = 90 generator, a
+    recurrence of 49 segments, and the paper discriminator, reproducible on a rerun."""
+    data_path = tmp_path / "seqs.csv"
+    _write_train_data(data_path, count=4, length=3120)
+    for ckpt in ("ckpt", "again"):
+        assert run("train", "--model", "gan", "--data", data_path, "--epochs", 1, "--batch", 2,
+                   "--out", tmp_path / ckpt, "--quiet") == 0
+    history = (tmp_path / "ckpt" / "history.csv").read_bytes()
+    assert history == (tmp_path / "again" / "history.csv").read_bytes()
+    gen_path = tmp_path / "generated.csv"
+    assert run("generate", "--ckpt", tmp_path / "ckpt", "--count", 4, "--out", gen_path,
+               "--quiet") == 0
+    assert run("evaluate", "--real", data_path, "--generated", gen_path,
+               "--out", tmp_path / "report.json", "--quiet") == 0
+
+
 @pytest.fixture(scope="module")
 def gan_ckpt(tmp_path_factory):
     work = tmp_path_factory.mktemp("gan")
     data_path = work / "seqs.csv"
     _write_train_data(data_path, length=64)
     assert run("train", "--model", "gan", "--data", data_path, "--epochs", 1, "--batch", 8,
-               "--hidden", 4, "--noise-dim", 2, "--out", work / "ckpt", "--quiet") == 0
+               "--noise-dim", 2, "--out", work / "ckpt", "--quiet") == 0
     return work / "ckpt"
 
 
@@ -263,12 +280,19 @@ def test_generate_refuses_a_zero_length(gan_ckpt, tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [1, 5])  # a last block of one row joins the block before
 def test_generate_in_blocks_writes_the_bytes_of_one_batch(gan_ckpt, tmp_path, monkeypatch, extra):
+    """Also at 130 steps, where blocks of sequences x steps not a multiple of 4 would put
+    other rows on the one-output projection's GEMV tail path than one batch does."""
     count = 2 * gan.GENERATE_ROWS + extra
-    blocks, whole = tmp_path / "blocks.csv", tmp_path / "whole.csv"
-    assert run("generate", "--ckpt", gan_ckpt, "--count", count, "--out", blocks, "--quiet") == 0
+
+    def generate(length):
+        out = tmp_path / "out.csv"
+        assert run("generate", "--ckpt", gan_ckpt, "--count", count, "--len", length,
+                   "--out", out, "--quiet") == 0
+        return out.read_bytes()
+
+    blocks = [generate(length) for length in (64, 130)]
     monkeypatch.setattr(gan, "GENERATE_ROWS", count)
-    assert run("generate", "--ckpt", gan_ckpt, "--count", count, "--out", whole, "--quiet") == 0
-    assert blocks.read_bytes() == whole.read_bytes()
+    assert blocks == [generate(length) for length in (64, 130)]
 
 
 def _assert_one_memory_error_line(capsys):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qgf import gan, nn
+from qgf import autodiff as ad, gan, nn
 from qgf.autodiff import Tensor
 from qgf.errors import (
     EmptyDatasetError,
@@ -208,6 +208,23 @@ def test_generate_sequences_peak_beyond_the_result_is_flat_in_count():
 
     one_block = peak_beyond_result(gan.GENERATE_ROWS)
     assert peak_beyond_result(8 * gan.GENERATE_ROWS) < 1.1 * one_block
+
+
+def test_a_generator_step_at_paper_width_peaks_linearly_in_length():
+    """A tracked forward and backward at the paper's H = 90 and B = 8 peaks about 0.068 MB
+    higher per step, 0.85 MB per step at the paper's B = 100: no per-step tape is kept."""
+
+    def peak(steps):
+        gen = gan.Generator(gan.GeneratorConfig(seq_len=steps), np.random.default_rng(0))
+        noise = gan.sample_noise(8, steps, gen.config.noise_dim, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            ad.backward(ad.tensor_sum(gen.forward(noise, np.random.default_rng(2))))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(512) - peak(256)) / 256 < 0.08e6
 
 
 def test_generate_sequences_refuses_an_empty_request():

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import oracle_bilstm, oracle_step, oracle_zero_state
+from oracles import oracle_bilstm, oracle_flip, oracle_step, oracle_zero_state
 
 from qgf import autodiff as ad, nn
 from qgf.autodiff import Tensor
@@ -133,6 +133,14 @@ def _cell_and_sequence(kind):
     return cell, Tensor(rng.standard_normal((2, 5, 3)))
 
 
+def _unroll(cell, seq, reverse, h0=None):
+    """``nn.unroll``, or with ``reverse`` the backward direction as ``oracle_bilstm``
+    builds it: unrolled over the time-flipped sequence and flipped back."""
+    if not reverse:
+        return nn.unroll(cell, seq, h0=h0)
+    return oracle_flip(nn.unroll(cell, oracle_flip(seq), h0=h0))
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("kind", sorted(CELLS))
 def test_unroll_matches_a_manual_step_loop_in_time_order(kind, reverse):
@@ -142,7 +150,7 @@ def test_unroll_matches_a_manual_step_loop_in_time_order(kind, reverse):
     for t in (range(4, -1, -1) if reverse else range(5)):
         state = oracle_step(cell, Tensor(seq.data[:, t, :]), state)
         manual[t] = state[0].data
-    hs = nn.unroll(cell, seq, reverse=reverse)
+    hs = _unroll(cell, seq, reverse)
     assert hs.shape == (2, 5, 4)
     assert all(np.array_equal(hs.data[:, t], manual[t]) for t in range(5))
 
@@ -168,7 +176,7 @@ def test_unroll_gradients_match_a_manual_step_loop(kind, reverse):
             loss = ad.add(loss, ad.tensor_sum(ad.mul(state[0], weights[:, t])))
         return loss
 
-    fused = grads(lambda: ad.tensor_sum(ad.mul(nn.unroll(cell, seq, reverse=reverse), weights)))
+    fused = grads(lambda: ad.tensor_sum(ad.mul(_unroll(cell, seq, reverse), weights)))
     manual = grads(manual_loss)
     for name in tensors:
         np.testing.assert_allclose(fused[name], manual[name], rtol=1e-12, err_msg=name)
@@ -199,10 +207,10 @@ def test_unroll_from_h0_matches_a_manual_step_loop(kind, reverse):
             hs[t] = ad.reshape(state[0], (2, 1, 4))
         return ad.concat([hs[t] for t in range(5)], axis=1)
 
-    fused_hs, fused = run(lambda: nn.unroll(cell, seq, reverse=reverse, h0=h0))
+    fused_hs, fused = run(lambda: _unroll(cell, seq, reverse, h0=h0))
     manual_out, manual = run(manual_hs)
     np.testing.assert_allclose(fused_hs, manual_out, rtol=1e-12)
-    assert not np.array_equal(fused_hs, nn.unroll(cell, seq, reverse=reverse).data)
+    assert not np.array_equal(fused_hs, _unroll(cell, seq, reverse).data)
     for name in tensors:
         np.testing.assert_allclose(fused[name], manual[name], rtol=1e-12, err_msg=name)
 
@@ -240,9 +248,9 @@ def test_input_gemms_run_per_segment_and_never_on_one_row(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", spy)
     cell = nn.RNNCell(nn.ParamSet(), "c", 2, 3, np.random.default_rng(0))
-    # (batch, steps): rows of each segment's GEMM; at batch 1 a one-step last segment
-    # joins the one before, and a one-step sequence is one row as it is unsegmented
-    for (batch, steps), want in {(2, 7): [6, 6, 2], (1, 7): [3, 4], (1, 8): [3, 3, 2],
+    # (batch, steps): rows of each segment's GEMM; segments within one step of each other
+    # leave no one-step segment, and a one-step sequence is one row as it is unsegmented
+    for (batch, steps), want in {(2, 7): [4, 4, 6], (1, 7): [2, 2, 3], (1, 8): [2, 3, 3],
                                  (1, 1): [1]}.items():
         rows.clear()
         with ad.no_grad():
@@ -254,12 +262,36 @@ def _bitwise_equal(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("segment", [2, 3, 5])
+def test_blocks_are_the_fewest_and_within_one_step_of_each_other():
+    for most in range(3, 71):
+        for total in range(1, 401):
+            parts = nn.blocks(total, most)
+            covered = [t for first, n in parts for t in range(first, first + n)]
+            assert covered == list(range(total)), (total, most)
+            lengths = {n for _, n in parts}
+            assert max(lengths) <= most and max(lengths) - min(lengths) <= 1
+            assert len(parts) == -(-total // most)
+            assert total == 1 or 1 not in lengths, (total, most)
+
+
+def test_blocks_refuse_a_bound_that_may_leave_one_row(monkeypatch):
+    for total, most in ((3, 2), (2, 1), (1, 0), (5, -1)):
+        with pytest.raises(ValueError):
+            nn.blocks(total, most)
+    assert nn.blocks(2, 2) == [(0, 2)] and nn.blocks(1, 1) == [(0, 1)]
+    # segments of 2 would split 3 steps into 1 + 2, a one-row GEMM at batch 1
+    monkeypatch.setattr(nn, "SEGMENT", 2)
+    cell = nn.LSTMCell(nn.ParamSet(), "c", 3, 4, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        nn.unroll(cell, Tensor(np.zeros((1, 3, 3))))
+
+
+@pytest.mark.parametrize("segment", [3, 4, 5])
 @pytest.mark.parametrize("model", ["rnn", "lstm", "bilstm"])
 def test_segment_length_changes_no_bit(monkeypatch, model, segment):
     """Values and every gradient equal, bit for bit, those of the same run in one segment:
-    for each direction, with and without h0, at batch 1 and 2, for T = 1, S - 1, S, S + 1
-    and 3S + 2 (at batch 1, T = S + 1 ends in a one-step segment)."""
+    with and without h0, and for both directions of a BiLSTM, at batch 1 and 2, for
+    T = 1, S - 1, S, S + 1 and 3S + 2."""
     for batch in (1, 2):
         for steps in sorted({1, segment - 1, segment, segment + 1, 3 * segment + 2}):
             rng = np.random.default_rng(batch * 100 + steps)
@@ -271,8 +303,8 @@ def test_segment_length_changes_no_bit(monkeypatch, model, segment):
                 runs = [(lambda: layer(seq), ())]
             else:
                 cell = CELLS[model](pset, "c", 3, 4, rng)
-                runs = [(lambda r=reverse, h=h: nn.unroll(cell, seq, reverse=r, h0=h),
-                         () if h is None else (h,)) for reverse in (False, True) for h in (None, h0)]
+                runs = [(lambda h=h: nn.unroll(cell, seq, h0=h), () if h is None else (h,))
+                        for h in (None, h0)]
             for build, extra in runs:
                 tensors = [*pset.tensors(), seq, *extra]
 
@@ -402,7 +434,7 @@ def test_bilstm_layer_records_two_graph_nodes_and_none_without_grad():
     layer = nn.BiLstmLayer(nn.ParamSet(), "bi", 2, 3, 4, rng)
     seq = Tensor(rng.standard_normal((3, 5, 2)), requires_grad=True)
     assert _graph_nodes(layer(seq)) == 2
-    assert _graph_nodes(oracle_bilstm(layer, seq)) == 10
+    assert _graph_nodes(oracle_bilstm(layer, seq)) == 10 + 2 * (5 + 1)
     with ad.no_grad():
         out = layer(seq)
     assert out._parents == () and out._backward is None and not out.requires_grad
@@ -460,6 +492,16 @@ def test_backward_frees_the_tape_with_the_graph():
     assert long - short < 4 * nn.SEGMENT * 4 * 2 * batch * width * 8 / 2
 
 
+def test_a_tracked_bilstm_one_step_past_a_segment_holds_no_more_than_one_segment():
+    batch, width = 16, 32  # n_in = hidden = n_out
+    rng = np.random.default_rng(12)
+    layer = _bilstm(rng, width, width, width)
+    # two segments of about half a segment each tape about half the gates of one
+    held = [_held_and_kept(layer, Tensor(rng.standard_normal((batch, steps, width))))[0]
+            for steps in (nn.SEGMENT, nn.SEGMENT + 1)]
+    assert held[1] <= held[0], held
+
+
 @pytest.mark.parametrize("model", ["rnn", "lstm", "bilstm"])
 def test_bptt_reruns_the_steps_before_the_last_segment_only(monkeypatch, model):
     """The forward runs one h @ w_h per step. An LSTM's BPTT re-runs it for every step
@@ -481,8 +523,8 @@ def test_bptt_reruns_the_steps_before_the_last_segment_only(monkeypatch, model):
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", spy)
-    for steps, replayed in ((1, 0), (nn.SEGMENT, 0),
-                            (3 * nn.SEGMENT + 2, 0 if model == "rnn" else 3 * nn.SEGMENT)):
+    for steps in (1, nn.SEGMENT, 3 * nn.SEGMENT + 2):
+        replayed = 0 if model == "rnn" else steps - nn.blocks(steps, nn.SEGMENT)[-1][1]
         out = build(Tensor(rng.standard_normal((2, steps, 2)), requires_grad=True))
         assert len(products) == steps, steps
         products.clear()
