@@ -19,16 +19,7 @@ from .market_data import (
     sliding_windows,
 )
 from .indicators import FEATURE_ORDER, FeatureMatrix, build_feature_matrix
-from .metrics import (
-    ConfusionCounts,
-    MetricsReport,
-    compare_sequences,
-    frechet_distance,
-    pearson_r,
-    prd,
-    precision_recall_f1,
-    rmse,
-)
+from .metrics import MetricsReport, compare_sequences, frechet_distance, pearson_r, prd, rmse
 from .gan import (
     DiscriminatorConfig,
     GeneratorConfig,
@@ -46,8 +37,7 @@ __all__ = [
     "PriceSeries", "WindowSpec", "LabelSeries",
     "parse_csv", "serialize_csv", "sliding_windows", "label_trend",
     "FEATURE_ORDER", "FeatureMatrix", "build_feature_matrix",
-    "ConfusionCounts", "MetricsReport", "precision_recall_f1", "pearson_r",
-    "prd", "rmse", "frechet_distance", "compare_sequences",
+    "MetricsReport", "pearson_r", "prd", "rmse", "frechet_distance", "compare_sequences",
     "GeneratorConfig", "DiscriminatorConfig", "TrainConfig",
     "sample_noise", "train_gan",
     "AeConfig", "autoencoder_loss", "reparameterize", "train_baseline",

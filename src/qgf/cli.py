@@ -29,6 +29,7 @@ from .errors import (
     MalformedHeaderError,
     NumericError,
     RowParseError,
+    SeriesTooShortError,
 )
 from .ioutil import parse_floats, sha256_file, write_text_atomic
 
@@ -170,6 +171,10 @@ def cmd_indicators(args: argparse.Namespace) -> int:
     if args.label_horizon is not None:
         # the label of bar i looks args.label_horizon bars ahead, so the last bars have none
         labels = market_data.label_trend(series, args.label_horizon)
+        if len(labels) <= matrix.valid_from:
+            raise SeriesTooShortError(
+                f"--label-horizon {args.label_horizon} needs at least "
+                f"{matrix.valid_from + args.label_horizon + 1} bars, got {len(series)}")
         header.append(f"{LABEL_PREFIX}{args.label_horizon}")
         values = np.column_stack([values[:len(labels)], labels.labels])
     keys = [d.isoformat() for d in series.dates[matrix.valid_from:len(values)]]
@@ -291,7 +296,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _, _, real = _read_rows(real_path, keyed=False)
     _, _, generated = _read_rows(gen_path, keyed=False)
     manifest, t0 = _start(args, [real_path, gen_path])
-    report = metrics.compare_sequences(list(real), list(generated), pairing=args.pairing,
+    report = metrics.compare_sequences(real, generated, pairing=args.pairing,
                                        real_id=str(real_path), generated_id=str(gen_path))
     out = Path(args.out)
     write_text_atomic(out, report.to_json())

@@ -65,41 +65,48 @@ def _standardize(x: np.ndarray) -> np.ndarray:
         return (x - mu) / np.where(sd == 0, 1.0, np.where(np.isfinite(sd), sd, np.nan))
 
 
+def _probe_gradient(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float,
+                    logits: np.ndarray, err: np.ndarray, gw: np.ndarray) -> float:
+    """Write logits = x w + b, err = logistic(logits) - y and the weight gradient
+    gw = x^T err / n + l2 w into the given buffers; return the bias gradient mean(err).
+    Below logit -709 exp overflows to inf and the logistic reads 0: the caller ignores it."""
+    np.matmul(x, w, out=logits)
+    logits += b
+    ad._logistic(logits, out=err)
+    err -= y
+    np.matmul(x.T, err, out=gw)
+    gw /= x.shape[0]
+    gw += l2 * w
+    return float(np.add.reduce(err) / x.shape[0])
+
+
 def logistic_loss_and_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
                            l2: float) -> tuple[float, np.ndarray, float]:
     """Mean cross-entropy plus (l2/2)||w||^2 and its exact gradient in (w, b)."""
-    logits = x @ w + b
+    logits, err, gw = np.empty(x.shape[0]), np.empty(x.shape[0]), np.empty(w.size)
+    with np.errstate(over="ignore"):
+        gb = _probe_gradient(w, b, x, y, l2, logits, err, gw)
     # log(1 + exp(z)) - y z, computed from the softplus identity for stability
     softplus = np.logaddexp(0.0, logits)
     loss = float((softplus - y * logits).mean() + 0.5 * l2 * (w @ w))
-    err = ad.logistic(logits) - y
-    return loss, x.T @ err / x.shape[0] + l2 * w, float(err.mean())
+    return loss, gw, gb
 
 
 def fit_logistic_probe(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Full-batch gradient descent from zero weights; returns (w, b, accuracy).
 
-    Each step is logits = x w + b, err = logistic(logits) - y,
-    w -= rate * (x^T err / n + l2 w) and b -= rate * mean(err), written into
-    buffers allocated once.
+    Each step takes the gradient of ``logistic_loss_and_grad`` into buffers allocated
+    once, then w -= rate * gw and b -= rate * gb.
     """
-    n = x.shape[0]
     y_float = np.asarray(y, dtype=np.float64)
     w = np.zeros(x.shape[1])
     b = 0.0
-    logits, err, gw = np.empty(n), np.empty(n), np.empty(w.size)
-    # below logit -709 exp overflows to inf and the logistic reads 0
+    logits, err, gw = np.empty(x.shape[0]), np.empty(x.shape[0]), np.empty(w.size)
     with np.errstate(over="ignore"):
         for _ in range(PROBE_STEPS):
-            np.matmul(x, w, out=logits)
-            logits += b
-            ad._logistic(logits, out=err)
-            err -= y_float
-            np.matmul(x.T, err, out=gw)
-            gw /= n
-            gw += PROBE_L2 * w
+            gb = _probe_gradient(w, b, x, y_float, PROBE_L2, logits, err, gw)
             w -= PROBE_LR * gw
-            b -= PROBE_LR * float(np.add.reduce(err) / n)
+            b -= PROBE_LR * gb
     logits = x @ w + b
     accuracy = float(((logits >= 0).astype(int) == y).mean())
     return w, b, accuracy

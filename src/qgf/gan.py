@@ -282,10 +282,14 @@ def generate_sequences(gen: Generator, count: int, seq_len: int, seed: int) -> n
     """Deterministic eval-mode sampling: (count, seq_len) float array.
 
     Runs ``GENERATE_ROWS`` sequences at a time, drawing each block's noise in turn, so
-    memory beyond the result does not grow with ``count`` and every value is the one a
-    single batch gives. Not ``nn.blocks``: a block of sequences x steps no multiple of 4
-    puts other rows on the tail path of the one-output projection's GEMV. A last block
-    of one row joins the one before: a one-row GEMM goes to GEMV, whose bits differ."""
+    memory beyond the result does not grow with ``count``. The bytes are fixed by the
+    weights, ``count``, ``seq_len`` and ``seed``. At the desk width (H=16) they are the
+    bytes one batch of ``count`` rows gives; at H=90 and a few steps they need not be,
+    as BLAS may round a small block's GEMMs differently (40 rows at 5 steps all differ
+    in the last bits, at 8 steps the 8-row block does, at 64 steps none).
+    Not ``nn.blocks``: a block of sequences x steps no multiple of 4 puts other rows on
+    the tail path of the one-output projection's GEMV. A last block of one row joins
+    the one before: a one-row GEMM goes to GEMV, whose bits differ."""
     if min(count, seq_len) < 1:
         raise InvariantViolationError(f"count and seq_len must be positive, got {count}, {seq_len}")
     rng = np.random.default_rng(seed)

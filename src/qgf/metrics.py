@@ -1,13 +1,13 @@
-"""Evaluation measures: classification rates, correlation, and curve distances.
+"""Evaluation measures: PRD, RMSE, Pearson correlation and discrete Fréchet distance.
 
-Division-by-zero cases in the classification rates are reported as explicit
-undefined flags rather than silent zeros, so result tables cannot hide them.
+A metric with no defined value (PRD against an all-zero reference, correlation of a
+constant sequence) is reported as an explicit undefined flag, never a silent zero.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,60 +22,8 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ConfusionCounts:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.tn, self.fn) < 0:
-            raise InvariantViolationError("confusion counts must be nonnegative")
-
-    @classmethod
-    def from_predictions(cls, y_true: np.ndarray, y_pred: np.ndarray) -> "ConfusionCounts":
-        y_true = np.asarray(y_true).astype(int)
-        y_pred = np.asarray(y_pred).astype(int)
-        if y_true.shape != y_pred.shape:
-            raise LengthMismatchError(f"{y_true.shape} vs {y_pred.shape}")
-        return cls(tp=int(((y_true == 1) & (y_pred == 1)).sum()),
-                   fp=int(((y_true == 0) & (y_pred == 1)).sum()),
-                   tn=int(((y_true == 0) & (y_pred == 0)).sum()),
-                   fn=int(((y_true == 1) & (y_pred == 0)).sum()))
-
-
-@dataclass(frozen=True, slots=True)
-class ClassificationRates:
-    """Precision, recall, F1; None where the defining ratio has no denominator."""
-
-    precision: float | None
-    recall: float | None
-    f1: float | None
-    undefined: tuple[str, ...]
-
-
-def precision_recall_f1(c: ConfusionCounts) -> ClassificationRates:
-    """TP/(TP+FP), TP/(TP+FN), and their harmonic mean (0 when P+R = 0)."""
-    undefined = []
-    precision = recall = None
-    if c.tp + c.fp > 0:
-        precision = c.tp / (c.tp + c.fp)
-    else:
-        undefined.append("precision")
-    if c.tp + c.fn > 0:
-        recall = c.tp / (c.tp + c.fn)
-    else:
-        undefined.append("recall")
-    if precision is None or recall is None:
-        undefined.append("f1")
-        f1 = None
-    else:
-        f1 = f1_score(precision, recall)
-    return ClassificationRates(precision, recall, f1, tuple(undefined))
-
-
 def f1_score(precision: float, recall: float) -> float:
+    """Harmonic mean of precision and recall, 0 when both are 0."""
     if precision + recall == 0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
@@ -98,24 +46,33 @@ def pearson_r(x: np.ndarray, y: np.ndarray) -> float:
     return float((xc * yc).sum() / np.sqrt(sxx * syy))
 
 
-def prd(x: np.ndarray, x_hat: np.ndarray) -> float:
-    """Percent root-mean-square difference: 100 * sqrt(sum((x-x̂)²)/sum(x²))."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    x_hat = np.asarray(x_hat, dtype=np.float64).ravel()
-    if x.size != x_hat.size:
-        raise LengthMismatchError(f"{x.size} vs {x_hat.size}")
-    denom = float((x * x).sum())
-    if denom == 0:
+def _same_shape(x, x_hat) -> tuple[np.ndarray, np.ndarray]:
+    x = np.asarray(x, dtype=np.float64)
+    x_hat = np.asarray(x_hat, dtype=np.float64)
+    if x.shape != x_hat.shape:
+        raise LengthMismatchError(f"{x.shape} vs {x_hat.shape}")
+    return x, x_hat
+
+
+def _per_row(values: np.ndarray) -> float | np.ndarray:
+    """One float for a 1-D pair, one value per row for (N, L) input."""
+    return float(values) if values.ndim == 0 else values
+
+
+def prd(x: np.ndarray, x_hat: np.ndarray) -> float | np.ndarray:
+    """Percent root-mean-square difference along the last axis:
+    100 * sqrt(sum((x-x̂)²)/sum(x²))."""
+    x, x_hat = _same_shape(x, x_hat)
+    denom = (x * x).sum(axis=-1)
+    if np.any(denom == 0):
         raise ZeroReferenceError("reference sequence is identically zero")
-    return float(100.0 * np.sqrt(((x - x_hat) ** 2).sum() / denom))
+    return _per_row(100.0 * np.sqrt(((x - x_hat) ** 2).sum(axis=-1) / denom))
 
 
-def rmse(x: np.ndarray, x_hat: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    x_hat = np.asarray(x_hat, dtype=np.float64).ravel()
-    if x.size != x_hat.size:
-        raise LengthMismatchError(f"{x.size} vs {x_hat.size}")
-    return float(np.sqrt(((x - x_hat) ** 2).mean()))
+def rmse(x: np.ndarray, x_hat: np.ndarray) -> float | np.ndarray:
+    """Root-mean-square difference along the last axis."""
+    x, x_hat = _same_shape(x, x_hat)
+    return _per_row(np.sqrt(((x - x_hat) ** 2).mean(axis=-1)))
 
 
 def _as_curve(p) -> np.ndarray:
@@ -192,60 +149,48 @@ class MetricsReport:
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def _paired_frechet(pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
-    """Fréchet distance of each equal-length 1-D pair, in pair order: one wavefront
-    per distinct length."""
-    by_length: dict[int, list[int]] = {}
-    for i, (a, _) in enumerate(pairs):
-        by_length.setdefault(a.size, []).append(i)
-    distances = np.empty(len(pairs))
-    for rows in by_length.values():
-        real = np.stack([pairs[i][0] for i in rows], axis=1)[:, :, None]
-        gen = np.stack([pairs[i][1] for i in rows], axis=1)[:, :, None]
-        distances[rows] = _frechet_wavefront(real, gen)
-    return distances
-
-
-def compare_sequences(real: list[np.ndarray], generated: list[np.ndarray],
+def compare_sequences(real: np.ndarray, generated: np.ndarray,
                       pairing: str = "paired", real_id: str = "real",
                       generated_id: str = "generated") -> MetricsReport:
-    """Mean PRD/RMSE over index-paired sequences plus a Fréchet distance.
+    """Score row i of ``generated`` against row i of ``real``, two (N, L) arrays.
 
-    ``pairing`` controls the curve comparison: "paired" averages the
-    distance over pairs, "concatenated" joins each side end to end and
-    compares the two long curves. PRD and RMSE are always index-paired.
+    PRD and RMSE are means over the rows and Pearson r runs over all N·L points.
+    ``pairing`` controls the curve comparison: "paired" averages the Fréchet
+    distance over rows, "concatenated" joins each side's rows end to end and
+    compares the two long curves.
     """
     if pairing not in ("paired", "concatenated"):
         raise PairingMismatchError(f"unknown pairing mode {pairing!r}")
-    if len(real) == 0 or len(generated) == 0:
+    try:
+        real = np.asarray(real, dtype=np.float64)
+        generated = np.asarray(generated, dtype=np.float64)
+    except ValueError as exc:  # rows of different lengths
+        raise PairingMismatchError(f"sequences must form (N, L) arrays: {exc}") from None
+    if real.size == 0 or generated.size == 0:
         raise EmptySequenceError("nothing to compare")
-    if len(real) != len(generated):
-        raise PairingMismatchError(f"{len(real)} real vs {len(generated)} generated sequences")
-    pairs = [(np.asarray(a, dtype=np.float64).ravel(), np.asarray(b, dtype=np.float64).ravel())
-             for a, b in zip(real, generated)]
-    for a, b in pairs:
-        if a.size != b.size:
-            raise PairingMismatchError(f"paired lengths differ: {a.size} vs {b.size}")
-        if a.size == 0:
-            raise EmptySequenceError("empty curve")
+    if real.ndim != 2 or generated.ndim != 2:
+        raise DimensionMismatchError(f"need (N, L) arrays, got {real.shape} and {generated.shape}")
+    if real.shape != generated.shape:
+        raise PairingMismatchError(f"{real.shape} real vs {generated.shape} generated")
 
     undefined = []
     metrics: dict[str, float] = {}
     # values near the float64 limit overflow a metric to inf or nan, which the report refuses
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            metrics["prd"] = float(np.mean([prd(a, b) for a, b in pairs]))
+            metrics["prd"] = float(np.mean(prd(real, generated)))
         except ZeroReferenceError:
             undefined.append("prd")
-        metrics["rmse"] = float(np.mean([rmse(a, b) for a, b in pairs]))
-        flat_real = np.concatenate([a for a, _ in pairs])
-        flat_gen = np.concatenate([b for _, b in pairs])
+        metrics["rmse"] = float(np.mean(rmse(real, generated)))
         if pairing == "paired":
-            metrics["frechet"] = float(np.mean(_paired_frechet(pairs)))
+            # one wavefront over all rows; a contiguous (L, N, 1) layout keeps each diagonal's
+            # slices contiguous
+            real_t, gen_t = (np.ascontiguousarray(a.T)[:, :, None] for a in (real, generated))
+            metrics["frechet"] = float(np.mean(_frechet_wavefront(real_t, gen_t)))
         else:
-            metrics["frechet"] = frechet_distance(flat_real, flat_gen)
+            metrics["frechet"] = frechet_distance(real.ravel(), generated.ravel())
         try:
-            metrics["pearson_r"] = pearson_r(flat_real, flat_gen)
+            metrics["pearson_r"] = pearson_r(real, generated)
         except (ZeroVarianceError, LengthMismatchError):
             undefined.append("pearson_r")
     return MetricsReport(real_id=real_id, generated_id=generated_id, pairing=pairing,

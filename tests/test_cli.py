@@ -75,6 +75,23 @@ def test_indicators_label_horizon_appends_and_truncates(prices, tmp_path):
     assert set(r[-1] for r in rows) <= {"0", "1"}
 
 
+@pytest.mark.parametrize("bars, code, rows", [(30, cli.EXIT_DATA, None), (37, 0, 1)])
+def test_indicators_label_horizon_needs_a_row_past_the_warmup(prices, tmp_path, capsys,
+                                                              bars, code, rows):
+    """26 warmup bars plus a 10-bar label horizon leave no row below 37 bars."""
+    short, out = tmp_path / "TST.csv", tmp_path / "features.csv"
+    short.write_text("".join(prices.read_text().splitlines(keepends=True)[:bars + 1]))
+    assert run("indicators", "--input", short, "--out", out, "--label-horizon", 10,
+               "--quiet") == code
+    if rows is None:
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "SeriesTooShortError" and "37 bars" in payload["message"]
+        assert not out.exists()
+    else:
+        header, table = read_csv_rows(out)
+        assert header[-1] == "label_n10" and len(table) == rows
+
+
 def test_label_stamps_predictor_dates(prices, tmp_path):
     out = tmp_path / "labels.csv"
     assert run("label", "--input", prices, "--horizon", 5, "--out", out) == 0

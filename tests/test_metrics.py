@@ -17,41 +17,6 @@ from qgf.errors import (
 )
 
 
-def test_confusion_counts_from_predictions():
-    y = np.array([1, 1, 0, 0, 1, 0])
-    p = np.array([1, 0, 1, 0, 1, 0])
-    c = mt.ConfusionCounts.from_predictions(y, p)
-    assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 2, 1)
-    with pytest.raises(LengthMismatchError):
-        mt.ConfusionCounts.from_predictions(np.ones(3), np.ones(4))
-    with pytest.raises(InvariantViolationError):
-        mt.ConfusionCounts(tp=-1, fp=0, tn=0, fn=0)
-
-
-def test_rates_happy_path():
-    r = mt.precision_recall_f1(mt.ConfusionCounts(tp=8, fp=2, tn=5, fn=2))
-    assert r.precision == 0.8
-    assert r.recall == 0.8
-    assert r.f1 == pytest.approx(0.8)
-    assert r.undefined == ()
-
-
-def test_rates_undefined_are_flagged_not_zeroed():
-    r = mt.precision_recall_f1(mt.ConfusionCounts(tp=0, fp=0, tn=5, fn=2))
-    assert r.precision is None
-    assert r.recall == 0.0
-    assert r.f1 is None
-    assert r.undefined == ("precision", "f1")
-
-    r = mt.precision_recall_f1(mt.ConfusionCounts(tp=0, fp=0, tn=5, fn=0))
-    assert r.undefined == ("precision", "recall", "f1")
-
-    # defined but zero-sum precision and recall give f1 = 0, not undefined
-    r = mt.precision_recall_f1(mt.ConfusionCounts(tp=0, fp=3, tn=5, fn=2))
-    assert r.precision == 0.0 and r.recall == 0.0 and r.f1 == 0.0
-    assert r.undefined == ()
-
-
 def test_f1_of_reported_rates():
     assert mt.f1_score(0.64, 0.66) == pytest.approx(0.65, abs=0.01)
     assert mt.f1_score(0.0, 0.0) == 0.0
@@ -198,14 +163,32 @@ def test_compare_sequences_paired(rng):
     assert payload["rmse"] == report.metrics["rmse"]
 
 
-def test_compare_sequences_paired_mixed_lengths_equals_mean_of_row_dp():
-    rng = np.random.default_rng(21)
-    lengths = (5, 7, 5, 1)
-    real = [np.cumsum(rng.standard_normal(n)) for n in lengths]
-    gen = [np.cumsum(rng.standard_normal(n)) for n in lengths]
+@pytest.mark.parametrize("n", [1, 3, 16])
+@pytest.mark.parametrize("length", [1, 2, 256])
+def test_compare_sequences_equals_the_mean_of_its_rows(n, length):
+    rng = np.random.default_rng(100 * n + length)
+    real = np.cumsum(rng.standard_normal((n, length)), axis=1)
+    gen = np.cumsum(rng.standard_normal((n, length)), axis=1)
     report = mt.compare_sequences(real, gen, pairing="paired")
-    assert report.metrics["frechet"] == float(
-        np.mean([oracle_frechet_dp(a, b) for a, b in zip(real, gen)]))
+    rows = list(zip(real, gen))
+    assert report.metrics["prd"] == float(np.mean([mt.prd(a, b) for a, b in rows]))
+    assert report.metrics["rmse"] == float(np.mean([mt.rmse(a, b) for a, b in rows]))
+    assert report.metrics["frechet"] == float(np.mean([oracle_frechet_dp(a, b) for a, b in rows]))
+    if n * length > 1:
+        assert report.metrics["pearson_r"] == mt.pearson_r(np.concatenate(real),
+                                                           np.concatenate(gen))
+    else:
+        assert report.undefined_flags == ("pearson_r",)
+
+
+def test_prd_and_rmse_give_one_value_per_row():
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((2, 5, 7))
+    for metric in (mt.prd, mt.rmse):
+        assert type(metric(x[0], y[0])) is float
+        assert metric(x, y).tolist() == [metric(a, b) for a, b in zip(x, y)]
+    with pytest.raises(ZeroReferenceError):  # one all-zero reference row is enough
+        mt.prd(np.vstack([x[:2], np.zeros(7)]), y[:3])
 
 
 def test_compare_sequences_concatenated(rng):
@@ -234,16 +217,21 @@ def test_compare_sequences_flags_undefined_correlation():
 
 
 def test_compare_sequences_errors():
-    with pytest.raises(PairingMismatchError):
-        mt.compare_sequences([np.ones(4)], [np.ones(4)], pairing="zipped")
+    with pytest.raises(PairingMismatchError):  # the pairing is checked before the input
+        mt.compare_sequences([], [], pairing="zipped")
     with pytest.raises(EmptySequenceError):
         mt.compare_sequences([], [])
     with pytest.raises(PairingMismatchError):
         mt.compare_sequences([np.ones(4)], [np.ones(4), np.ones(4)])
     with pytest.raises(PairingMismatchError):
         mt.compare_sequences([np.ones(4)], [np.ones(5)])
+    with pytest.raises(DimensionMismatchError):
+        mt.compare_sequences(np.ones(4), np.ones(4))
     for pairing in ("paired", "concatenated"):  # refused before any metric warns
-        with pytest.raises(EmptySequenceError):
+        for shape in ((2, 0), (0, 3)):
+            with pytest.raises(EmptySequenceError):
+                mt.compare_sequences(np.ones(shape), np.ones(shape), pairing=pairing)
+        with pytest.raises(PairingMismatchError):  # ragged rows, not a numpy ValueError
             mt.compare_sequences([np.ones(4), np.ones(0)], [np.ones(4), np.ones(0)],
                                  pairing=pairing)
 
