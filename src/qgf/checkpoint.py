@@ -69,19 +69,22 @@ def read_config(ckpt: ModelCheckpoint, key: str, cls: type):
 
 
 def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path, overwrite: bool = False) -> Path:
-    """Write the checkpoint directory atomically: stage it in full, then swap
-    it in, so a failed write leaves any previous checkpoint in place. A tensor
-    holding inf or nan (a diverged last step) is refused before anything is written."""
+    """Write the checkpoint directory atomically: stage it in full, then swap it in, so a
+    failed write leaves any previous checkpoint in place. ``overwrite`` replaces only a
+    checkpoint (a directory holding manifest.json) or an empty directory. A tensor holding
+    inf or nan (a diverged last step) is refused before anything is written."""
     path = Path(path)
     for name, arr in ckpt.arrays.items():
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise NonFiniteTensorError(name, int(bad[0]), float(np.ravel(arr)[bad[0]]))
-    if path.exists() and not overwrite:
-        raise IoError(f"refusing to overwrite existing checkpoint {path}")
     staging = path.with_name(path.name + f".staging{os.getpid()}")
     retired = path.with_name(path.name + f".retired{os.getpid()}")
     try:
+        if path.exists() and not (overwrite and path.is_dir() and (
+                (path / "manifest.json").is_file() or not any(path.iterdir()))):
+            raise IoError(f"refusing to replace {path}: overwrite replaces only a checkpoint "
+                          "or an empty directory")
         staging.mkdir(parents=True)
         tensors = {}
         # number the files in the manifest's (sorted) order, so a reloaded checkpoint saves alike

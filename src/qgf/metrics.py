@@ -155,9 +155,9 @@ def compare_sequences(real: np.ndarray, generated: np.ndarray,
     """Score row i of ``generated`` against row i of ``real``, two (N, L) arrays.
 
     PRD and RMSE are means over the rows and Pearson r runs over all N·L points.
-    ``pairing`` controls the curve comparison: "paired" averages the Fréchet
-    distance over rows, "concatenated" joins each side's rows end to end and
-    compares the two long curves.
+    ``pairing`` controls the curve comparison: "paired" averages the Fréchet distance
+    over rows, in time O(N·L²); "concatenated" joins each side's rows end to end and
+    compares the two long curves, in time O((N·L)²): 281 s at 200×1024, 1.5 s paired.
     """
     if pairing not in ("paired", "concatenated"):
         raise PairingMismatchError(f"unknown pairing mode {pairing!r}")

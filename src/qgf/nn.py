@@ -195,10 +195,10 @@ def blocks(total: int, most: int) -> list[tuple[int, int]]:
 def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None):
     """Step ``cells`` (one per direction, all of one kind and size; ``h0`` needs one
     direction) over ``seq`` in lockstep, the first forwards and a second backwards in
-    time. Returns ``(hs, parents, bptt)``: hs is (directions, batch, time, hidden) in
-    step order, and ``bptt(g)`` backpropagates g, laid out as hs. Weight gradients sum
-    latest step first and reach each parameter once, at the end: a parameter used twice
-    in one graph sums in another order than a chain of per-step ops would.
+    time. Returns ``(hs, parents, bptt)``: hs is (directions, batch, time, hidden), time
+    order in every direction, and ``bptt(g)`` backpropagates g, laid out as hs. Weight
+    gradients sum latest step first and reach each parameter once, at the end: a parameter
+    used twice in one graph sums in another order than a chain of per-step ops would.
 
     Steps run in ``blocks(steps, SEGMENT)``, one input GEMM per segment and direction. A
     tracked forward tapes one segment, each step's gates and c, in buffers only ``bptt``
@@ -216,7 +216,9 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None):
     parents = (seq, *[w for c in cells for w in (c.w_x, c.w_h, c.b)])
     parents += () if h0 is None else (h0,)
     track = ad.is_tracking(*parents)
-    order = [slice(None), slice(None, None, -1)][:len(cells)]  # step k -> time
+    times = np.stack([np.arange(steps), np.arange(steps)[::-1]][:len(cells)])  # d's step k -> time
+    dirs = np.arange(len(cells))
+    seq_t = seq.data.transpose(1, 0, 2)
     segments = blocks(steps, SEGMENT)
     span = max(n for _, n in segments)
     w_x = np.stack([c.w_x.data for c in cells])
@@ -234,8 +236,8 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None):
     xw = np.empty((len(cells), span, batch, w_x.shape[2]))
 
     def run(first, n, h):  # steps first .. first + n - 1 from h and cs[0], yielding each h
-        for d, o in enumerate(order):  # the segment's rows, step-major, then their GEMM
-            np.copyto(x_in[:n], seq.data[:, o][:, first:first + n].transpose(1, 0, 2))
+        for d in dirs:  # the segment's rows, step-major, then their GEMM
+            x_in[:n] = seq_t[times[d, first:first + n]]
             np.matmul(x_in[:n].reshape(-1, n_in), w_x[d], out=xw[d, :n].reshape(n * batch, -1))
         for j in range(n):
             z = np.matmul(h, w_h)
@@ -249,40 +251,39 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None):
     with np.errstate(over="ignore"):  # a gate's exp(-z) is inf below z = -709, the gate 0
         for s, (first, n) in enumerate(segments):
             for k, h in enumerate(run(first, n, h), first):
-                hs[:, :, k] = h
+                hs[dirs, :, times[:, k]] = h
             if track and first + n < steps:  # the next segment starts from this one's last c
                 cs[0] = c_first[s + 1] = cs[n]
     if not (track and cell._tape_slots and len(segments) > 1):
         x_in = xw = None  # nothing will be replayed, so nothing holds the input workspace
 
     def bptt(g):
-        times = np.stack([np.arange(steps)[o] for o in order])
-        seq_t = np.ascontiguousarray(seq.data).transpose(1, 0, 2)
         dx = np.empty((len(cells), batch, steps, n_in)) if seq.requires_grad else None
         dh, dc = 0.0, 0.0
         for (first, n), c_before in zip(segments[::-1], c_first[::-1]):
             if first + n < steps and cell._tape_slots:  # the buffers hold a later segment
                 cs[0] = c_before
-                # the h before it, as contiguous as the forward's, so h @ w_h takes the same path
-                h = np.ascontiguousarray(hs[:, :, first - 1]) if first else h_first
+                # the h before it, gathered as contiguous as the forward's: h @ w_h takes its path
+                h = hs[dirs, :, times[:, first - 1]] if first else h_first
                 with np.errstate(over="ignore"):
                     for _ in run(first, n, h):
                         pass
             for k in range(first + n - 1, first - 1, -1):
-                dz, dc = cell._activate_backward(g[:, :, k] + dh, dc, gates[k - first],
-                                                 cs[k - first:], hs[:, :, k])
-                h_prev = hs[:, :, k - 1] if k else h_first
+                at = dirs, slice(None), times[:, k]
+                dz, dc = cell._activate_backward(g[at] + dh, dc, gates[k - first],
+                                                 cs[k - first:], hs[at])
+                h_prev = hs[dirs, :, times[:, k - 1]] if k else h_first
                 terms = (np.matmul(seq_t[times[:, k]].transpose(0, 2, 1), dz),
                          np.matmul(h_prev.transpose(0, 2, 1), dz), dz.sum(axis=1))
                 sums = terms if k == steps - 1 else [np.add(s, t, out=s) for s, t in zip(sums, terms)]
                 if dx is not None:
-                    dx[:, :, k] = np.matmul(dz, w_x.transpose(0, 2, 1))
+                    dx[at] = np.matmul(dz, w_x.transpose(0, 2, 1))
                 dh = np.matmul(dz, w_h.transpose(0, 2, 1))
         for d, c in enumerate(cells):
             for w, total in zip((c.w_x, c.w_h, c.b), sums):
                 ad._accumulate(w, total[d])
             if dx is not None:
-                ad._accumulate(seq, dx[d][:, order[d]])
+                ad._accumulate(seq, dx[d])
         if h0 is not None:
             ad._accumulate(h0, dh[0])
 
@@ -306,10 +307,10 @@ def unroll(cell: RNNCell | LSTMCell, seq: Tensor, h0: Tensor | None = None) -> T
 class BiLstmLayer:
     """One forward and one backward LSTM pass, merged per step by a tanh projection.
 
-    Both directions start from zero states and step in lockstep through one
-    recurrence node; the per-step output is tanh(h_fwd W_f + h_bwd W_b + b) with
-    independent parameters per direction, computed for all steps at once by a
-    second node that saves only its output."""
+    Both directions start from zero states and step in lockstep through one recurrence
+    node that returns both directions' h in time order; the per-step output is
+    tanh(h_fwd W_f + h_bwd W_b + b) with independent parameters per direction, computed
+    for all steps at once by a second node that reads h in place and saves only its output."""
 
     def __init__(self, pset: ParamSet, name: str, n_in: int, hidden: int, n_out: int,
                  rng: np.random.Generator):
@@ -322,11 +323,7 @@ class BiLstmLayer:
     def __call__(self, seq: Tensor) -> Tensor:
         hs, parents, bptt = _recur((self.fwd, self.bwd), seq)
         rec = ad._make(hs, parents, bptt)
-
-        def time_rows():  # each direction's h in time order, as (batch * time, hidden)
-            return hs[0].reshape(-1, hs.shape[3]), hs[1, :, ::-1].reshape(-1, hs.shape[3])
-
-        h_f, h_b = time_rows()
+        h_f, h_b = hs.reshape(2, -1, hs.shape[3])  # each direction's h as (batch * time, hidden)
         out = h_f @ self.w_f.data
         out += h_b @ self.w_b.data
         out += self.b_o.data
@@ -336,15 +333,13 @@ class BiLstmLayer:
             dm = np.multiply(out, out)
             np.subtract(1.0, dm, out=dm)
             dm *= g.reshape(out.shape)
-            h_f, h_b = time_rows()
             ad._accumulate(self.w_f, h_f.T @ dm)
             ad._accumulate(self.w_b, h_b.T @ dm)
             ad._accumulate(self.b_o, dm.sum(axis=0))
-            # both directions' dh in step order, handed to rec uncopied: this node is its
-            # only consumer, so nothing else adds into it
+            # both directions' dh, handed to rec uncopied: this node is its only consumer
             rec.grad = np.empty(hs.shape)
-            np.matmul(dm, self.w_f.data.T, out=rec.grad[0].reshape(out.shape[0], -1))
-            rec.grad[1] = (dm @ self.w_b.data.T).reshape(hs.shape[1:])[:, ::-1]
+            for w, dh in zip((self.w_f, self.w_b), rec.grad.reshape(2, out.shape[0], -1)):
+                np.matmul(dm, w.data.T, out=dh)
 
         return ad._make(out.reshape(*hs.shape[1:3], -1), (rec, self.w_f, self.w_b, self.b_o), bwd)
 

@@ -102,6 +102,18 @@ def test_overwrite_flag(tmp_path, rng):
     assert [p.name for p in tmp_path.iterdir()] == ["m"]
 
 
+def test_overwrite_replaces_an_empty_directory_and_refuses_a_foreign_one(tmp_path, rng):
+    (tmp_path / "empty").mkdir()
+    save_checkpoint(_ckpt(rng), tmp_path / "empty", overwrite=True)
+    assert load_checkpoint(tmp_path / "empty").model == "gan"
+    (tmp_path / "notes").mkdir()
+    (tmp_path / "notes" / "a.txt").write_text("keep\n")
+    with pytest.raises(IoError, match="refusing to replace .*notes"):
+        save_checkpoint(_ckpt(rng), tmp_path / "notes", overwrite=True)
+    assert [p.name for p in (tmp_path / "notes").iterdir()] == ["a.txt"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty", "notes"]
+
+
 def test_no_staging_directory_left_behind(tmp_path, rng):
     save_checkpoint(_ckpt(rng), tmp_path / "m")
     assert [p.name for p in tmp_path.iterdir()] == ["m"]

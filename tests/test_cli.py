@@ -7,6 +7,7 @@ import pytest
 
 from conftest import noisy_sine_batch
 from qgf import baselines, cli, gan
+from qgf.checkpoint import load_checkpoint
 from qgf.market_data import parse_csv
 
 # a numpy warning a command prints breaks its one-line error contract
@@ -183,6 +184,38 @@ def test_train_baseline_and_checkpoint_dir_layout(tmp_path):
     hist = (out / "history.csv").read_text().strip().split("\n")
     assert hist[0] == "iteration,loss"
     assert len(hist) == 5
+
+
+def _bytes_under(path):
+    if path.is_file():
+        return path.read_bytes()
+    return {str(p.relative_to(path)): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("target", ["data directory", "regular file", "checkpoint tensor"])
+def test_train_refuses_to_replace_what_is_not_a_checkpoint(tmp_path, capsys, target):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    data_path = data_dir / "seqs.csv"
+    _write_train_data(data_path, length=16)
+    (tmp_path / "notes.txt").write_text("keep me\n")
+    (data_dir / "notes.txt").write_text("keep me too\n")
+    ckpt = tmp_path / "ckpt"
+    assert run("train", "--model", "rnn-ae", "--data", data_path, "--epochs", 1,
+               "--hidden", 4, "--out", ckpt, "--quiet") == 0
+    out = {"data directory": data_dir, "regular file": tmp_path / "notes.txt",
+           "checkpoint tensor": ckpt / "0.npy"}[target]
+    before = _bytes_under(out)
+    capsys.readouterr()
+    assert run("train", "--model", "rnn-ae", "--data", data_path, "--epochs", 1,
+               "--hidden", 4, "--out", out, "--quiet") == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    payload = json.loads(err)
+    assert payload["error"] == "IoError" and str(out) in payload["message"]
+    assert _bytes_under(out) == before
+    assert not [p for p in out.parent.iterdir() if ".staging" in p.name or ".retired" in p.name]
+    baselines.baseline_from_checkpoint(load_checkpoint(ckpt))  # the checkpoint still loads
 
 
 def test_train_generate_evaluate_round_trip(tmp_path):
