@@ -68,23 +68,35 @@ def read_config(ckpt: ModelCheckpoint, key: str, cls: type):
     return cls(**value)
 
 
+def check_replaceable(path: str | Path, overwrite: bool) -> None:
+    """Raise IoError unless a checkpoint may be saved at ``path``: nothing is there, or
+    ``overwrite`` is set and it is a checkpoint (a directory holding manifest.json) or an
+    empty directory."""
+    path = Path(path)
+    try:
+        refused = path.exists() and not (overwrite and path.is_dir() and (
+            (path / "manifest.json").is_file() or not any(path.iterdir())))
+    except OSError as exc:
+        raise IoError(f"cannot write checkpoint at {path}: {exc}") from exc
+    if refused:
+        raise IoError(f"refusing to replace {path}: overwrite replaces only a checkpoint "
+                      "or an empty directory")
+
+
 def save_checkpoint(ckpt: ModelCheckpoint, path: str | Path, overwrite: bool = False) -> Path:
     """Write the checkpoint directory atomically: stage it in full, then swap it in, so a
-    failed write leaves any previous checkpoint in place. ``overwrite`` replaces only a
-    checkpoint (a directory holding manifest.json) or an empty directory. A tensor holding
-    inf or nan (a diverged last step) is refused before anything is written."""
+    failed write leaves any previous checkpoint in place. ``overwrite`` replaces only what
+    ``check_replaceable`` allows. A tensor holding inf or nan (a diverged last step) is
+    refused before anything is written."""
     path = Path(path)
     for name, arr in ckpt.arrays.items():
         bad = np.flatnonzero(~np.isfinite(arr))
         if bad.size:
             raise NonFiniteTensorError(name, int(bad[0]), float(np.ravel(arr)[bad[0]]))
+    check_replaceable(path, overwrite)
     staging = path.with_name(path.name + f".staging{os.getpid()}")
     retired = path.with_name(path.name + f".retired{os.getpid()}")
     try:
-        if path.exists() and not (overwrite and path.is_dir() and (
-                (path / "manifest.json").is_file() or not any(path.iterdir()))):
-            raise IoError(f"refusing to replace {path}: overwrite replaces only a checkpoint "
-                          "or an empty directory")
         staging.mkdir(parents=True)
         tensors = {}
         # number the files in the manifest's (sorted) order, so a reloaded checkpoint saves alike

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import baselines, features, gan, gradcheck, indicators, market_data, metrics, plotting
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import check_replaceable, load_checkpoint, save_checkpoint
 from .errors import (
     DataError,
     EmptyDatasetError,
@@ -248,6 +248,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     data_path = Path(args.data)
     _, _, data = _read_rows(data_path, keyed=False)
     manifest, t0 = _start(args, [data_path])
+    out = Path(args.out)
+    check_replaceable(out, overwrite=True)  # before training, not after it
     seq_len = data.shape[1]
     train_config = gan.TrainConfig(epochs=args.epochs, batch_size=args.batch,
                                    lr=args.lr, seed=args.seed, d_steps=args.d_steps,
@@ -267,7 +269,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             latent=args.latent, seq_len=seq_len)
         ckpt, history = baselines.train_baseline(args.model, data, config, train_config)
 
-    out = Path(args.out)
     save_checkpoint(ckpt, out, overwrite=True)
     _write_rows(out / "history.csv", zip(*history.values()), ["iteration", *history],
                 range(train_config.epochs))

@@ -2,13 +2,19 @@
 
 Dense projection, tanh RNN and gated LSTM cells with ``unroll``, the fused
 op that steps either over a sequence, a bidirectional layer whose two LSTMs
-step in lockstep, 1-D convolution and max pooling, inverted dropout, stable
+step in lockstep or, at paper width, on a thread each, 1-D convolution and max
+pooling, inverted dropout, stable
 softmax, Adam, the seeded minibatch loop both trainers run (``fit``), and
 the finite-difference gradient checker used by the verification suite.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
+import os
+import sys
+import threading
 from typing import Callable
 
 import numpy as np
@@ -182,6 +188,24 @@ class LSTMCell:
 SEGMENT = 64  # most steps per input GEMM and per gate tape of a tracked LSTM
 
 
+def _blas_threads(cpus: int) -> int:
+    """The threads an OpenBLAS starts, from the variables it reads as numpy loads it, in its
+    order; without them it starts one per CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
+
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# least batch * hidden at which each direction of a BiLSTM steps on its own thread: narrower,
+# the GIL hand-offs between two threads' short numpy calls cost more than the second core
+# gives. None unless the CPUs hold both directions' threads times BLAS's: more threads than
+# CPUs contend, and the threaded schedule runs slower than the lockstep one.
+THREADED = 2160 if 2 * _blas_threads(_CPUS) <= _CPUS else sys.maxsize
+
+
 def blocks(total: int, most: int) -> list[tuple[int, int]]:
     """The fewest ``(first, length)`` blocks of at most ``most`` that cover ``range(total)``,
     lengths within one of each other: none is one row (a GEMV) unless ``total`` is one."""
@@ -192,19 +216,52 @@ def blocks(total: int, most: int) -> list[tuple[int, int]]:
     return [(first, stop - first) for first, stop in zip(edges, edges[1:])]
 
 
+def _on_threads(*tasks: Callable) -> list:
+    """Run each task on its own thread, the first on the caller's, and return their results
+    once all have ended. A worker starts in a copy of the caller's context (numpy's errstate
+    is context-local), and the first task's exception, in task order, is re-raised here."""
+    if len(tasks) == 1:
+        return [tasks[0]()]
+    results, errors = [None] * len(tasks), [None] * len(tasks)
+
+    def work(i):
+        try:
+            results[i] = tasks[i]()
+        except BaseException as exc:  # handed to the caller, which re-raises it
+            errors[i] = exc
+
+    workers = [threading.Thread(target=contextvars.copy_context().run, args=(work, i))
+               for i in range(1, len(tasks))]
+    for worker in workers:
+        worker.start()
+    work(0)
+    for worker in workers:
+        worker.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None):
     """Step ``cells`` (one per direction, all of one kind and size; ``h0`` needs one
-    direction) over ``seq`` in lockstep, the first forwards and a second backwards in
-    time. Returns ``(hs, parents, bptt)``: hs is (directions, batch, time, hidden), time
-    order in every direction, and ``bptt(g)`` backpropagates g, laid out as hs. Weight
-    gradients sum latest step first and reach each parameter once, at the end: a parameter
-    used twice in one graph sums in another order than a chain of per-step ops would.
+    direction) over ``seq``, the first forwards and a second backwards in time. Returns
+    ``(hs, parents, bptt)``: hs is (directions, batch, time, hidden), time order in every
+    direction, and ``bptt(g)`` backpropagates g, laid out as hs. Weight gradients sum latest
+    step first and reach each parameter once, at the end: a parameter used twice in one graph
+    sums in another order than a chain of per-step ops would.
 
     Steps run in ``blocks(steps, SEGMENT)``, one input GEMM per segment and direction. A
     tracked forward tapes one segment, each step's gates and c, in buffers only ``bptt``
     holds, and c before every segment. Returned, they hold the last segment; ``bptt``
     re-runs each earlier one by the forward's own steps from its first c and the h before
-    it, so every bit is the same. An untracked forward steps one step's slots."""
+    it, so every bit is the same. An untracked forward steps one step's slots.
+
+    One step body serves a slice of the directions, on that slice's own buffers. Two
+    directions at ``batch * hidden >= THREADED`` run one slice each, on their own threads,
+    through the whole forward and later through the whole replay and BPTT; they meet only
+    when each ends. Anything narrower, and one direction, steps all its directions in
+    lockstep in the caller's thread. Either way every bit is the same."""
     cell = cells[0]
     if seq.data.ndim != 3 or seq.shape[2] != cell.n_in:
         raise ShapeMismatchError(f"unroll expects (batch, time, {cell.n_in}), got {seq.shape}")
@@ -221,68 +278,91 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None):
     seq_t = seq.data.transpose(1, 0, 2)
     segments = blocks(steps, SEGMENT)
     span = max(n for _, n in segments)
+    slots = span if track else 1
+    replays = track and cell._tape_slots and len(segments) > 1
     w_x = np.stack([c.w_x.data for c in cells])
     w_h = np.stack([c.w_h.data for c in cells])
     b = np.repeat(np.stack([c.b.data for c in cells])[:, None], batch, axis=1)  # same-shape add
     hs = np.empty((len(cells), batch, steps, cell.hidden))
     h_first = np.zeros((len(cells), batch, cell.hidden)) if h0 is None else h0.data[None]
-    slots = span if track else 1
-    carry = (len(cells), batch, cell.hidden if cell._carries else 0)  # an RNN carries no c
-    gates = np.empty((slots, cell._tape_slots, len(cells), batch, cell.hidden))
-    cs = np.zeros((slots + track, *carry))  # c before each step and after the last
-    tanh_c = np.empty(carry)
-    c_first = np.zeros((len(segments), *carry)) if track else None  # c before each segment
-    x_in = np.empty((span, batch, n_in))
-    xw = np.empty((len(cells), span, batch, w_x.shape[2]))
+    threaded = len(cells) > 1 and batch * cell.hidden >= THREADED
+    lanes = [slice(d, d + 1) for d in dirs] if threaded else [slice(0, len(cells))]
 
-    def run(first, n, h):  # steps first .. first + n - 1 from h and cs[0], yielding each h
-        for d in dirs:  # the segment's rows, step-major, then their GEMM
-            x_in[:n] = seq_t[times[d, first:first + n]]
-            np.matmul(x_in[:n].reshape(-1, n_in), w_x[d], out=xw[d, :n].reshape(n * batch, -1))
-        for j in range(n):
-            z = np.matmul(h, w_h)
-            z += xw[:, j]
-            z += b
-            t = j if track else 0  # untracked, c steps in place in cs[0]
-            h = cell._activate(z, gates[t], cs[t], cs[t + track], tanh_c)
-            yield h
+    def lane(ds):  # the forward and BPTT of directions ds, on views taken here, once
+        ids, t_of, h_start = dirs[ds], times[ds], h_first[ds]
+        w_xd, w_hd, bd = w_x[ds], w_h[ds], b[ds]
+        w_xT, w_hT = w_xd.transpose(0, 2, 1), w_hd.transpose(0, 2, 1)
+        carry = (len(ids), batch, cell.hidden if cell._carries else 0)  # an RNN carries no c
+        gates = np.empty((slots, cell._tape_slots, len(ids), batch, cell.hidden))
+        cs = np.zeros((slots + track, *carry))  # c before each step and after the last
+        tanh_c = np.empty(carry)
+        c_first = np.zeros((len(segments), *carry)) if track else None  # c before each segment
+        x_in = np.empty((span, batch, n_in))
+        xw = np.empty((len(ids), span, batch, w_x.shape[2]))
 
-    h = h_first
-    with np.errstate(over="ignore"):  # a gate's exp(-z) is inf below z = -709, the gate 0
-        for s, (first, n) in enumerate(segments):
-            for k, h in enumerate(run(first, n, h), first):
-                hs[dirs, :, times[:, k]] = h
-            if track and first + n < steps:  # the next segment starts from this one's last c
-                cs[0] = c_first[s + 1] = cs[n]
-    if not (track and cell._tape_slots and len(segments) > 1):
-        x_in = xw = None  # nothing will be replayed, so nothing holds the input workspace
+        def run(first, n, h):  # steps first .. first + n - 1 from h and cs[0], yielding each h
+            for t_d, w_x_d, xw_d in zip(t_of, w_xd, xw):  # the segment's rows, step-major,
+                x_in[:n] = seq_t[t_d[first:first + n]]
+                np.matmul(x_in[:n].reshape(-1, n_in), w_x_d,  # then their GEMM
+                          out=xw_d[:n].reshape(n * batch, -1))
+            for j in range(n):
+                z = np.matmul(h, w_hd)
+                z += xw[:, j]
+                z += bd
+                t = j if track else 0  # untracked, c steps in place in cs[0]
+                h = cell._activate(z, gates[t], cs[t], cs[t + track], tanh_c)
+                yield h
+
+        def forward():
+            nonlocal x_in, xw
+            h = h_start
+            with np.errstate(over="ignore"):  # a gate's exp(-z) is inf below z = -709, the gate 0
+                for s, (first, n) in enumerate(segments):
+                    for k, h in enumerate(run(first, n, h), first):
+                        hs[ids, :, t_of[:, k]] = h
+                    if track and first + n < steps:  # the next segment starts from this one's last c
+                        cs[0] = c_first[s + 1] = cs[n]
+            if not replays:
+                x_in = xw = None  # nothing will be replayed, so nothing holds the input workspace
+
+        def backward(g, dx):  # returns the weight sums and dh before the first step
+            dh, dc = 0.0, 0.0
+            h = hs[ids, :, t_of[:, steps - 1]]  # each step's h is carried on from the one after it
+            for (first, n), c_before in zip(segments[::-1], c_first[::-1]):
+                if first + n < steps and cell._tape_slots:  # the buffers hold a later segment
+                    cs[0] = c_before
+                    # the h before it, gathered as contiguous as the forward's: h @ w_h takes its path
+                    h_before = hs[ids, :, t_of[:, first - 1]] if first else h_start
+                    with np.errstate(over="ignore"):
+                        for _ in run(first, n, h_before):
+                            pass
+                for k in range(first + n - 1, first - 1, -1):
+                    at = ids, slice(None), t_of[:, k]
+                    dz, dc = cell._activate_backward(g[at] + dh, dc, gates[k - first],
+                                                     cs[k - first:], h)
+                    h = hs[ids, :, t_of[:, k - 1]] if k else h_start
+                    terms = (np.matmul(seq_t[t_of[:, k]].transpose(0, 2, 1), dz),
+                             np.matmul(h.transpose(0, 2, 1), dz), dz.sum(axis=1))
+                    sums = terms if k == steps - 1 else [np.add(s, t, out=s) for s, t in zip(sums, terms)]
+                    if dx is not None:
+                        dx[at] = np.matmul(dz, w_xT)
+                    dh = np.matmul(dz, w_hT)
+            return sums, dh
+
+        return forward, backward
+
+    runs = [lane(ds) for ds in lanes]
+    _on_threads(*(forward for forward, _ in runs))
 
     def bptt(g):
         dx = np.empty((len(cells), batch, steps, n_in)) if seq.requires_grad else None
-        dh, dc = 0.0, 0.0
-        for (first, n), c_before in zip(segments[::-1], c_first[::-1]):
-            if first + n < steps and cell._tape_slots:  # the buffers hold a later segment
-                cs[0] = c_before
-                # the h before it, gathered as contiguous as the forward's: h @ w_h takes its path
-                h = hs[dirs, :, times[:, first - 1]] if first else h_first
-                with np.errstate(over="ignore"):
-                    for _ in run(first, n, h):
-                        pass
-            for k in range(first + n - 1, first - 1, -1):
-                at = dirs, slice(None), times[:, k]
-                dz, dc = cell._activate_backward(g[at] + dh, dc, gates[k - first],
-                                                 cs[k - first:], hs[at])
-                h_prev = hs[dirs, :, times[:, k - 1]] if k else h_first
-                terms = (np.matmul(seq_t[times[:, k]].transpose(0, 2, 1), dz),
-                         np.matmul(h_prev.transpose(0, 2, 1), dz), dz.sum(axis=1))
-                sums = terms if k == steps - 1 else [np.add(s, t, out=s) for s, t in zip(sums, terms)]
-                if dx is not None:
-                    dx[at] = np.matmul(dz, w_x.transpose(0, 2, 1))
-                dh = np.matmul(dz, w_h.transpose(0, 2, 1))
-        for d, c in enumerate(cells):
-            for w, total in zip((c.w_x, c.w_h, c.b), sums):
-                ad._accumulate(w, total[d])
-            if dx is not None:
+        done = _on_threads(*(functools.partial(backward, g, dx) for _, backward in runs))
+        for ds, (sums, dh) in zip(lanes, done):
+            for c, *totals in zip(cells[ds], *sums):
+                for w, total in zip((c.w_x, c.w_h, c.b), totals):
+                    ad._accumulate(w, total)
+        if dx is not None:
+            for d in dirs:
                 ad._accumulate(seq, dx[d])
         if h0 is not None:
             ad._accumulate(h0, dh[0])
@@ -307,8 +387,10 @@ def unroll(cell: RNNCell | LSTMCell, seq: Tensor, h0: Tensor | None = None) -> T
 class BiLstmLayer:
     """One forward and one backward LSTM pass, merged per step by a tanh projection.
 
-    Both directions start from zero states and step in lockstep through one recurrence
-    node that returns both directions' h in time order; the per-step output is
+    Both directions start from zero states and step through one recurrence node that
+    returns both directions' h in time order: in lockstep in the caller's thread, or, once
+    batch * hidden reaches ``THREADED``, each on its own thread from the start of the
+    forward, and again of the backward, to its end, with the same bits. The per-step output is
     tanh(h_fwd W_f + h_bwd W_b + b) with independent parameters per direction, computed
     for all steps at once by a second node that reads h in place and saves only its output."""
 

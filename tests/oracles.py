@@ -11,8 +11,9 @@ unscaled data), ``oracle_step`` (a recurrent cell's step built from autodiff ops
 ``nn.unroll`` fuses), ``oracle_teacher_forced_decode`` (the per-step
 decoder loop over ``oracle_step``) and ``oracle_bilstm`` (a bidirectional
 layer as two separate ``nn.unroll`` nodes and a merge built from autodiff
-ops, which ``nn.BiLstmLayer`` steps in lockstep and fuses). The last three
-build autodiff graphs from the cell's, layer's and model's own parameters.
+ops, which ``nn.BiLstmLayer`` fuses, stepping its directions in lockstep or
+on a thread each). The last three build autodiff graphs from the cell's,
+layer's and model's own parameters.
 """
 
 from __future__ import annotations

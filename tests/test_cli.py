@@ -193,7 +193,7 @@ def _bytes_under(path):
 
 
 @pytest.mark.parametrize("target", ["data directory", "regular file", "checkpoint tensor"])
-def test_train_refuses_to_replace_what_is_not_a_checkpoint(tmp_path, capsys, target):
+def test_train_refuses_to_replace_what_is_not_a_checkpoint(tmp_path, capsys, monkeypatch, target):
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     data_path = data_dir / "seqs.csv"
@@ -207,8 +207,12 @@ def test_train_refuses_to_replace_what_is_not_a_checkpoint(tmp_path, capsys, tar
            "checkpoint tensor": ckpt / "0.npy"}[target]
     before = _bytes_under(out)
     capsys.readouterr()
+    train, training_calls = baselines.train_baseline, []
+    monkeypatch.setattr(baselines, "train_baseline",
+                        lambda *a, **k: training_calls.append(a) or train(*a, **k))
     assert run("train", "--model", "rnn-ae", "--data", data_path, "--epochs", 1,
                "--hidden", 4, "--out", out, "--quiet") == cli.EXIT_DATA
+    assert training_calls == []  # refused before training, not after it
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     payload = json.loads(err)

@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -321,6 +323,104 @@ def test_segment_length_changes_no_bit(monkeypatch, model, segment):
                 monkeypatch.setattr(nn, "SEGMENT", steps)
                 whole = run()
                 assert all(map(_bitwise_equal, segmented, whole)), (batch, steps, extra)
+
+
+def _bilstm_bits(layer, pset, seq):
+    """Output, ``seq.grad`` and every parameter grad of one forward and weighted backward."""
+    tensors = [*pset.tensors(), seq]
+    for t in tensors:
+        t.grad = None
+    out = layer(seq)
+    weights = np.linspace(-1.0, 1.0, out.data.size).reshape(out.shape)
+    ad.backward(ad.tensor_sum(ad.mul(out, weights)))
+    return [out.data, *(t.grad for t in tensors)]
+
+
+def _both_schedules(monkeypatch, layer, pset, seq):
+    """``_bilstm_bits`` with the directions in lockstep, then on a thread each, switching
+    threads as often as the interpreter can."""
+    on_threads, tasks = nn._on_threads, []
+    monkeypatch.setattr(nn, "_on_threads", lambda *t: tasks.append(len(t)) or on_threads(*t))
+    width = seq.shape[0] * layer.fwd.hidden
+    runs, interval = [], sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for threaded, lanes in ((width + 1, 1), (width, 2)):  # just past the cut-over, then at it
+            monkeypatch.setattr(nn, "THREADED", threaded)
+            runs.append(_bilstm_bits(layer, pset, seq))
+            assert tasks == [lanes, lanes], threaded  # the forward, then the replay and BPTT
+            tasks.clear()
+    finally:
+        sys.setswitchinterval(interval)
+    return runs
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+def test_thread_schedule_changes_no_bit(monkeypatch, batch):
+    """A BiLSTM layer's output, seq.grad and every parameter grad are the same bits whether
+    its directions step in lockstep or each on its own thread, for T = S - 1 (one segment),
+    S + 1 and 3S + 2 (whose BPTT replays earlier segments)."""
+    for steps in (nn.SEGMENT - 1, nn.SEGMENT + 1, 3 * nn.SEGMENT + 2):
+        rng = np.random.default_rng(batch * 1000 + steps)
+        pset = nn.ParamSet()
+        layer = nn.BiLstmLayer(pset, "bi", 3, 4, 5, rng)
+        seq = Tensor(rng.standard_normal((batch, steps, 3)), requires_grad=True)
+        stacked, threaded = _both_schedules(monkeypatch, layer, pset, seq)
+        assert len(stacked) == 1 + 9 + 1  # out, nine parameters, seq
+        assert all(map(_bitwise_equal, stacked, threaded)), (batch, steps)
+
+
+def test_threaded_directions_ignore_exp_overflow_on_their_own(monkeypatch):
+    """numpy's errstate is context-local, so each direction's thread sets its own: gate
+    pre-activations below exp's overflow at -709 make no warning and no error on either
+    schedule, even for a caller that makes overflow an error, and the same bits."""
+    rng = np.random.default_rng(13)
+    pset = nn.ParamSet()
+    layer = nn.BiLstmLayer(pset, "bi", 2, 3, 4, rng)
+    for cell in (layer.fwd, layer.bwd):
+        cell.b.data[:cell.hidden] = -1000.0  # the input gate
+    seq = Tensor(rng.standard_normal((2, nn.SEGMENT + 3, 2)), requires_grad=True)
+    with warnings.catch_warnings(), np.errstate(over="raise"):
+        warnings.simplefilter("error")
+        stacked, threaded = _both_schedules(monkeypatch, layer, pset, seq)
+    assert all(map(_bitwise_equal, stacked, threaded))
+    assert np.all(np.isfinite(stacked[0]))
+
+
+@pytest.mark.parametrize("env,threads", [
+    ({}, 8), ({"OMP_NUM_THREADS": "1"}, 1), ({"GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 3),
+    ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x"}, 8), ({"OPENBLAS_NUM_THREADS": " 1 "}, 1)])
+def test_blas_threads_read_openblas_variables_in_its_order(monkeypatch, env, threads):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert nn._blas_threads(8) == threads
+
+
+def test_on_threads_returns_in_task_order_once_all_end_and_reraises_a_failure():
+    assert nn._on_threads(lambda: 1) == [1]
+    caller, worker = nn._on_threads(threading.get_ident, threading.get_ident)
+    assert caller == threading.get_ident() != worker
+    with np.errstate(invalid="raise"):  # a worker starts in the caller's context
+        assert nn._on_threads(np.geterr, np.geterr) == [np.geterr()] * 2
+    ended = []
+
+    def slow():
+        time.sleep(0.05)
+        ended.append(threading.get_ident())
+
+    def fail(message):
+        raise ZeroDivisionError(message)
+
+    with pytest.raises(ZeroDivisionError, match="worker"):
+        nn._on_threads(slow, lambda: fail("worker"))
+    with pytest.raises(ZeroDivisionError, match="caller"):  # raised once the worker has ended
+        nn._on_threads(lambda: fail("caller"), slow)
+    assert len(ended) == 2
+    with pytest.raises(ZeroDivisionError, match="first"):
+        nn._on_threads(lambda: fail("first"), lambda: fail("second"))
 
 
 # prints every (n_in, 4H, batch, what, step) whose rows differ from the full product's
