@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections.abc import Sequence
 from pathlib import Path
+
+import numpy as np
 
 from .errors import IoError, RowParseError
 
@@ -51,3 +54,19 @@ def parse_floats(cells: list[str], line: int, where: str = "") -> list[float]:
             raise RowParseError(
                 line, f"{where}could not convert string to float: {quote_cell(cell)}") from None
     return values
+
+
+def read_floats(lines: list[str], width: int, usecols: Sequence[int]) -> np.ndarray | None:
+    """Columns ``usecols`` of ``lines``, each ``width`` comma-separated cells, as one
+    float64 table converted by numpy's C reader, which gives every cell the bits
+    ``float`` gives it. None when that cannot be vouched for: no lines, a line of
+    another width, a cell numpy refuses (``float`` also reads ``1_000`` and other
+    digits), a non-finite value, or a ``\\x1f`` (numpy strips it as padding, ``float``
+    refuses it). The caller's per-line loop then reads the table or names its bad line."""
+    if not lines or any(line.count(",") != width - 1 or "\x1f" in line for line in lines):
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols, ndmin=2)
+    except ValueError:
+        return None
+    return table if np.isfinite(table).all() else None

@@ -18,7 +18,7 @@ from .errors import (
     SeriesTooShortError,
     UrlTemplateError,
 )
-from .ioutil import parse_floats, quote_cell
+from .ioutil import parse_floats, quote_cell, read_floats
 
 FETCH_TIMEOUT = 30.0  # seconds
 CSV_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
@@ -117,27 +117,37 @@ def parse_csv(text: str, symbol: str) -> PriceSeries:
     """Parse Yahoo-format OHLCV rows, split on commas and never quoted, into a
     validated, date-sorted series; blank lines are skipped, and every row is parsed
     before any bar is checked. A missing ``Adj Close`` column is filled from the
-    close and flags the series ``adj_close_imputed``."""
+    close and flags the series ``adj_close_imputed``. The price and volume columns
+    are converted in one pass; only rows that pass refuses are read line by line,
+    which accepts what ``float`` accepts and names the first bad line."""
     lines = text.splitlines() or [""]
     fields = [f.strip() for f in lines[0].split(",")]
     if [c for c in fields if c != "Adj Close"] != [c for c in CSV_HEADER if c != "Adj Close"]:
         raise MalformedHeaderError(f"expected columns {CSV_HEADER}, got {fields}")
     at = [fields.index(c if c in fields else "Close") for c in CSV_HEADER]  # no Adj Close: Close
-    line_nos, dates, rows = [], [], []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(fields):
-            raise RowParseError(line_no, f"{len(cells)} fields, expected {len(fields)}")
-        date, *values = (cells[i] for i in at)
-        try:
-            dates.append(dt.date.fromisoformat(date.strip()))
+    line_nos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+    body = [lines[n - 1] for n in line_nos]
+    table, dates = read_floats(body, len(fields), at[1:]), None
+    if table is not None:
+        try:  # Date is the first column
+            dates = [dt.date.fromisoformat(line.split(",", 1)[0].strip()) for line in body]
         except ValueError:
-            raise RowParseError(line_no, f"Invalid isoformat string: {quote_cell(date)}") from None
-        rows.append(parse_floats(values, line_no))
-        line_nos.append(line_no)
-    table = np.array(rows, dtype=np.float64).reshape(-1, len(COLUMNS)).T
+            pass
+    if dates is None:
+        dates, rows = [], []
+        for line_no, line in zip(line_nos, body):
+            cells = line.split(",")
+            if len(cells) != len(fields):
+                raise RowParseError(line_no, f"{len(cells)} fields, expected {len(fields)}")
+            date, *values = (cells[i] for i in at)
+            try:
+                dates.append(dt.date.fromisoformat(date.strip()))
+            except ValueError:
+                raise RowParseError(
+                    line_no, f"Invalid isoformat string: {quote_cell(date)}") from None
+            rows.append(parse_floats(values, line_no))
+        table = np.array(rows, dtype=np.float64).reshape(-1, len(COLUMNS))
+    table = table.T
     _validate(table, line_nos)
     order = sorted(range(len(dates)), key=dates.__getitem__)
     return PriceSeries(symbol, tuple(dates[i] for i in order), *table[:, order],
@@ -145,10 +155,10 @@ def parse_csv(text: str, symbol: str) -> PriceSeries:
 
 
 def serialize_csv(series: PriceSeries) -> str:
-    """Inverse of parse_csv: prices as ``repr`` floats, volume as an integer."""
+    """Inverse of parse_csv: prices as ``repr`` floats, volume as an integer, one
+    row formatted per call (``str`` of a date is its ISO form)."""
     rows = zip(series.dates, *(getattr(series, name).tolist() for name in COLUMNS))
-    body = (f"{d.isoformat()},{o!r},{h!r},{lo!r},{c!r},{a!r},{int(v)}"
-            for d, o, h, lo, c, a, v in rows)
+    body = ("%s,%r,%r,%r,%r,%r,%d" % row for row in rows)
     return "\n".join([",".join(CSV_HEADER), *body]) + "\n"
 
 

@@ -1,4 +1,5 @@
 import datetime as dt
+import math
 import os
 from pathlib import Path
 
@@ -57,3 +58,37 @@ def noisy_sine_batch(rng: np.random.Generator, count: int, length: int,
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def awkward_cells(rng: np.random.Generator, count: int, positive: bool = False) -> list[str]:
+    """``count`` seeded cells spelling finite floats the ways a table reader must read
+    as ``float`` does: ``.17g``, ``repr`` and 25-digit forms of values drawn from every
+    exponent, subnormals included, the float64 maximum, ``+3``, ``-0``, ``1E5``, each
+    cell possibly padded with spaces or tabs. ``positive`` keeps cells above zero."""
+    fixed = ["+3", "-0", "1E5", "5e-324", "2.2250738585072009e-308",
+             "1.7976931348623157e308", "-1.7976931348623157e+308", ".5", "1.", "0"]
+    pads = ["", " ", "\t", "  \t "]
+    cells: list[str] = []
+    while len(cells) < count:
+        bits = rng.integers(1, 2**52) if rng.random() < 0.2 else rng.integers(-2**63, 2**63 - 1)
+        value = float(np.int64(bits).view(np.float64))  # one in five subnormal
+        if not math.isfinite(value):
+            continue
+        digits = "".join(map(str, rng.integers(0, 10, 25)))
+        spelling = [f"{value:.17g}", repr(value), f"{value:.24e}",
+                    f"{digits[0]}.{digits[1:]}e{int(rng.integers(-330, 308))}",
+                    fixed[int(rng.integers(len(fixed)))]][int(rng.integers(5))]
+        cell = pads[int(rng.integers(4))] + spelling + pads[int(rng.integers(4))]
+        if not positive or float(cell) > 0:
+            cells.append(cell)
+    return cells
+
+
+def float_bits(x) -> np.ndarray:
+    """The float64 bit patterns of ``x``, so -0.0 and 0.0 compare unequal."""
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def per_line_path_taken(*args, **kwargs):
+    """Stands in for a per-line cell reader that a table must not need."""
+    raise AssertionError("a row was read line by line")

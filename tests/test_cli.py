@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import noisy_sine_batch
+from conftest import awkward_cells, float_bits, noisy_sine_batch, per_line_path_taken
 from qgf import baselines, cli, gan
 from qgf.checkpoint import load_checkpoint
 from qgf.market_data import parse_csv
@@ -543,7 +543,8 @@ def test_bad_sequence_csv_names_its_line(tmp_path, capsys, body, line, detail):
     ("Date,a,b\n2020-01-01,1,2\n2020-01-02,nan,3\n", 3, "non-finite value"),
     ("Date,a,b\n2020-01-01,1,2\n2020-01-02,4,5\n2020-01-03,-inf,0\n", 4, "non-finite value"),
     ("Date,a,b\n2020-01-01,1,2\n\n2020-01-02,4\n", 4, "2 fields, expected 3"),
-], ids=["nan", "inf", "ragged"])
+    ("Date,a,b\n2020-01-01,1,2\n2020-01-02,4,5,6\n", 3, "4 fields, expected 3"),
+], ids=["nan", "inf", "ragged", "extra-field"])
 def test_bad_feature_table_names_its_line(tmp_path, capsys, body, line, detail):
     bad, labels = tmp_path / "f.csv", tmp_path / "l.csv"
     bad.write_text(body)
@@ -555,6 +556,128 @@ def test_bad_feature_table_names_its_line(tmp_path, capsys, body, line, detail):
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "RowParseError"
         assert payload["message"] == f"line {line}: {bad}: {detail}"
+
+
+def _write_plain_and_keyed(tmp_path, rows):
+    """The same rows of cells as a plain sequence table and a keyed feature table."""
+    plain, keyed = tmp_path / "plain.csv", tmp_path / "keyed.csv"
+    plain.write_text("".join(",".join(row) + "\n" for row in rows))
+    header = ",".join(["Date", *(f"c{j}" for j in range(len(rows[0])))])
+    keyed.write_text(header + "\n" + "".join(f"2020-01-{i + 1:02d},{','.join(row)}\n"
+                                             for i, row in enumerate(rows)))
+    return plain, keyed
+
+
+def test_read_rows_gives_every_cell_the_bits_float_gives(tmp_path, monkeypatch):
+    cells = awkward_cells(np.random.default_rng(2026), 28 * 40)
+    rows = [cells[i:i + 40] for i in range(0, len(cells), 40)]
+    want = float_bits([[float(c) for c in row] for row in rows])
+    plain, keyed = _write_plain_and_keyed(tmp_path, rows)
+    monkeypatch.setattr(cli, "parse_floats", per_line_path_taken)  # all in the one pass
+    assert np.array_equal(float_bits(cli._read_rows(plain, keyed=False)[2]), want)
+    names, dates, table = cli._read_rows(keyed, keyed=True)
+    assert np.array_equal(float_bits(table), want)
+    assert names == [f"c{j}" for j in range(40)] and dates[-1] == "2020-01-28"
+
+
+@pytest.mark.parametrize("body,want", [
+    ("1,1_000\n2,3\n", [[1, 1000], [2, 3]]),
+    ("1,١٢٣\n2,3\n", [[1, 123], [2, 3]]),
+    ("1,2\x0c3,4\n", [[1, 2], [3, 4]]),  # str.splitlines ends a line at a form feed
+    ("1,2\r\n3,4\r\n", [[1, 2], [3, 4]]),
+    ("1,2\n \t\n3,4\n\n", [[1, 2], [3, 4]]),
+], ids=["underscore", "arabic-digits", "form-feed", "crlf", "whitespace-line"])
+def test_read_rows_reads_what_float_and_splitlines_read(tmp_path, body, want):
+    rows = [line.split(",") for line in body.splitlines() if line.strip()]
+    plain, keyed = _write_plain_and_keyed(tmp_path, rows)
+    plain.write_text(body)  # the exact bytes, line endings and blank lines included
+    assert np.array_equal(cli._read_rows(plain, keyed=False)[2], want)
+    assert np.array_equal(cli._read_rows(keyed, keyed=True)[2], want)
+
+
+@pytest.mark.parametrize("body,line,detail", [
+    ("1,2\n3,nan\n", 2, "non-finite value"),
+    ("1,2\n3,inf\n", 2, "non-finite value"),
+    ("1,2\n\n3,4\n5,1e999\n", 4, "non-finite value"),
+    ("1,2,\n3,4,\n", 1, "could not convert string to float: ''"),
+    ("1,2\x0c3\n", 2, "1 fields, expected 2"),
+    ("1,2\n \n3,\x1f4\n", 3, "could not convert string to float: '\\x1f4'"),
+], ids=["nan", "inf", "overflow", "trailing-comma", "form-feed", "unit-separator"])
+def test_a_table_the_one_pass_refuses_names_its_line(tmp_path, capsys, body, line, detail):
+    bad, ok = tmp_path / "bad.csv", tmp_path / "ok.csv"
+    bad.write_text(body)
+    ok.write_text("1,2\n")
+    assert run("evaluate", "--real", bad, "--generated", ok,
+               "--out", tmp_path / "r.json") == cli.EXIT_DATA
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "RowParseError", "message": f"line {line}: {bad}: {detail}"}
+
+
+def _f_string_table(values, header=None, keys=None):
+    """The table written one ``{v:.17g}`` cell at a time, as _write_rows once did."""
+    body = [",".join(f"{v:.17g}" for v in row) for row in values]
+    if keys is not None:
+        body = [f"{key},{cells}" for key, cells in zip(keys, body)]
+    return "\n".join(([] if header is None else [",".join(header)]) + body) + "\n"
+
+
+# Python floats and ints, numpy floats, a negative zero, the smallest subnormal, 1e17
+WRITTEN = [0.1, 2 / 3, np.float64(1 / 3), 7, 2**53 + 1, -0.0, 5e-324, 1e17,
+           1.7976931348623157e308, -123.456]
+
+
+@pytest.mark.parametrize("kind", ["plain", "keyed", "header-only", "empty"])
+def test_write_rows_writes_the_bytes_of_one_17g_cell_at_a_time(tmp_path, kind):
+    rng = np.random.default_rng(25)
+    rows = [WRITTEN[i:] + WRITTEN[:i] for i in range(len(WRITTEN))]  # each value in each column
+    rows += (rng.standard_normal((30, len(WRITTEN))) * 10.0 ** rng.integers(-300, 300, (30, 1))
+             ).tolist()
+    header = keys = None
+    if kind != "plain":
+        header = ["Date", *(f"c{j}" for j in range(len(WRITTEN)))]
+        keys = [f"2020-01-{i + 1:02d}" for i in range(len(rows))]
+    if kind in ("header-only", "empty"):
+        rows, keys = [], []
+        header = header if kind == "header-only" else None
+    out = tmp_path / "t.csv"
+    cli._write_rows(out, rows, header, keys)
+    assert out.read_text() == _f_string_table(rows, header, keys)
+    if rows:
+        table = cli._read_rows(out, keyed=kind == "keyed")[2]
+        assert np.array_equal(float_bits(table), float_bits(rows))
+
+
+def test_main_builds_one_parser_and_keeps_no_state_between_runs(prices, tmp_path):
+    cli.build_parser.cache_clear()
+    data = tmp_path / "seqs.csv"
+    _write_train_data(data, count=6, length=8)
+    train = ["train", "--model", "rnn-ae", "--data", data, "--epochs", 1, "--hidden", 4,
+             "--latent", 2, "--quiet"]
+
+    def flags(out):
+        return json.loads((out / "run_manifest.json").read_text())["args"]
+
+    fetch = f"file://{prices.parent}/{{symbol}}.csv"
+    assert run("ingest", "--fetch-url", fetch, "--symbol", "TST", "--out", tmp_path / "a.csv",
+               "--quiet") == 0
+    assert run("ingest", "--input", prices, "--out", tmp_path / "b.csv", "--quiet") == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+    with pytest.raises(SystemExit) as exc:  # the group still refuses both sources at once
+        run("ingest", "--input", prices, "--fetch-url", fetch, "--out", tmp_path / "c.csv")
+    assert exc.value.code == 2
+
+    assert run(*train, "--lr", "0.01", "--out", tmp_path / "fast") == 0
+    assert run(*train, "--out", tmp_path / "default") == 0
+    assert flags(tmp_path / "fast")["lr"] == "0.01"
+    assert flags(tmp_path / "default")["lr"] == str(gan.TrainConfig.lr)
+    with pytest.raises(SystemExit) as exc:
+        run(*train, "--model", "no-such-model", "--out", tmp_path / "bad")
+    assert exc.value.code == 2
+    assert run(*train, "--out", tmp_path / "again") == 0
+    assert flags(tmp_path / "again") == flags(tmp_path / "default") | {
+        "out": str(tmp_path / "again")}
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()
 
 
 _OHLCV_HEADER = "Date,Open,High,Low,Close,Adj Close,Volume\n"

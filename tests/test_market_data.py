@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 
 import qgf
-from conftest import daily_dates, make_flat_series, make_series
+from conftest import (
+    awkward_cells,
+    daily_dates,
+    float_bits,
+    make_flat_series,
+    make_series,
+    per_line_path_taken,
+)
 from qgf.errors import (
     DuplicateDateError,
     HorizonOutOfRangeError,
@@ -178,6 +185,75 @@ def test_serialize_parse_round_trip(rng):
     for name in COLUMNS:
         assert np.array_equal(getattr(back, name), getattr(series, name)), name
     assert serialize_csv(back) == text
+
+
+def _awkward_ohlcv(bars):
+    """Valid bars spelt with awkward cells: per bar, the lowest of five price cells is
+    the low, the highest the high; the cells and the floats ``float`` reads from them."""
+    rng = np.random.default_rng(2026)
+    prices = awkward_cells(rng, 5 * bars, positive=True)
+    volumes = awkward_cells(rng, bars, positive=True)
+    lines, want = [_CSV_HEADER_LINE], []
+    for i, date in enumerate(daily_dates(bars)):
+        low, open_, close, adj, high = sorted(prices[5 * i:5 * i + 5], key=float)
+        row = [open_, high, low, close, adj, volumes[i]]
+        lines.append(",".join([date.isoformat(), *row]))
+        want.append([float(c) for c in row])
+    want = np.array(want)
+    want[:, 5] = np.trunc(want[:, 5])
+    return "\n".join(lines) + "\n", want
+
+
+_CSV_HEADER_LINE = "Date,Open,High,Low,Close,Adj Close,Volume"
+
+
+def test_parse_csv_gives_every_cell_the_bits_float_gives(monkeypatch):
+    text, want = _awkward_ohlcv(300)
+    monkeypatch.setattr(qgf.market_data, "parse_floats", per_line_path_taken)  # one pass
+    series = parse_csv(text, "TST")
+    got = np.stack([getattr(series, name) for name in COLUMNS], axis=1)
+    assert np.array_equal(float_bits(got), float_bits(want))
+
+
+@pytest.mark.parametrize("edit,bars", [
+    (lambda t: t.replace("\n", "\r\n"), 3),
+    (lambda t: t.replace("\n2020-01-03", "\n \t\n2020-01-03"), 3),
+    (lambda t: t.replace("12000", "12_000"), 3),
+    (lambda t: t.replace("8000", "٨٠٠٠"), 3),
+    (lambda t: t.replace(",12000\n", ",12000\x0c2020-01-07,1,1,1,1,1,1\n"), 4),
+], ids=["crlf", "whitespace-line", "underscore", "arabic-digits", "form-feed"])
+def test_parse_csv_reads_what_float_and_splitlines_read(edit, bars):
+    series = parse_csv(edit(GOOD_CSV), "TST")
+    assert len(series) == bars
+    assert series.volume[:2].tolist() == [12000, 8000]
+
+
+@pytest.mark.parametrize("row,detail", [
+    ("2020-01-07,10,11,9,10.5,10.5,100,", "8 fields, expected 7"),
+    ("2020-01-07,10,11,9,10.5,10.5,\x1f100", "could not convert string to float: '\\x1f100'"),
+    ("2020-01-07,10,inf,9,10.5,10.5,100", "prices must be finite and positive"),
+    ("2020-01-07,10,1e999,9,10.5,10.5,100", "prices must be finite and positive"),
+    ("2020-01-07 x,10,11,9,10.5,10.5,100", "Invalid isoformat string: '2020-01-07 x'"),
+], ids=["trailing-comma", "unit-separator", "inf", "overflow", "bad-date"])
+def test_parse_csv_names_the_line_the_one_pass_refuses(row, detail):
+    with pytest.raises((RowParseError, InvariantViolationError)) as err:
+        parse_csv(GOOD_CSV + row + "\n" + GOOD_CSV.splitlines()[1] + "\n", "TST")
+    assert str(err.value) == f"line 5: {detail}"
+
+
+def test_serialize_csv_writes_repr_cells_and_round_trips_awkward_values():
+    text, want = _awkward_ohlcv(120)
+    series = parse_csv(text, "TST")
+    out = serialize_csv(series)
+    rows = zip(series.dates, *(getattr(series, name).tolist() for name in COLUMNS))
+    assert out == "\n".join([_CSV_HEADER_LINE, *(
+        f"{d.isoformat()},{o!r},{h!r},{lo!r},{c!r},{a!r},{int(v)}"
+        for d, o, h, lo, c, a, v in rows)]) + "\n"
+    back = parse_csv(out, "TST")
+    for name in COLUMNS:
+        got, want = getattr(back, name), getattr(series, name)
+        assert np.array_equal(float_bits(got), float_bits(want)), name
+    assert serialize_csv(back) == out
 
 
 def test_fetch_csv_reads_file_url(tmp_path):
