@@ -8,11 +8,17 @@ softmax whose second component is the probability the input is real.
 Training alternates discriminator steps with one generator step per
 iteration, minimizing d_loss = -mean[log D(x) + log(1 - D(G(z)))] and the
 generator objective mean[log(1 - D(G(z)))] (a non-saturating -mean[log
-D(G(z))] is available). Everything is seeded and bitwise reproducible.
+D(G(z))] is available). The generator runs forward once per discriminator
+step; the generator step scores the fakes of the iteration's last
+discriminator step against the discriminator that has just stepped on them,
+as PyTorch's DCGAN example reuses one ``fake`` per iteration, rather than
+drawing fresh noise as Goodfellow et al. (2014, Algorithm 1) do. Everything
+is seeded and bitwise reproducible.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -222,9 +228,13 @@ def train_gan(data: np.ndarray, gen_config: GeneratorConfig, disc_config: Discri
     """Alternating adversarial training; returns checkpoint plus loss history.
 
     ``data`` is (N, L) with L = both configs' sequence length; each row is
-    standardized (``standardize_rows``) before training. History holds
-    one d_loss/g_loss pair per iteration (the d value from the last
-    discriminator step of that iteration).
+    standardized (``standardize_rows``) before training. Each of an
+    iteration's ``d_steps`` discriminator steps draws one noise batch and runs
+    the generator forward once, untracked except on the last step; the
+    generator step then backpropagates the updated discriminator's score of
+    that last step's fakes. History holds one d_loss/g_loss pair per
+    iteration (the d value from the last discriminator step of that
+    iteration).
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or data.shape[0] == 0:
@@ -246,14 +256,17 @@ def train_gan(data: np.ndarray, gen_config: GeneratorConfig, disc_config: Discri
         return gen.forward(noise, dropout_rng)
 
     def iteration(sample) -> dict[str, float]:
-        for _ in range(train_config.d_steps):
+        for steps_left in range(train_config.d_steps, 0, -1):
             real = sample()
-            with ad.no_grad():
+            # the last D step's fakes are tracked: the G step scores them below
+            with ad.no_grad() if steps_left > 1 else contextlib.nullcontext():
                 fake = fake_batch(real.shape[0])
-            d_value = opt_d.minimize(discriminator_loss(disc.forward(real), disc.forward(fake)))
+            d_value = opt_d.minimize(
+                discriminator_loss(disc.forward(real), disc.forward(Tensor(fake.data))))
             if not np.isfinite(d_value):
-                break  # a later finite step must not hide this loss from fit
-        g_loss = generator_loss(disc.forward(fake_batch(real.shape[0])), train_config.g_loss_mode)
+                # fit raises on this loss; a later D step or the G step must not run first
+                return {"d_loss": d_value}
+        g_loss = generator_loss(disc.forward(fake), train_config.g_loss_mode)
         return {"d_loss": d_value, "g_loss": opt_g.minimize(g_loss)}
 
     history = nn.fit(data, train_config.epochs, train_config.batch_size, batch_rng, iteration)

@@ -484,11 +484,20 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None) -> Tens
     x = ad.as_tensor(x)
     if rng is None or p == 0.0:
         return x
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-    out_data = x.data * mask
+    # the backward keeps one bool per entry; a dropped entry is v * 0.0 (-0.0 for a
+    # negative v, nan for an inf), the bits a multiply by a float 0-or-scale mask gives
+    out_data = rng.random(x.shape)
+    drop = out_data < p
+    scale = 1.0 / (1.0 - p)
+
+    def masked(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.multiply(v, scale, out=out)
+        return np.multiply(v, 0.0, out=out, where=drop)
+
+    masked(x.data, out_data)
 
     def bwd(g):
-        ad._accumulate(x, g * mask)
+        ad._accumulate(x, masked(g, np.empty_like(g)))
 
     return ad._make(out_data, (x,), bwd)
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -184,6 +185,25 @@ def test_train_baseline_and_checkpoint_dir_layout(tmp_path):
     hist = (out / "history.csv").read_text().strip().split("\n")
     assert hist[0] == "iteration,loss"
     assert len(hist) == 5
+
+
+def test_a_seeded_desk_gan_train_writes_pinned_bytes(tmp_path):
+    """A desk-width GAN's history and weights, pinned: any change to the training
+    schedule, an rng draw or a kernel's rounding shows here. At H=16 no product takes a
+    BLAS-thread-dependent path, so these hold under OPENBLAS_NUM_THREADS unset, 1 and 2."""
+    data_path = tmp_path / "seqs.csv"
+    _write_train_data(data_path, count=12, length=64)
+    out = tmp_path / "gan"
+    assert run("train", "--model", "gan", "--data", data_path, "--epochs", 5, "--batch", 8,
+               "--lr", 1e-3, "--seed", 3, "--out", out, "--quiet") == 0
+    arrays = load_checkpoint(out).arrays
+    tensors = hashlib.sha256()
+    for name in sorted(arrays):
+        tensors.update(name.encode() + arrays[name].tobytes())
+    assert hashlib.sha256((out / "history.csv").read_bytes()).hexdigest() == (
+        "256ad3735c0969a95f3881d0a98d4f90960d7518ed032f4f0500d6e2d5381ba4")
+    assert tensors.hexdigest() == (
+        "7bb573c815456f6dfc4172deff2bd9dac6ef9e4f34c8aa2b89246790f4311db6")
 
 
 def _bytes_under(path):

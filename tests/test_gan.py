@@ -252,16 +252,84 @@ def test_generator_from_checkpoint_rejects_other_models():
         gan.generator_from_checkpoint(wrong)
 
 
-def test_a_non_finite_discriminator_step_is_reported_although_later_steps_are_finite():
+class _RecordedDraws:
+    """Stands in for a numpy Generator and records each draw's method and size."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        draw = getattr(self.rng, name)
+
+        def recorded(size, *args, **kwargs):
+            self.draws.append((name, size))
+            return draw(size, *args, **kwargs)
+
+        return recorded
+
+
+@pytest.mark.parametrize("d_steps", [1, 2])
+def test_the_generator_step_scores_the_last_discriminator_steps_fakes(monkeypatch, d_steps):
+    """One generator forward per discriminator step: the G loss scores, tracked, the very
+    fakes the last D step scored detached, so noise and dropout draw d_steps batches."""
+    init, noise, batches, dropout = nn.seeded_streams(5, 4)
+    noise, dropout = _RecordedDraws(noise), _RecordedDraws(dropout)
+    monkeypatch.setattr(nn, "seeded_streams", lambda seed, count: [init, noise, batches, dropout])
+    scored = []
+    forward = gan.Discriminator.forward
+
+    def recorded_forward(self, x):
+        scored.append((x.data.copy(), x.requires_grad))
+        return forward(self, x)
+
+    monkeypatch.setattr(gan.Discriminator, "forward", recorded_forward)
+    epochs, calls = 3, 2 * d_steps + 1  # real and fake per D step, then the G step's fake
+    gan.train_gan(_tiny_data(), replace(TINY_GEN, dropout_p=0.2), TINY_DISC,
+                  gan.TrainConfig(epochs=epochs, batch_size=8, lr=1e-3, seed=5, d_steps=d_steps))
+    assert len(scored) == epochs * calls
+    for it in range(epochs):
+        *d_inputs, (g_fake, g_tracked) = scored[it * calls:(it + 1) * calls]
+        assert not any(tracked for _, tracked in d_inputs) and g_tracked
+        d_fakes = [data for data, _ in d_inputs[1::2]]
+        assert g_fake.tobytes() == d_fakes[-1].tobytes()
+        assert all(not np.array_equal(a, b) for a, b in zip(d_fakes, d_fakes[1:]))
+    assert noise.draws == [("standard_normal", (8, 16, TINY_GEN.noise_dim))] * (epochs * d_steps)
+    assert dropout.draws == [("random", (8, 16, TINY_GEN.hidden))] * (epochs * d_steps)
+
+
+def _train_into_a_nan_batch(monkeypatch, seed: int, step: int) -> None:
+    """Train until the nan batch, which lands on D step ``step`` of 3 (the last runs the
+    tracked generator forward): the error names its iteration although later steps would
+    be finite, and that iteration made no generator Adam step."""
     data = _tiny_data()
     data[3, 5] = np.nan  # a nan row stays nan through standardizing; every other row is clean
-    config = gan.TrainConfig(epochs=30, batch_size=2, lr=1e-3, seed=5, d_steps=3)
+    config = gan.TrainConfig(epochs=30, batch_size=2, lr=1e-3, seed=seed, d_steps=3)
     batches = nn.seeded_streams(config.seed, 4)[2]  # train_gan's batch stream
     first = next(k for k in range(90) if 3 in batches.choice(16, size=2, replace=False))
-    assert first % 3 != 2  # the nan batch is not the iteration's last discriminator step
+    assert first % 3 == step
+    stepped = []
+    adam_step = nn.Adam.step
+
+    def recorded_step(self):
+        stepped.append(self.pset.names()[0].split(".")[0])
+        adam_step(self)
+
+    monkeypatch.setattr(nn.Adam, "step", recorded_step)
     with pytest.raises(NonFiniteLossError) as err:
         gan.train_gan(data, TINY_GEN, TINY_DISC, config)
     assert err.value.iteration == first // 3
+    assert stepped.count("gen") == first // 3
+    assert stepped.count("disc") == first
+
+
+def test_a_non_finite_discriminator_step_is_reported_although_later_steps_are_finite(
+        monkeypatch):
+    _train_into_a_nan_batch(monkeypatch, seed=5, step=0)
+
+
+def test_a_non_finite_last_discriminator_step_ends_the_iteration_before_the_generator_step(
+        monkeypatch):
+    _train_into_a_nan_batch(monkeypatch, seed=2, step=2)
 
 
 def test_non_finite_loss_is_reported_with_iteration():

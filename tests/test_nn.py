@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from conftest import float_bits
 from oracles import oracle_bilstm, oracle_flip, oracle_step, oracle_zero_state
 
 from qgf import autodiff as ad, nn
@@ -744,6 +745,35 @@ def test_dropout_distribution_and_scaling():
     assert np.allclose(out.data[kept], 1.0 / 0.6)
     # mean preserved in expectation
     assert abs(out.data.mean() - 1.0) < 0.02
+
+
+def test_dropout_gives_the_float_mask_bits_and_keeps_one_byte_per_entry():
+    """Output and gradient equal ``v * ((u >= p) / (1 - p))`` bit for bit, -0.0 for a
+    dropped negative entry and nan for a dropped inf included, while the graph keeps a
+    bool per entry beside the output instead of a float64 mask."""
+    rng = np.random.default_rng(4)
+    x_data = rng.standard_normal((64, 50)) * np.exp(rng.uniform(-600, 600, (64, 50)))
+    g = rng.standard_normal(x_data.shape)
+    u = np.random.default_rng(7).random(x_data.shape)  # the draws dropout makes below
+    for where in (u < 0.1, u >= 0.4):  # dropped, then kept, at every p below
+        x_data.flat[np.flatnonzero(where)[:4]] = np.inf, -np.inf, -0.0, np.nan
+    for p in (0.1, 0.4, 1 / 3):
+        mask = (u >= p) / (1.0 - p)
+        x = Tensor(x_data.copy(), requires_grad=True)
+        tracemalloc.start()
+        try:
+            with np.errstate(invalid="ignore"):  # inf * 0.0 where an inf is dropped
+                out = nn.dropout(x, p, np.random.default_rng(7))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < out.data.nbytes + x_data.size + 4096
+        with np.errstate(invalid="ignore"):
+            ad.backward(ad.tensor_sum(ad.mul(out, Tensor(g))))
+            want = x_data * mask
+        assert np.array_equal(float_bits(out.data), float_bits(want))
+        assert np.array_equal(float_bits(x.grad), float_bits(g * mask))
+        assert (np.signbit(out.data) & (mask == 0)).any()
 
 
 def test_dropout_eval_mode_is_identity_and_validates_p():
