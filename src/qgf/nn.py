@@ -158,10 +158,10 @@ class LSTMCell:
     @staticmethod
     def _activate(z: np.ndarray, gates, c_prev, c, tanh_c) -> np.ndarray:
         h = gates.shape[3]
-        gates[...] = z.reshape(z.shape[0], z.shape[1], 4, h).transpose(2, 0, 1, 3)
         # a logistic over every block is cheaper than over the i, f and o blocks
         # alone, and the g block is then overwritten with its tanh
-        i, f, g, o = ad._logistic(gates, out=gates)
+        i, f, g, o = ad._logistic(z.reshape(z.shape[0], z.shape[1], 4, h).transpose(2, 0, 1, 3),
+                                  out=gates)
         np.tanh(z[..., 2 * h:3 * h], out=g)
         np.multiply(f, c_prev, out=c)
         c += i * g
@@ -255,7 +255,10 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None):
     tracked forward tapes one segment, each step's gates and c, in buffers only ``bptt``
     holds, and c before every segment. Returned, they hold the last segment; ``bptt``
     re-runs each earlier one by the forward's own steps from its first c and the h before
-    it, so every bit is the same. An untracked forward steps one step's slots.
+    it, so every bit is the same. An untracked forward steps one step's slots. A tracked lane
+    of one direction writes step j's gates over its input projection ``xw[:, j]``, which the
+    step has read, so the segment's projection is its gate tape; two directions in lockstep
+    (their step's projections are no one block) and untracked forwards keep a gates buffer.
 
     One step body serves a slice of the directions, on that slice's own buffers. Two
     directions at ``batch * hidden >= THREADED`` run one slice each, on their own threads,
@@ -293,12 +296,17 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None):
         w_xd, w_hd, bd = w_x[ds], w_h[ds], b[ds]
         w_xT, w_hT = w_xd.transpose(0, 2, 1), w_hd.transpose(0, 2, 1)
         carry = (len(ids), batch, cell.hidden if cell._carries else 0)  # an RNN carries no c
-        gates = np.empty((slots, cell._tape_slots, len(ids), batch, cell.hidden))
+        gate_tape = (slots, cell._tape_slots, len(ids), batch, cell.hidden)
+        xw_shape = (len(ids), span, batch, w_x.shape[2])
+        # one tracked direction tapes step j's gates over xw[:, j], which the step has read. The
+        # tape comes first either way: made last, it moved glibc's heap and a desk GAN's RSS up 4%
+        xw = np.empty(xw_shape) if track and cell._tape_slots and len(ids) == 1 else None
+        gates = np.empty(gate_tape) if xw is None else xw.reshape(gate_tape)
         cs = np.zeros((slots + track, *carry))  # c before each step and after the last
         tanh_c = np.empty(carry)
         c_first = np.zeros((len(segments), *carry)) if track else None  # c before each segment
         x_in = np.empty((span, batch, n_in))
-        xw = np.empty((len(ids), span, batch, w_x.shape[2]))
+        xw = np.empty(xw_shape) if xw is None else xw
 
         def run(first, n, h):  # steps first .. first + n - 1 from h and cs[0], yielding each h
             for t_d, w_x_d, xw_d in zip(t_of, w_xd, xw):  # the segment's rows, step-major,
@@ -323,7 +331,7 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None):
                     if track and first + n < steps:  # the next segment starts from this one's last c
                         cs[0] = c_first[s + 1] = cs[n]
             if not replays:
-                x_in = xw = None  # nothing will be replayed, so nothing holds the input workspace
+                x_in = xw = None  # nothing will be replayed: only a gate tape in xw keeps it
 
         def backward(g, dx):  # returns the weight sums and dh before the first step
             dh, dc = 0.0, 0.0

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +207,36 @@ def test_a_seeded_desk_gan_train_writes_pinned_bytes(tmp_path):
         "256ad3735c0969a95f3881d0a98d4f90960d7518ed032f4f0500d6e2d5381ba4")
     assert tensors.hexdigest() == (
         "7bb573c815456f6dfc4172deff2bd9dac6ef9e4f34c8aa2b89246790f4311db6")
+
+
+def test_a_seeded_paper_width_gan_train_and_generate_write_pinned_bytes(tmp_path):
+    """An H=90, B=32 GAN's history, weights and generated rows, pinned. With one BLAS thread
+    and two CPUs each BiLSTM direction of the training forward steps on its own thread, and
+    130 steps make three segments, so BPTT replays two. These digests hold for this BLAS
+    build; on one CPU the lockstep schedule gives the same bytes."""
+    data_path = tmp_path / "seqs.csv"
+    _write_train_data(data_path, count=40, length=130)
+    out, gen_path = tmp_path / "gan", tmp_path / "generated.csv"
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv in (["train", "--model", "gan", "--data", data_path, "--epochs", 2, "--batch", 32,
+                  "--hidden", 90, "--lr", 1e-3, "--seed", 3, "--out", out, "--quiet"],
+                 ["generate", "--ckpt", out, "--count", 20, "--out", gen_path, "--seed", 7,
+                  "--quiet"]):
+        done = subprocess.run([sys.executable, "-m", "qgf.cli", *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+    arrays = load_checkpoint(out).arrays
+    tensors = hashlib.sha256()
+    for name in sorted(arrays):
+        tensors.update(name.encode() + arrays[name].tobytes())
+    assert hashlib.sha256((out / "history.csv").read_bytes()).hexdigest() == (
+        "656e5d6c3712cbf3a8178f33b2a585e3e533d7de56204a67d94b0f86902dd266")
+    assert tensors.hexdigest() == (
+        "e0ad01149008ae122fb99b9a93b656894805d8e8a8b513d2896be7fe334a5ff1")
+    assert hashlib.sha256(gen_path.read_bytes()).hexdigest() == (
+        "a927163107cbab1d20555499797bf01ded48bbda83c1588f422c979b3b8cc115")
 
 
 def _bytes_under(path):

@@ -603,6 +603,31 @@ def test_a_tracked_bilstm_one_step_past_a_segment_holds_no_more_than_one_segment
     assert held[1] <= held[0], held
 
 
+@pytest.mark.parametrize("model", ["lstm", "bilstm"])
+def test_a_direction_stepped_on_its_own_tapes_its_gates_in_its_input_workspace(monkeypatch, model):
+    """An ``unroll``, or a BiLSTM direction on its own thread, writes each step's gates over
+    the input projection the step has read: after a tracked forward that BPTT will replay
+    it holds its output, one (directions, span, batch, 4 * hidden) workspace, each direction's
+    input rows and c tape, and no gate buffer beside them."""
+    batch, n_in, hidden, steps = 16, 4, 16, 3 * nn.SEGMENT + 2
+    rng = np.random.default_rng(14)
+    if model == "bilstm":
+        monkeypatch.setattr(nn, "THREADED", batch * hidden)
+        build, directions, merged = _bilstm(rng, n_in, hidden, hidden), 2, 1
+    else:
+        cell = nn.LSTMCell(nn.ParamSet(), "c", n_in, hidden, rng)
+        build, directions, merged = (lambda seq: nn.unroll(cell, seq)), 1, 0
+    segments = nn.blocks(steps, nn.SEGMENT)
+    span = max(n for _, n in segments)
+    workspace = directions * span * batch * 4 * hidden * 8
+    needed = 8 * ((directions + merged) * batch * steps * hidden  # hs, and the merge's output
+                  + directions * span * batch * n_in  # each direction's input rows
+                  + directions * (span + 1 + len(segments)) * batch * hidden) + workspace
+    held, _ = _held_and_kept(build, Tensor(rng.standard_normal((batch, steps, n_in))))
+    # what else stays is the stacked weights and the graph's nodes, far below one gate buffer
+    assert needed <= held < needed + workspace / directions / 4, (held, needed)
+
+
 @pytest.mark.parametrize("model", ["rnn", "lstm", "bilstm"])
 def test_bptt_reruns_the_steps_before_the_last_segment_only(monkeypatch, model):
     """The forward runs one h @ w_h per step. An LSTM's BPTT re-runs it for every step
