@@ -22,7 +22,7 @@ once; a later ``backward`` that reaches a released node raises
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -196,28 +196,12 @@ def tanh(a) -> Tensor:
 
 
 def _logistic(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    # the formula behind ``logistic``, unguarded: the caller ignores overflow in exp
+    """1 / (1 + exp(-x)) into ``out``. Below x = -709 exp overflows to inf and the result
+    is 0, within a denormal of the truth: the caller ignores overflow in exp."""
     np.negative(x, out=out)
     np.exp(out, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
-
-
-def logistic(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-x)) as a new array. Below x = -709 exp overflows to inf and the
-    result is 0, within a denormal of the truth."""
-    with np.errstate(over="ignore"):
-        return _logistic(x, np.empty(np.shape(x)))
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out_data = logistic(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * out_data * (1.0 - out_data))
-
-    return _make(out_data, (a,), bwd)
 
 
 def clamp(a, lo: float, hi: float) -> Tensor:
@@ -272,37 +256,6 @@ def select(a, axis: int, index: int) -> Tensor:
         _accumulate(a, full)
 
     return _make(out_data, (a,), bwd)
-
-
-def narrow(a, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of ``length`` elements along ``axis``."""
-    a = as_tensor(a)
-    sl = [slice(None)] * a.data.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-    out_data = a.data[sl]
-
-    def bwd(g):
-        full = np.zeros_like(a.data)
-        full[sl] = g
-        _accumulate(a, full)
-
-    return _make(out_data, (a,), bwd)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = tuple(as_tensor(t) for t in tensors)
-    out_data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(start, stop)
-            _accumulate(p, g[tuple(sl)])
-
-    return _make(out_data, parts, bwd)
 
 
 # --- reductions ---------------------------------------------------------------

@@ -79,10 +79,11 @@ class RecurrentAutoencoder:
 
     def decode(self, latent: Tensor, teacher: Tensor) -> Tensor:
         """One fused ``unroll`` of the decoder over ``teacher`` (batch, steps) shifted
-        right by one step, then one emit over every step's h."""
+        right by one step, then one emit over every step's h. The teacher is read as
+        data: it gets no gradient."""
         batch, steps = teacher.shape
         h0 = ad.tanh(self.from_latent(latent))
-        inputs = ad.concat([Tensor(np.zeros((batch, 1))), ad.narrow(teacher, 1, 0, steps - 1)], axis=1)
+        inputs = Tensor(np.concatenate([np.zeros((batch, 1)), teacher.data[:, :-1]], axis=1))
         hs = nn.unroll(self.decoder, ad.reshape(inputs, (batch, steps, 1)), h0=h0)
         y = self.emit(ad.reshape(hs, (batch * steps, self.config.hidden)))
         return ad.reshape(y, (batch, steps))

@@ -1,9 +1,10 @@
 """Finite-difference verification of every differentiable kernel.
 
-Each check builds a tiny randomized model, computes a scalar loss, and
-compares backprop gradients against central differences (``nn.FD_EPS``) via
-``nn.check_gradients``. The same battery backs the `gradcheck` subcommand
-and the test suite.
+``finite_difference_gradients`` takes central differences with step
+``FD_EPS``, probing under ``ad.no_grad()``; ``check_gradients`` compares them
+with backprop by ``relative_error``. Each kernel check builds a tiny
+randomized model and computes a scalar loss. The same battery backs the
+`gradcheck` subcommand and the test suite.
 """
 
 from __future__ import annotations
@@ -18,6 +19,52 @@ from . import baselines, features, gan, nn
 from .autodiff import Tensor
 
 TOLERANCE = 1e-4
+FD_EPS = 1e-5  # the central-difference step
+
+
+def finite_difference_gradients(loss_fn: Callable[[], float], pset: nn.ParamSet) -> dict[str, np.ndarray]:
+    """Central finite differences of ``loss_fn`` w.r.t. each parameter entry, step FD_EPS.
+
+    ``loss_fn`` must rebuild the forward pass from the ParamSet's current
+    data on every call (any randomness inside must be replayed identically).
+    Probes run under ``ad.no_grad()``, so no graph is recorded: ``loss_fn``
+    must return a float and must not call ``ad.backward``.
+    """
+    out = {}
+    with ad.no_grad():
+        for name in pset.names():
+            param = pset[name]
+            grad = np.zeros_like(param.data)
+            flat = param.data.reshape(-1)
+            gflat = grad.reshape(-1)
+            for i in range(flat.size):
+                original = flat[i]
+                flat[i] = original + FD_EPS
+                up = loss_fn()
+                flat[i] = original - FD_EPS
+                down = loss_fn()
+                flat[i] = original
+                gflat[i] = (up - down) / (2.0 * FD_EPS)
+            out[name] = grad
+    return out
+
+
+def check_gradients(build_loss: Callable[[], Tensor], pset: nn.ParamSet) -> float:
+    """Max relative error between backprop and central finite differences."""
+    pset.zero_grad()
+    loss = build_loss()
+    ad.backward(loss)
+    analytic = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
+                for name, t in pset.items()}
+    numeric = finite_difference_gradients(lambda: build_loss().item(), pset)
+    return max(relative_error(analytic[name], numeric[name]) for name in pset.names())
+
+
+def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """||a - n|| / max(||a||, ||n||, 1e-12): the gradient checks' error measure."""
+    denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
+    return float(np.linalg.norm(analytic - numeric) / denom)
+
 
 _MICRO_DISC = gan.DiscriminatorConfig(
     input_len=8, conv1=gan.ConvSpec(2, 3, 2), pool1=gan.PoolSpec(2, 1),
@@ -29,14 +76,14 @@ def _check_dense(rng: np.random.Generator) -> float:
     pset = nn.ParamSet()
     layer = nn.Dense(pset, "d", 4, 3, rng)
     x = Tensor(rng.standard_normal((5, 4)))
-    return nn.check_gradients(lambda: ad.mean(ad.power(ad.tanh(layer(x)), 2.0)), pset)
+    return check_gradients(lambda: ad.mean(ad.power(ad.tanh(layer(x)), 2.0)), pset)
 
 
 def _check_lstm_cell(rng: np.random.Generator) -> float:
     pset = nn.ParamSet()
     cell = nn.LSTMCell(pset, "c", 3, 4, rng)
     seq = Tensor(np.stack([rng.standard_normal((2, 3)) for _ in range(3)], axis=1))
-    return nn.check_gradients(
+    return check_gradients(
         lambda: ad.mean(ad.power(ad.select(nn.unroll(cell, seq), 1, 2), 2.0)), pset)
 
 
@@ -45,14 +92,14 @@ def _check_lstm_segments(rng: np.random.Generator) -> float:
     cell = nn.LSTMCell(pset, "c", 1, 1, rng)
     h0 = pset.add("h0", rng.standard_normal((2, 1)))
     seq = Tensor(rng.standard_normal((2, 2 * nn.SEGMENT + 3, 1)))
-    return nn.check_gradients(lambda: ad.mean(ad.power(nn.unroll(cell, seq, h0=h0), 2.0)), pset)
+    return check_gradients(lambda: ad.mean(ad.power(nn.unroll(cell, seq, h0=h0), 2.0)), pset)
 
 
 def _check_bilstm(rng: np.random.Generator) -> float:
     pset = nn.ParamSet()
     layer = nn.BiLstmLayer(pset, "b", 2, 4, 3, rng)
     x = pset.add("x", rng.standard_normal((2, 3, 2)))  # dx sums both directions' terms
-    return nn.check_gradients(lambda: ad.mean(ad.power(layer(x), 2.0)), pset)
+    return check_gradients(lambda: ad.mean(ad.power(layer(x), 2.0)), pset)
 
 
 def _check_conv1d(rng: np.random.Generator) -> float:
@@ -60,14 +107,14 @@ def _check_conv1d(rng: np.random.Generator) -> float:
     x = pset.add("x", rng.standard_normal((2, 2, 9)))
     f = pset.add("f", rng.standard_normal((3, 2, 3)))
     b = pset.add("b", rng.standard_normal(3))
-    return nn.check_gradients(
+    return check_gradients(
         lambda: ad.mean(ad.power(ad.tanh(nn.conv1d(x, f, b, stride=2)), 2.0)), pset)
 
 
 def _check_maxpool1d(rng: np.random.Generator) -> float:
     pset = nn.ParamSet()
     x = pset.add("x", rng.standard_normal((2, 3, 10)))
-    return nn.check_gradients(
+    return check_gradients(
         lambda: ad.mean(ad.power(nn.maxpool1d(x, window=3, stride=2), 2.0)), pset)
 
 
@@ -75,7 +122,7 @@ def _check_softmax(rng: np.random.Generator) -> float:
     pset = nn.ParamSet()
     z = pset.add("z", rng.standard_normal((4, 5)))
     target = rng.standard_normal((4, 5))
-    return nn.check_gradients(
+    return check_gradients(
         lambda: ad.mean(ad.power(ad.sub(nn.softmax(z), target), 2.0)), pset)
 
 
@@ -83,7 +130,7 @@ def _check_gan_d_loss(rng: np.random.Generator) -> float:
     disc = gan.Discriminator(_MICRO_DISC, rng)
     real = Tensor(rng.standard_normal((3, 8)))
     fake = Tensor(rng.standard_normal((3, 8)))
-    return nn.check_gradients(
+    return check_gradients(
         lambda: gan.discriminator_loss(disc.forward(real), disc.forward(fake)), disc.params)
 
 
@@ -96,7 +143,7 @@ def _check_gan_g_loss(rng: np.random.Generator) -> float:
         fake = generator.forward(noise)
         return gan.generator_loss(disc.forward(fake), "printed")
 
-    return nn.check_gradients(loss, generator.params)
+    return check_gradients(loss, generator.params)
 
 
 def _check_autoencoder(rng: np.random.Generator, cell: str = "rnn",
@@ -107,7 +154,7 @@ def _check_autoencoder(rng: np.random.Generator, cell: str = "rnn",
     x = Tensor(rng.standard_normal((2, 4)))
     eps_seed = int(rng.integers(1 << 30))
     # a fresh rng with a fixed seed replays the same eps draw every call
-    return nn.check_gradients(
+    return check_gradients(
         lambda: baselines.autoencoder_loss(model, x, np.random.default_rng(eps_seed)), model.params)
 
 
@@ -121,8 +168,8 @@ def _check_logistic_probe(rng: np.random.Generator) -> float:
         return features.logistic_loss_and_grad(wb.data[:4], wb.data[4], x, y, l2=1e-3)
 
     _, gw, gb = loss_and_grad()
-    numeric = nn.finite_difference_gradients(lambda: loss_and_grad()[0], pset)["wb"]
-    return nn.relative_error(np.append(gw, gb), numeric)
+    numeric = finite_difference_gradients(lambda: loss_and_grad()[0], pset)["wb"]
+    return relative_error(np.append(gw, gb), numeric)
 
 
 KERNEL_CHECKS: dict[str, Callable[[np.random.Generator], float]] = {

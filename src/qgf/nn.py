@@ -3,9 +3,8 @@
 Dense projection, tanh RNN and gated LSTM cells with ``unroll``, the fused
 op that steps either over a sequence, a bidirectional layer whose two LSTMs
 step in lockstep or, at paper width, on a thread each, 1-D convolution and max
-pooling, inverted dropout, stable
-softmax, Adam, the seeded minibatch loop both trainers run (``fit``), and
-the finite-difference gradient checker used by the verification suite.
+pooling, inverted dropout, stable softmax, Adam, and the seeded minibatch
+loop both trainers run (``fit``).
 """
 
 from __future__ import annotations
@@ -611,52 +610,3 @@ def fit(data: np.ndarray, epochs: int, batch_size: int, batch_rng: np.random.Gen
         for name, value in losses.items():
             history.setdefault(name, np.empty(epochs))[it] = value
     return history
-
-
-# --- gradient checking -----------------------------------------------------------------
-
-FD_EPS = 1e-5  # the central-difference step
-
-
-def finite_difference_gradients(loss_fn: Callable[[], float], pset: ParamSet) -> dict[str, np.ndarray]:
-    """Central finite differences of ``loss_fn`` w.r.t. each parameter entry, step FD_EPS.
-
-    ``loss_fn`` must rebuild the forward pass from the ParamSet's current
-    data on every call (any randomness inside must be replayed identically).
-    Probes run under ``ad.no_grad()``, so no graph is recorded: ``loss_fn``
-    must return a float and must not call ``ad.backward``.
-    """
-    out = {}
-    with ad.no_grad():
-        for name in pset.names():
-            param = pset[name]
-            grad = np.zeros_like(param.data)
-            flat = param.data.reshape(-1)
-            gflat = grad.reshape(-1)
-            for i in range(flat.size):
-                original = flat[i]
-                flat[i] = original + FD_EPS
-                up = loss_fn()
-                flat[i] = original - FD_EPS
-                down = loss_fn()
-                flat[i] = original
-                gflat[i] = (up - down) / (2.0 * FD_EPS)
-            out[name] = grad
-    return out
-
-
-def check_gradients(build_loss: Callable[[], Tensor], pset: ParamSet) -> float:
-    """Max relative error between backprop and central finite differences."""
-    pset.zero_grad()
-    loss = build_loss()
-    ad.backward(loss)
-    analytic = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
-                for name, t in pset.items()}
-    numeric = finite_difference_gradients(lambda: build_loss().item(), pset)
-    return max(relative_error(analytic[name], numeric[name]) for name in pset.names())
-
-
-def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    """||a - n|| / max(||a||, ||n||, 1e-12): the gradient checks' error measure."""
-    denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
-    return float(np.linalg.norm(analytic - numeric) / denom)

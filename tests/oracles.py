@@ -13,7 +13,8 @@ decoder loop over ``oracle_step``) and ``oracle_bilstm`` (a bidirectional
 layer as two separate ``nn.unroll`` nodes and a merge built from autodiff
 ops, which ``nn.BiLstmLayer`` fuses, stepping its directions in lockstep or
 on a thread each). The last three build autodiff graphs from the cell's,
-layer's and model's own parameters.
+layer's and model's own parameters. The tracked ops they need and the library
+does not, ``sigmoid``, ``narrow`` and ``concat``, are built here on ``ad._make``.
 """
 
 from __future__ import annotations
@@ -315,7 +316,8 @@ def oracle_logistic_probe(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, flo
     b = 0.0
     for _ in range(ft.PROBE_STEPS):
         logits = x @ w + b
-        err = ad.logistic(logits) - y
+        with np.errstate(over="ignore"):
+            err = ad._logistic(logits, np.empty_like(logits)) - y
         gw, gb = x.T @ err / x.shape[0] + ft.PROBE_L2 * w, float(err.mean())
         w -= ft.PROBE_LR * gw
         b -= ft.PROBE_LR * gb
@@ -338,6 +340,41 @@ def oracle_pca_unscaled(x: np.ndarray, k: int, oversample: int = 5, seed: int = 
     return vt[:k], means, (s[:k] ** 2 / total) if total > 0 else np.zeros(k)
 
 
+def sigmoid(a: Tensor) -> Tensor:
+    """Tracked elementwise logistic; its backward is g * s * (1 - s)."""
+    with np.errstate(over="ignore"):
+        out_data = ad._logistic(a.data, np.empty(a.shape))
+
+    def bwd(g):
+        ad._accumulate(a, g * out_data * (1.0 - out_data))
+
+    return ad._make(out_data, (a,), bwd)
+
+
+def narrow(a: Tensor, axis: int, start: int, length: int) -> Tensor:
+    """Tracked contiguous slice of ``length`` elements along ``axis``."""
+    sl = (slice(None),) * axis + (slice(start, start + length),)
+
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        full[sl] = g
+        ad._accumulate(a, full)
+
+    return ad._make(a.data[sl], (a,), bwd)
+
+
+def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
+    """Tracked ``np.concatenate``; each part's gradient is its own slice of g."""
+    parts = tuple(parts)
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+
+    def bwd(g):
+        for p, start, stop in zip(parts, offsets[:-1], offsets[1:]):
+            ad._accumulate(p, g[(slice(None),) * axis + (slice(start, stop),)])
+
+    return ad._make(np.concatenate([p.data for p in parts], axis=axis), parts, bwd)
+
+
 def oracle_zero_state(cell, batch: int) -> tuple[Tensor, ...]:
     """Zero (h,) for an RNNCell, zero (h, c) for an LSTMCell."""
     count = 2 if isinstance(cell, nn.LSTMCell) else 1
@@ -352,33 +389,32 @@ def oracle_step(cell, x_t: Tensor, state: tuple[Tensor, ...]) -> tuple[Tensor, .
         return (ad.tanh(z),)
     c_prev = state[1]
     h = cell.hidden
-    i_gate = ad.sigmoid(ad.narrow(z, 1, 0, h))
-    f_gate = ad.sigmoid(ad.narrow(z, 1, h, h))
-    g_cand = ad.tanh(ad.narrow(z, 1, 2 * h, h))
-    o_gate = ad.sigmoid(ad.narrow(z, 1, 3 * h, h))
+    i_gate = sigmoid(narrow(z, 1, 0, h))
+    f_gate = sigmoid(narrow(z, 1, h, h))
+    g_cand = ad.tanh(narrow(z, 1, 2 * h, h))
+    o_gate = sigmoid(narrow(z, 1, 3 * h, h))
     c_new = ad.add(ad.mul(f_gate, c_prev), ad.mul(i_gate, g_cand))
     h_new = ad.mul(o_gate, ad.tanh(c_new))
     return h_new, c_new
 
 
 def oracle_teacher_forced_decode(model, latent: Tensor, teacher: Tensor) -> Tensor:
-    """A RecurrentAutoencoder's teacher-forced decode, one ``oracle_step`` and emit per step."""
+    """A RecurrentAutoencoder's teacher-forced decode, one ``oracle_step`` and emit per step.
+    Step t reads the teacher's value at t - 1 as data, and step 0 reads 0."""
     batch, steps = teacher.shape
     h0 = ad.tanh(model.from_latent(latent))
     state = (h0,) + oracle_zero_state(model.decoder, batch)[1:]
-    prev = Tensor(np.zeros((batch, 1)))
     outputs = []
     for t in range(steps):
-        if t > 0:
-            prev = ad.reshape(ad.select(teacher, 1, t - 1), (batch, 1))
+        prev = Tensor(teacher.data[:, t - 1:t] if t > 0 else np.zeros((batch, 1)))
         state = oracle_step(model.decoder, prev, state)
         outputs.append(model.emit(state[0]))
-    return ad.reshape(ad.concat(outputs, axis=1), (batch, steps))
+    return ad.reshape(concat(outputs, axis=1), (batch, steps))
 
 
 def oracle_flip(x: Tensor) -> Tensor:
-    """``x`` (batch, time, ...) in reversed time: one ``ad.narrow`` per step and an ``ad.concat``."""
-    return ad.concat([ad.narrow(x, 1, t, 1) for t in range(x.shape[1] - 1, -1, -1)], axis=1)
+    """``x`` (batch, time, ...) in reversed time: one ``narrow`` per step and a ``concat``."""
+    return concat([narrow(x, 1, t, 1) for t in range(x.shape[1] - 1, -1, -1)], axis=1)
 
 
 def oracle_bilstm(layer, seq: Tensor) -> Tensor:

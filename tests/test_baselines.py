@@ -65,11 +65,10 @@ def test_zero_init_model_reconstructs_zero():
 def test_teacher_forced_decode_matches_the_per_step_loop(cell, rng):
     model = bl.RecurrentAutoencoder(bl.AeConfig(hidden=6, latent=3, seq_len=10, cell=cell), rng)
     latent = Tensor(rng.standard_normal((12, 3)))
-    teacher = Tensor(_data(), requires_grad=True)
+    teacher = Tensor(_data(), requires_grad=True)  # tracked, yet read as data
     weights = rng.standard_normal((12, 10))
     tracked = {name: t for name, t in model.params.items()
                if name.startswith(("ae.dec", "ae.emit"))}  # dec0, the decoder cell, emit
-    tracked["teacher"] = teacher
 
     def run(decode):
         for t in tracked.values():
@@ -79,9 +78,10 @@ def test_teacher_forced_decode_matches_the_per_step_loop(cell, rng):
         return y.data, {name: t.grad for name, t in tracked.items()}
 
     fused_y, fused = run(lambda: model.decode(latent, teacher))
+    assert teacher.grad is None
     loop_y, loop = run(lambda: oracle_teacher_forced_decode(model, latent, teacher))
     np.testing.assert_allclose(fused_y, loop_y, rtol=1e-12, atol=1e-12)
-    assert len(tracked) == 8 and all(g is not None for g in fused.values())
+    assert len(tracked) == 7 and all(g is not None for g in fused.values())
     for name in tracked:
         np.testing.assert_allclose(fused[name], loop[name], rtol=1e-12, atol=1e-12, err_msg=name)
 

@@ -190,6 +190,15 @@ def test_train_baseline_and_checkpoint_dir_layout(tmp_path):
     assert len(hist) == 5
 
 
+def _train_digests(out):
+    """sha256 of a ``train`` directory's history.csv and of its checkpoint tensors."""
+    arrays = load_checkpoint(out).arrays
+    tensors = hashlib.sha256()
+    for name in sorted(arrays):
+        tensors.update(name.encode() + arrays[name].tobytes())
+    return hashlib.sha256((out / "history.csv").read_bytes()).hexdigest(), tensors.hexdigest()
+
+
 def test_a_seeded_desk_gan_train_writes_pinned_bytes(tmp_path):
     """A desk-width GAN's history and weights, pinned: any change to the training
     schedule, an rng draw or a kernel's rounding shows here. At H=16 no product takes a
@@ -199,14 +208,35 @@ def test_a_seeded_desk_gan_train_writes_pinned_bytes(tmp_path):
     out = tmp_path / "gan"
     assert run("train", "--model", "gan", "--data", data_path, "--epochs", 5, "--batch", 8,
                "--lr", 1e-3, "--seed", 3, "--out", out, "--quiet") == 0
-    arrays = load_checkpoint(out).arrays
-    tensors = hashlib.sha256()
-    for name in sorted(arrays):
-        tensors.update(name.encode() + arrays[name].tobytes())
-    assert hashlib.sha256((out / "history.csv").read_bytes()).hexdigest() == (
-        "256ad3735c0969a95f3881d0a98d4f90960d7518ed032f4f0500d6e2d5381ba4")
-    assert tensors.hexdigest() == (
+    assert _train_digests(out) == (
+        "256ad3735c0969a95f3881d0a98d4f90960d7518ed032f4f0500d6e2d5381ba4",
         "7bb573c815456f6dfc4172deff2bd9dac6ef9e4f34c8aa2b89246790f4311db6")
+
+
+_BASELINE_DIGESTS = {
+    "rnn-ae": ("12d4d9fa3c1fddb681f44e09cb497c3dc364881b66cbeb0ddec8747665f4618b",
+               "cbad22bc013454c32407aa9a48b2d311f2a0ba2bce4bb3b28d8676eb1aaab783"),
+    "rnn-vae": ("0c87e4be59aac37426398d2a46c4666af1600e042f708712e9455c6d8c96cb39",
+                "0d41eef3c5e7f63b3e9da5f69cbcba58a6773b19fbcb06a304e085a09d670f09"),
+    "lstm-ae": ("c86f70ec8c6225a8b041081bedec3286d54b74f7b1461ea5cc8ecec9b7d0be98",
+                "6f801937c6e9f42e0433d729e7fd7915ca9b6cbe9a9c0051eedaf627c6f369eb"),
+    "lstm-vae": ("30ad3edfbaf9b7ef809439263548a631f7c0e70cfe325e66699fb665569d1808",
+                 "398ae74104e822b9c7d3f7386cacb63d8e7c27dd5b4478b2f4c58873a875fb54"),
+}
+
+
+@pytest.mark.parametrize("kind", baselines.BASELINE_KINDS)
+def test_a_seeded_desk_baseline_train_writes_pinned_bytes(tmp_path, kind):
+    """Each baseline's history and weights at H=16, pinned as the desk GAN's are: a change
+    to the teacher shift, the encoder or decoder kernels, the VAE's draw or Adam shows here.
+    These hold under OPENBLAS_NUM_THREADS unset, 1 and 2."""
+    data_path = tmp_path / "seqs.csv"
+    _write_train_data(data_path, count=12, length=64)
+    out = tmp_path / kind
+    assert run("train", "--model", kind, "--data", data_path, "--epochs", 5, "--batch", 8,
+               "--lr", 1e-3, "--hidden", 16, "--latent", 4, "--seed", 3, "--out", out,
+               "--quiet") == 0
+    assert _train_digests(out) == _BASELINE_DIGESTS[kind]
 
 
 def test_a_seeded_paper_width_gan_train_and_generate_write_pinned_bytes(tmp_path):
@@ -227,13 +257,8 @@ def test_a_seeded_paper_width_gan_train_and_generate_write_pinned_bytes(tmp_path
         done = subprocess.run([sys.executable, "-m", "qgf.cli", *map(str, argv)], env=env,
                               capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-    arrays = load_checkpoint(out).arrays
-    tensors = hashlib.sha256()
-    for name in sorted(arrays):
-        tensors.update(name.encode() + arrays[name].tobytes())
-    assert hashlib.sha256((out / "history.csv").read_bytes()).hexdigest() == (
-        "656e5d6c3712cbf3a8178f33b2a585e3e533d7de56204a67d94b0f86902dd266")
-    assert tensors.hexdigest() == (
+    assert _train_digests(out) == (
+        "656e5d6c3712cbf3a8178f33b2a585e3e533d7de56204a67d94b0f86902dd266",
         "e0ad01149008ae122fb99b9a93b656894805d8e8a8b513d2896be7fe334a5ff1")
     assert hashlib.sha256(gen_path.read_bytes()).hexdigest() == (
         "a927163107cbab1d20555499797bf01ded48bbda83c1588f422c979b3b8cc115")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import oracle_logistic_probe, oracle_pca_unscaled
 
-from qgf import features as ft
+from qgf import features as ft, gradcheck, nn
 from qgf.errors import (
     DegenerateLabelsError,
     InvariantViolationError,
@@ -27,20 +27,15 @@ def test_logistic_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((40, 5))
     y = rng.integers(0, 2, 40).astype(float)
-    w = rng.standard_normal(5) * 0.3
-    b = 0.2
-    loss, gw, gb = ft.logistic_loss_and_grad(w, b, x, y, l2=1e-3)
-    eps = 1e-6
-    for i in range(5):
-        w[i] += eps
-        up = ft.logistic_loss_and_grad(w, b, x, y, l2=1e-3)[0]
-        w[i] -= 2 * eps
-        down = ft.logistic_loss_and_grad(w, b, x, y, l2=1e-3)[0]
-        w[i] += eps
-        assert gw[i] == pytest.approx((up - down) / (2 * eps), rel=1e-5)
-    up = ft.logistic_loss_and_grad(w, b + eps, x, y, l2=1e-3)[0]
-    down = ft.logistic_loss_and_grad(w, b - eps, x, y, l2=1e-3)[0]
-    assert gb == pytest.approx((up - down) / (2 * eps), rel=1e-5)
+    pset = nn.ParamSet()
+    wb = pset.add("wb", np.append(rng.standard_normal(5) * 0.3, 0.2))  # w, then b
+
+    def loss_and_grad():
+        return ft.logistic_loss_and_grad(wb.data[:5], wb.data[5], x, y, l2=1e-3)
+
+    _, gw, gb = loss_and_grad()
+    numeric = gradcheck.finite_difference_gradients(lambda: loss_and_grad()[0], pset)["wb"]
+    assert np.append(gw, gb) == pytest.approx(numeric, rel=1e-5)
 
 
 def test_logistic_loss_is_stable_at_huge_logits():

@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import float_bits
-from oracles import oracle_bilstm, oracle_flip, oracle_step, oracle_zero_state
+from oracles import concat, oracle_bilstm, oracle_flip, oracle_step, oracle_zero_state
 
 from qgf import autodiff as ad, nn
 from qgf.autodiff import Tensor
@@ -208,7 +208,7 @@ def test_unroll_from_h0_matches_a_manual_step_loop(kind, reverse):
         for t in times:
             state = oracle_step(cell, ad.select(seq, 1, t), state)
             hs[t] = ad.reshape(state[0], (2, 1, 4))
-        return ad.concat([hs[t] for t in range(5)], axis=1)
+        return concat([hs[t] for t in range(5)], axis=1)
 
     fused_hs, fused = run(lambda: _unroll(cell, seq, reverse, h0=h0))
     manual_out, manual = run(manual_hs)
@@ -951,65 +951,3 @@ def test_fit_reports_the_first_non_finite_iteration():
         nn.fit(np.zeros((4, 2)), 10, 2, np.random.default_rng(0), iteration)
     assert err.value.iteration == 2
     assert seen == [0, 1, 2]
-
-
-def test_check_gradients_flags_wrong_backward():
-    pset = nn.ParamSet()
-    w = pset.add("w", np.array([0.3, -0.7]))
-
-    def good():
-        return ad.tensor_sum(ad.power(w, 2.0))
-
-    assert nn.check_gradients(good, pset) < 1e-8
-
-    def bad():
-        out = ad.tensor_sum(ad.power(w, 2.0))
-        broken = Tensor(out.data.copy(), requires_grad=True)
-        broken._parents = (w,)
-        broken._backward = lambda g: ad._accumulate(w, np.full_like(w.data, 123.0))
-        return broken
-
-    assert nn.check_gradients(bad, pset) > 1.0
-
-
-def test_finite_differences_without_graph_match_tracked_probes():
-    rng = np.random.default_rng(3)
-    pset = nn.ParamSet()
-    cell = nn.LSTMCell(pset, "c", 3, 4, rng)
-    xs = [Tensor(rng.standard_normal((2, 3))) for _ in range(3)]
-
-    recorded = []
-
-    def loss():
-        state = oracle_zero_state(cell, 2)
-        for x_t in xs:
-            state = oracle_step(cell, x_t, state)
-        out = ad.mean(ad.power(state[0], 2.0))
-        recorded.append(out.requires_grad)
-        return out.item()
-
-    before = {name: t.data.copy() for name, t in pset.items()}
-    eps = 1e-5
-    tracked = {}
-    for name, t in pset.items():
-        grad = np.zeros_like(t.data)
-        flat, gflat = t.data.reshape(-1), grad.reshape(-1)
-        for i in range(flat.size):
-            original = flat[i]
-            flat[i] = original + eps
-            up = loss()
-            flat[i] = original - eps
-            down = loss()
-            flat[i] = original
-            gflat[i] = (up - down) / (2.0 * eps)
-        tracked[name] = grad
-    assert all(recorded)
-    recorded.clear()
-
-    numeric = nn.finite_difference_gradients(loss, pset)
-    assert recorded and not any(recorded)
-    assert list(numeric) == pset.names()
-    for name, t in pset.items():
-        assert np.array_equal(numeric[name], tracked[name])
-        assert np.array_equal(t.data, before[name])
-        assert t.grad is None

@@ -1,4 +1,9 @@
+import ast
+import inspect
+from pathlib import Path
+
 import qgf
+from qgf import autodiff
 
 
 def test_every_exported_name_resolves():
@@ -11,3 +16,27 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from qgf import *", namespace)
     assert set(qgf.__all__) <= set(namespace)
+
+
+def test_every_public_autodiff_function_has_a_caller_in_the_package():
+    """The op set is what the package calls: an op only tests use belongs in tests/oracles.py."""
+    referenced = set()
+    for path in Path(qgf.__file__).parent.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = set()  # the names this module binds to qgf.autodiff itself
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module == "autodiff":
+                        referenced.add(alias.name)
+                    elif node.module is None and alias.name == "autodiff":
+                        aliases.add(alias.asname or alias.name)
+        referenced.update(node.attr for node in ast.walk(tree)
+                          if isinstance(node, ast.Attribute)
+                          and isinstance(node.value, ast.Name) and node.value.id in aliases)
+    public = {name for name, obj in vars(autodiff).items()
+              if inspect.isfunction(obj) and obj.__module__ == autodiff.__name__
+              and not name.startswith("_")}
+    assert public and sorted(public - referenced) == []
