@@ -1,8 +1,8 @@
 """Command-line entry point: reproducible pipelines over the library.
 
-Every subcommand writes its outputs atomically plus a run manifest recording
-the flags, seed, input digests, and wall-clock duration. Exit codes: 0 ok,
-2 usage, 3 data problem, 4 numeric failure.
+Every subcommand runs numpy's OpenBLAS on one thread, restoring its count after, and writes
+its outputs atomically plus a run manifest recording the flags, seed, input digests and
+wall-clock duration. Exit codes: 0 ok, 2 usage, 3 data problem, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import baselines, features, gan, gradcheck, indicators, market_data, metrics, plotting
+from . import baselines, features, gan, gradcheck, indicators, market_data, metrics, nn, plotting
 from .checkpoint import check_replaceable, load_checkpoint, save_checkpoint
 from .errors import (
     DataError,
@@ -458,10 +458,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with nn.one_blas_thread():  # the one-thread bytes, whatever BLAS's count
+            return args.func(args)
     except (NumericError, DataError, MemoryError) as exc:
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)

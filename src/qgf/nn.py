@@ -1,15 +1,17 @@
 """Neural building blocks on top of the autodiff core.
 
 Dense projection, tanh RNN and gated LSTM cells with ``unroll``, the fused
-op that steps either over a sequence, a bidirectional layer whose two LSTMs
-step in lockstep or, at paper width, on a thread each, 1-D convolution and max
-pooling, inverted dropout, stable softmax, Adam, and the seeded minibatch
+op that steps either over a sequence, a bidirectional layer whose two LSTMs step
+in lockstep or, at paper width, on a thread each with BLAS on one, 1-D convolution
+and max pooling, inverted dropout, stable softmax, Adam, and the seeded minibatch
 loop both trainers run (``fit``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import ctypes
 import functools
 import os
 import sys
@@ -187,22 +189,34 @@ class LSTMCell:
 SEGMENT = 64  # most steps per input GEMM and per gate tape of a tracked LSTM
 
 
-def _blas_threads(cpus: int) -> int:
-    """The threads an OpenBLAS starts, from the variables it reads as numpy loads it, in its
-    order; without them it starts one per CPU."""
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return cpus
+try:  # numpy 2's bundled OpenBLAS: dlsym also searches the libraries this module links
+    _BLAS = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    _get_blas_threads, _set_blas_threads = (_BLAS.scipy_openblas_get_num_threads64_,
+                                            _BLAS.scipy_openblas_set_num_threads64_)
+    _get_blas_threads.argtypes, _set_blas_threads.argtypes = [], [ctypes.c_int]
+except (AttributeError, OSError):  # numpy 1, MKL, Accelerate: qgf leaves BLAS's threads be
+    _get_blas_threads = _set_blas_threads = None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread in the block and restore its count after. Nested,
+    or where qgf cannot set BLAS's threads, it sets nothing."""
+    threads = 1 if _set_blas_threads is None else _get_blas_threads()
+    if threads != 1:
+        _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        if threads != 1:
+            _set_blas_threads(threads)
 
 
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# least batch * hidden at which each direction of a BiLSTM steps on its own thread: narrower,
-# the GIL hand-offs between two threads' short numpy calls cost more than the second core
-# gives. None unless the CPUs hold both directions' threads times BLAS's: more threads than
-# CPUs contend, and the threaded schedule runs slower than the lockstep one.
-THREADED = 2160 if 2 * _blas_threads(_CPUS) <= _CPUS else sys.maxsize
+# least batch * hidden at which each direction of a BiLSTM steps on its own thread, BLAS on
+# one: narrower, the GIL hand-offs between two threads' short numpy calls cost more than the
+# second core gives. Lockstep on one CPU, or where qgf cannot set BLAS's thread count.
+THREADED = 2160 if _CPUS > 1 and _set_blas_threads is not None else sys.maxsize
 
 
 def blocks(total: int, most: int) -> list[tuple[int, int]]:
@@ -216,9 +230,9 @@ def blocks(total: int, most: int) -> list[tuple[int, int]]:
 
 
 def _on_threads(*tasks: Callable) -> list:
-    """Run each task on its own thread, the first on the caller's, and return their results
-    once all have ended. A worker starts in a copy of the caller's context (numpy's errstate
-    is context-local), and the first task's exception, in task order, is re-raised here."""
+    """Run each task on its own thread, the first on the caller's, BLAS on one, and return
+    their results once all have ended. A worker starts in a copy of the caller's context
+    (numpy's errstate is context-local); the first task's exception, in order, is re-raised."""
     if len(tasks) == 1:
         return [tasks[0]()]
     results, errors = [None] * len(tasks), [None] * len(tasks)
@@ -231,11 +245,12 @@ def _on_threads(*tasks: Callable) -> list:
 
     workers = [threading.Thread(target=contextvars.copy_context().run, args=(work, i))
                for i in range(1, len(tasks))]
-    for worker in workers:
-        worker.start()
-    work(0)
-    for worker in workers:
-        worker.join()
+    with one_blas_thread():
+        for worker in workers:
+            worker.start()
+        work(0)
+        for worker in workers:
+            worker.join()
     for exc in errors:
         if exc is not None:
             raise exc
@@ -537,18 +552,6 @@ def mse_half(y: Tensor, x: Tensor) -> Tensor:
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def adam_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, lr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One bias-corrected Adam update; pure function of inputs and state."""
-    if t < 1:
-        raise ValueError("adam step count starts at 1")
-    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = v / (1.0 - ADAM_BETA2 ** t)
-    return value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS), m, v
-
-
 class Adam:
     """Adam(0.9, 0.999, 1e-8) over a ParamSet; state keyed by parameter name."""
 
@@ -561,12 +564,15 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        for name, param in self.pset.items():
-            grad = param.grad
-            if grad is None:
-                grad = np.zeros_like(param.data)
-            param.data, self._m[name], self._v[name] = adam_step(
-                param.data, grad, self._m[name], self._v[name], self.t, self.lr)
+        bias1, bias2 = 1.0 - ADAM_BETA1 ** self.t, 1.0 - ADAM_BETA2 ** self.t
+        for name, param in self.pset.items():  # in place; a missing grad steps as zero
+            grad = 0.0 if param.grad is None else param.grad
+            m, v = self._m[name], self._v[name]
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * grad
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * grad * grad
+            param.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
 
     def minimize(self, loss: Tensor) -> float:
         """Clear this optimizer's gradients, backpropagate ``loss``, take one step and

@@ -2,9 +2,10 @@
 
 Most of these are plain index-by-index loops over Python floats,
 recomputing each window from scratch, so agreement with the vectorized
-library code is meaningful. Seven are former library code, kept so the code
+library code is meaningful. Eight are former library code, kept so the code
 that replaced them can be held to them: ``oracle_frechet_dp`` (the row-by-row
-Fréchet program), ``oracle_logistic_where`` (the two-branch logistic),
+Fréchet program), ``oracle_adam_step`` (Adam's update on fresh arrays, which
+``nn.Adam.step`` makes in place), ``oracle_logistic_where`` (the two-branch logistic),
 ``oracle_logistic_probe`` (the RFE probe's loop before its buffers were reused),
 ``oracle_pca_unscaled`` (the randomized PCA fit whose range finder ran on the
 unscaled data), ``oracle_step`` (a recurrent cell's step built from autodiff ops, which
@@ -338,6 +339,18 @@ def oracle_pca_unscaled(x: np.ndarray, k: int, oversample: int = 5, seed: int = 
     _, s, vt = np.linalg.svd(q.T @ xc, full_matrices=False)
     total = float((xc * xc).sum())
     return vt[:k], means, (s[:k] ** 2 / total) if total > 0 else np.zeros(k)
+
+
+def oracle_adam_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+                     t: int, lr: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One bias-corrected Adam update; pure function of inputs and state."""
+    if t < 1:
+        raise ValueError("adam step count starts at 1")
+    m = nn.ADAM_BETA1 * m + (1.0 - nn.ADAM_BETA1) * grad
+    v = nn.ADAM_BETA2 * v + (1.0 - nn.ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - nn.ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - nn.ADAM_BETA2 ** t)
+    return value - lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS), m, v
 
 
 def sigmoid(a: Tensor) -> Tensor:

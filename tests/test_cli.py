@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import awkward_cells, float_bits, noisy_sine_batch, per_line_path_taken
-from qgf import baselines, cli, gan
+from qgf import baselines, cli, gan, nn
 from qgf.checkpoint import load_checkpoint
 from qgf.market_data import parse_csv
 
@@ -239,29 +239,54 @@ def test_a_seeded_desk_baseline_train_writes_pinned_bytes(tmp_path, kind):
     assert _train_digests(out) == _BASELINE_DIGESTS[kind]
 
 
+def _run_in_process(*argv, env=None):
+    """``python -m qgf.cli argv`` in a new process, in ``env`` or this process's environment."""
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ if env is None else env,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "qgf.cli", *map(str, argv)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+
+
 def test_a_seeded_paper_width_gan_train_and_generate_write_pinned_bytes(tmp_path):
-    """An H=90, B=32 GAN's history, weights and generated rows, pinned. With one BLAS thread
-    and two CPUs each BiLSTM direction of the training forward steps on its own thread, and
-    130 steps make three segments, so BPTT replays two. These digests hold for this BLAS
-    build; on one CPU the lockstep schedule gives the same bytes."""
+    """An H=90, B=32 GAN's history, weights and generated rows, pinned. Every command runs
+    BLAS on one thread, and on two CPUs each BiLSTM direction of the training forward steps
+    on its own thread; 130 steps make three segments, so BPTT replays two. These digests hold
+    for this BLAS build; on one CPU the lockstep schedule gives the same bytes."""
     data_path = tmp_path / "seqs.csv"
     _write_train_data(data_path, count=40, length=130)
     out, gen_path = tmp_path / "gan", tmp_path / "generated.csv"
-    src = str(Path(cli.__file__).parents[1])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    for argv in (["train", "--model", "gan", "--data", data_path, "--epochs", 2, "--batch", 32,
-                  "--hidden", 90, "--lr", 1e-3, "--seed", 3, "--out", out, "--quiet"],
-                 ["generate", "--ckpt", out, "--count", 20, "--out", gen_path, "--seed", 7,
-                  "--quiet"]):
-        done = subprocess.run([sys.executable, "-m", "qgf.cli", *map(str, argv)], env=env,
-                              capture_output=True, text=True, timeout=300)
-        assert done.returncode == 0, done.stderr
+    _run_in_process("train", "--model", "gan", "--data", data_path, "--epochs", 2, "--batch", 32,
+                    "--hidden", 90, "--lr", 1e-3, "--seed", 3, "--out", out, "--quiet")
+    _run_in_process("generate", "--ckpt", out, "--count", 20, "--out", gen_path, "--seed", 7,
+                    "--quiet")
     assert _train_digests(out) == (
         "656e5d6c3712cbf3a8178f33b2a585e3e533d7de56204a67d94b0f86902dd266",
         "e0ad01149008ae122fb99b9a93b656894805d8e8a8b513d2896be7fe334a5ff1")
     assert hashlib.sha256(gen_path.read_bytes()).hexdigest() == (
         "a927163107cbab1d20555499797bf01ded48bbda83c1588f422c979b3b8cc115")
+
+
+@pytest.mark.skipif(nn._set_blas_threads is None, reason="qgf cannot set this BLAS's threads")
+def test_a_seeded_paper_width_gan_trains_the_same_bytes_whatever_blas_threads_it_starts_with(
+        tmp_path):
+    """Six iterations of an H=90, B=32 GAN write the same history and weights whether the
+    process starts OpenBLAS on its default count, one thread or two: the merge's 90-wide
+    weight-gradient products round differently on two BLAS threads, and ``cli.main`` runs
+    every command on one."""
+    data_path = tmp_path / "seqs.csv"
+    _write_train_data(data_path, count=40, length=130)
+    unset = {var: value for var, value in os.environ.items() if var != "OPENBLAS_NUM_THREADS"}
+    digests = []
+    for env in (unset, dict(unset, OPENBLAS_NUM_THREADS="1"),
+                dict(unset, OPENBLAS_NUM_THREADS="2")):
+        out = tmp_path / f"gan{len(digests)}"
+        _run_in_process("train", "--model", "gan", "--data", data_path, "--epochs", 6,
+                        "--batch", 32, "--hidden", 90, "--lr", 1e-3, "--seed", 3, "--out", out,
+                        "--quiet", env=env)
+        digests.append(_train_digests(out))
+    assert digests[0] == digests[1] == digests[2], digests
 
 
 def _bytes_under(path):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -5,11 +6,13 @@ import threading
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import float_bits
-from oracles import concat, oracle_bilstm, oracle_flip, oracle_step, oracle_zero_state
+from oracles import (concat, oracle_adam_step, oracle_bilstm, oracle_flip, oracle_step,
+                     oracle_zero_state)
 
 from qgf import autodiff as ad, nn
 from qgf.autodiff import Tensor
@@ -388,18 +391,6 @@ def test_threaded_directions_ignore_exp_overflow_on_their_own(monkeypatch):
     assert np.all(np.isfinite(stacked[0]))
 
 
-@pytest.mark.parametrize("env,threads", [
-    ({}, 8), ({"OMP_NUM_THREADS": "1"}, 1), ({"GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 3),
-    ({"OPENBLAS_NUM_THREADS": "2", "GOTO_NUM_THREADS": "3", "OMP_NUM_THREADS": "1"}, 2),
-    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "x"}, 8), ({"OPENBLAS_NUM_THREADS": " 1 "}, 1)])
-def test_blas_threads_read_openblas_variables_in_its_order(monkeypatch, env, threads):
-    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    assert nn._blas_threads(8) == threads
-
-
 def test_on_threads_returns_in_task_order_once_all_end_and_reraises_a_failure():
     assert nn._on_threads(lambda: 1) == [1]
     caller, worker = nn._on_threads(threading.get_ident, threading.get_ident)
@@ -422,6 +413,52 @@ def test_on_threads_returns_in_task_order_once_all_end_and_reraises_a_failure():
     assert len(ended) == 2
     with pytest.raises(ZeroDivisionError, match="first"):
         nn._on_threads(lambda: fail("first"), lambda: fail("second"))
+
+
+# prints what BLAS's thread count reads at each point, in a process started with two
+_BLAS_OWNER_CHECK = """
+import json, sys
+from qgf import cli, metrics, nn
+get, seen = nn._get_blas_threads, []
+seen.append(get())
+with nn.one_blas_thread():
+    with nn.one_blas_thread():
+        seen.append(get())
+    seen.append(get())
+seen += [get(), *nn._on_threads(get, get), get()]
+compare = metrics.compare_sequences
+metrics.compare_sequences = lambda *a, **k: seen.append(get()) or compare(*a, **k)
+evaluate = ["evaluate", "--generated", sys.argv[1], "--out", sys.argv[2], "--quiet", "--real"]
+seen += [cli.main(evaluate + [sys.argv[1]]), get(), cli.main(evaluate + ["missing.csv"]), get()]
+def called(*args):
+    raise AssertionError("called")
+nn._get_blas_threads, nn._set_blas_threads = called, None  # as where qgf cannot set them
+with nn.one_blas_thread():
+    seen += [get(), *nn._on_threads(get, get)]
+seen += [cli.main(evaluate + [sys.argv[1]]), get()]
+print(json.dumps(seen))
+"""
+
+
+@pytest.mark.skipif(nn._set_blas_threads is None, reason="qgf cannot set this BLAS's threads")
+def test_one_blas_thread_holds_blas_at_one_and_restores_its_count(tmp_path):
+    """In a process started with two BLAS threads, BLAS reads one inside ``one_blas_thread``,
+    nested or not, in both tasks of ``_on_threads`` and inside a ``cli.main`` command, and
+    reads its count again after each, after a command that exits 3 too. Where qgf cannot set
+    BLAS's threads, it calls nothing and BLAS keeps its count."""
+    rows = tmp_path / "rows.csv"
+    rows.write_text("1,2,3,4\n2,3,1,0\n")
+    src = str(Path(nn.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _BLAS_OWNER_CHECK, str(rows),
+                           str(tmp_path / "report.json")], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    n = seen[0]  # OpenBLAS takes no more threads than the process has CPUs
+    assert n == 2 or nn._CPUS == 1
+    assert seen == [n, 1, 1, n, 1, 1, n, 1, 0, n, 3, n, n, n, n, n, 0, n]
 
 
 # prints every (n_in, 4H, batch, what, step) whose rows differ from the full product's
@@ -857,12 +894,34 @@ def test_adam_constant_gradient_step_approaches_lr():
     grad = np.array([3.0])
     prev = value
     for t in range(1, 200):
-        value, m, v = nn.adam_step(value, grad, m, v, t, lr=0.01)
+        value, m, v = oracle_adam_step(value, grad, m, v, t, lr=0.01)
         if t > 150:
             assert abs(abs(prev - value)[0] - 0.01) < 1e-4
         prev = value
     with pytest.raises(ValueError):
-        nn.adam_step(value, grad, m, v, 0, lr=0.01)
+        oracle_adam_step(value, grad, m, v, 0, lr=0.01)
+
+
+def test_adam_step_is_bitwise_the_oracle_update():
+    """``Adam.step`` updates m, v and each parameter in place with the oracle's bits, step
+    after step, and a parameter without a gradient steps as the oracle does on zeros."""
+    rng = np.random.default_rng(5)
+    pset = nn.ParamSet()
+    for name, shape in (("w", (3, 4)), ("b", (4,))):
+        pset.add(name, rng.standard_normal(shape))
+    opt = nn.Adam(pset, lr=0.01)
+    expected = {name: (t.data.copy(), np.zeros(t.shape), np.zeros(t.shape))
+                for name, t in pset.items()}
+    for step in range(1, 6):
+        for name, param in pset.items():
+            param.grad = None if (name, step) == ("b", 3) else rng.standard_normal(param.shape)
+            grad = np.zeros(param.shape) if param.grad is None else param.grad
+            value, m, v = expected[name]
+            expected[name] = oracle_adam_step(value, grad, m, v, step, lr=0.01)
+        opt.step()
+        for name, param in pset.items():
+            actual = (param.data, opt._m[name], opt._v[name])
+            assert all(map(_bitwise_equal, actual, expected[name])), (name, step)
 
 
 def test_adam_first_step_is_lr_times_sign():

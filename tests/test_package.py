@@ -40,3 +40,20 @@ def test_every_public_autodiff_function_has_a_caller_in_the_package():
               if inspect.isfunction(obj) and obj.__module__ == autodiff.__name__
               and not name.startswith("_")}
     assert public and sorted(public - referenced) == []
+
+
+def test_no_module_reads_the_environment():
+    """qgf's behaviour and bytes follow its arguments: no module reads os.environ or
+    os.getenv, and BLAS's thread count is set by ``nn.one_blas_thread``, not guessed."""
+    reads = []
+    for path in sorted(Path(qgf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                names = [alias.name for alias in node.names]
+            else:
+                continue
+            reads += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in ("environ", "environb", "getenv", "getenvb")]
+    assert reads == []
