@@ -72,11 +72,13 @@ def as_tensor(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
-def _accumulate(t: Tensor, grad: np.ndarray) -> None:
+def _accumulate(t: Tensor, grad: np.ndarray, fresh: bool = False) -> None:
+    """Add ``grad`` into ``t.grad``. A first grad is copied, so that ``t`` owns the buffer it
+    adds into, unless ``fresh`` says no one else holds ``grad``: then ``t`` keeps it."""
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(grad, dtype=np.float64)  # a copy this node owns and adds into
+        t.grad = grad if fresh else np.array(grad, dtype=np.float64)
     else:
         t.grad += grad
 
@@ -227,8 +229,8 @@ def matmul(a, b) -> Tensor:
     out_data = a.data @ b.data
 
     def bwd(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b.data.T, fresh=True)
+        _accumulate(b, a.data.T @ g, fresh=True)
 
     return _make(out_data, (a, b), bwd)
 
@@ -237,8 +239,8 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
     out_data = a.data.reshape(shape)
 
-    def bwd(g):
-        _accumulate(a, g.reshape(a.shape))
+    def bwd(g):  # g is this node's own grad, released once this has run
+        _accumulate(a, g.reshape(a.shape), fresh=True)
 
     return _make(out_data, (a,), bwd)
 

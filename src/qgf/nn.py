@@ -126,14 +126,22 @@ class RNNCell:
     _tape_slots, _carries = 0, False  # BPTT reads each step's h back from the recurrence's output
 
     # pointwise part of one step on raw (directions, batch, ...) arrays, for the fused
-    # recurrence; z is a fresh array per step and its buffer is reused for the result
+    # recurrence: h into the given array, and dz into the given one
     @staticmethod
-    def _activate(z: np.ndarray, gates, c_prev, c, tanh_c) -> np.ndarray:
-        return np.tanh(z, out=z)
+    def _gate_view(z: np.ndarray) -> np.ndarray:
+        return z
 
     @staticmethod
-    def _activate_backward(dh: np.ndarray, dc, gates, cs, h: np.ndarray):
-        return dh * (1.0 - h * h), dc
+    def _grad_buffer(directions: int, batch: int, hidden: int) -> np.ndarray:  # BPTT's dz
+        return np.empty((directions, batch, hidden))
+
+    @staticmethod
+    def _activate(z: np.ndarray, gates, c_prev, c, h: np.ndarray) -> None:
+        np.tanh(z, out=h)
+
+    @staticmethod
+    def _activate_backward(dh: np.ndarray, dc, gates, cs, h: np.ndarray, dz: np.ndarray) -> None:
+        np.multiply(dh, 1.0 - h * h, out=dz)
 
 
 class LSTMCell:
@@ -154,39 +162,64 @@ class LSTMCell:
 
     # pointwise part of one step on raw (directions, batch, ...) arrays, for the fused
     # recurrence, which ignores overflow in exp: writes the gates gate-major, (4, directions,
-    # batch, hidden), so every block the elementwise ops touch is contiguous, and steps c_prev
-    # into c (the same array when nothing is taped)
+    # batch, hidden), so every block the elementwise ops touch is contiguous, steps c_prev
+    # into c (the same array when nothing is taped) and, unless h is None, writes h. z comes
+    # as its ``_gate_view``; BPTT writes dz, a gate view too, and steps the carry dc in place
     @staticmethod
-    def _activate(z: np.ndarray, gates, c_prev, c, tanh_c) -> np.ndarray:
-        h = gates.shape[3]
-        # a logistic over every block is cheaper than over the i, f and o blocks
-        # alone, and the g block is then overwritten with its tanh
-        i, f, g, o = ad._logistic(z.reshape(z.shape[0], z.shape[1], 4, h).transpose(2, 0, 1, 3),
-                                  out=gates)
-        np.tanh(z[..., 2 * h:3 * h], out=g)
-        np.multiply(f, c_prev, out=c)
-        c += i * g
-        return o * np.tanh(c, out=tanh_c)
+    def _gate_view(z: np.ndarray) -> np.ndarray:  # (D, B, 4H) as (4, D, B, H)
+        return z.reshape(*z.shape[:2], 4, -1).transpose(2, 0, 1, 3)
 
     @staticmethod
-    def _activate_backward(dh: np.ndarray, dc, gates, cs, h: np.ndarray):
+    def _grad_buffer(directions: int, batch: int, hidden: int) -> np.ndarray:  # BPTT's dz
+        # (D, B, 4H). With one hidden unit, a view of a gate-major buffer: the layout the
+        # products that read dz have always had there, for a GEMV's bits follow its strides
+        if hidden == 1:
+            return np.empty((4, directions, batch, 1)).transpose(1, 2, 0, 3)[..., 0]
+        return np.empty((directions, batch, 4 * hidden))
+
+    @staticmethod
+    def _activate(z: np.ndarray, gates, c_prev, c, h: np.ndarray | None) -> None:
+        # a logistic over every block is cheaper than over the i, f and o blocks
+        # alone, and the g block is then overwritten with its tanh
+        i, f, g, o = ad._logistic(z, out=gates)
+        np.tanh(z[2], out=g)
+        np.multiply(f, c_prev, out=c)
+        c += i * g
+        if h is not None:
+            np.tanh(c, out=h)
+            h *= o
+
+    @staticmethod
+    def _activate_backward(dh: np.ndarray, dc, gates, cs, h: np.ndarray, dz: np.ndarray) -> None:
         i, f, g, o = gates  # cs[0] is c before the step, cs[1] c after it
         tanh_c = np.tanh(cs[1], out=cs[1])  # the next step's backward has read c
-        dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+        dc += dh * o * (1.0 - tanh_c * tanh_c)  # dc is zero before the last step
         # the i, f and o slots are ((a * b) * s) * (1 - s) for their gate s, scaled by s and
         # 1 - s block-wide; the g slot holds dc * i until then, so no op reads np.empty garbage
-        dz = np.empty_like(gates)
-        np.multiply(dc, g, out=dz[0])
-        np.multiply(dc, cs[0], out=dz[1])
-        dg = np.multiply(dc, i, out=dz[2]) * (1.0 - g * g)
-        np.multiply(dh, tanh_c, out=dz[3])
-        dz *= gates
-        dz *= 1.0 - gates
+        dzg = np.empty_like(gates)
+        np.multiply(dc, g, out=dzg[0])
+        np.multiply(dc, cs[0], out=dzg[1])
+        dg = np.multiply(dc, i, out=dzg[2]) * (1.0 - g * g)
+        np.multiply(dh, tanh_c, out=dzg[3])
+        dzg *= gates
+        np.multiply(dzg, 1.0 - gates, out=dz)
         dz[2] = dg
-        return dz.transpose(1, 2, 0, 3).reshape(dh.shape[0], dh.shape[1], -1), dc * f
+        dc *= f
+
+    @staticmethod
+    def _replay(z: np.ndarray, gates, cs) -> None:
+        """Gates and c of a block of m steps from their z, (D, m, B, 4H): each op of
+        ``_activate`` once over the block, but c's, which steps from c[0] in ``cs``."""
+        z = z.reshape(*z.shape[:3], 4, -1).transpose(1, 3, 0, 2, 4)  # (m, 4, D, B, H)
+        ad._logistic(z, out=gates)
+        np.tanh(z[:, 2], out=gates[:, 2])
+        for j, (f, ig) in enumerate(zip(gates[:, 1], gates[:, 0] * gates[:, 2])):
+            np.multiply(f, cs[j], out=cs[j + 1])
+            cs[j + 1] += ig
 
 
 SEGMENT = 64  # most steps per input GEMM and per gate tape of a tracked LSTM
+REPLAY_BLOCK = 8  # most steps per h @ w_h GEMM of a replayed segment
 
 
 try:  # numpy 2's bundled OpenBLAS: dlsym also searches the libraries this module links
@@ -198,25 +231,40 @@ except (AttributeError, OSError):  # numpy 1, MKL, Accelerate: qgf leaves BLAS's
     _get_blas_threads = _set_blas_threads = None
 
 
+_blas_lock = threading.Lock()
+_blas_holders, _blas_count = 0, 1  # blocks inside one_blas_thread, and the count they restore
+
+
 @contextlib.contextmanager
 def one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread in the block and restore its count after. Nested,
-    or where qgf cannot set BLAS's threads, it sets nothing."""
-    threads = 1 if _set_blas_threads is None else _get_blas_threads()
-    if threads != 1:
-        _set_blas_threads(1)
+    """Hold numpy's OpenBLAS at one thread in the block and restore its count after. Blocks
+    may nest and overlap across threads: the first to enter reads and sets the count, the
+    last to leave restores it. Where qgf cannot set BLAS's threads, it sets nothing."""
+    global _blas_holders, _blas_count
+    if _set_blas_threads is None:
+        yield
+        return
+    with _blas_lock:
+        if not _blas_holders:
+            _blas_count = _get_blas_threads()
+            if _blas_count != 1:
+                _set_blas_threads(1)
+        _blas_holders += 1
     try:
         yield
     finally:
-        if threads != 1:
-            _set_blas_threads(threads)
+        with _blas_lock:
+            _blas_holders -= 1
+            if not _blas_holders and _blas_count != 1:
+                _set_blas_threads(_blas_count)
 
 
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # least batch * hidden at which each direction of a BiLSTM steps on its own thread, BLAS on
 # one: narrower, the GIL hand-offs between two threads' short numpy calls cost more than the
-# second core gives. Lockstep on one CPU, or where qgf cannot set BLAS's thread count.
-THREADED = 2160 if _CPUS > 1 and _set_blas_threads is not None else sys.maxsize
+# second core gives (at batch 32 on 2 CPUs, lockstep was faster at 1536 and threads from
+# 1600). Lockstep on one CPU, or where qgf cannot set BLAS's thread count.
+THREADED = 1600 if _CPUS > 1 and _set_blas_threads is not None else sys.maxsize
 
 
 def blocks(total: int, most: int) -> list[tuple[int, int]]:
@@ -230,11 +278,13 @@ def blocks(total: int, most: int) -> list[tuple[int, int]]:
 
 
 def _on_threads(*tasks: Callable) -> list:
-    """Run each task on its own thread, the first on the caller's, BLAS on one, and return
-    their results once all have ended. A worker starts in a copy of the caller's context
-    (numpy's errstate is context-local); the first task's exception, in order, is re-raised."""
+    """Run each task on its own thread, the first on the caller's, BLAS on one (a lone task
+    too), and return their results once all have ended. A worker starts in a copy of the
+    caller's context (numpy's errstate is context-local); the first task's exception, in
+    order, is re-raised."""
     if len(tasks) == 1:
-        return [tasks[0]()]
+        with one_blas_thread():
+            return [tasks[0]()]
     results, errors = [None] * len(tasks), [None] * len(tasks)
 
     def work(i):
@@ -257,28 +307,38 @@ def _on_threads(*tasks: Callable) -> list:
     return results
 
 
-def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None):
+def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None, merge: tuple = ()):
     """Step ``cells`` (one per direction, all of one kind and size; ``h0`` needs one
     direction) over ``seq``, the first forwards and a second backwards in time. Returns
-    ``(hs, parents, bptt)``: hs is (directions, batch, time, hidden), time order in every
-    direction, and ``bptt(g)`` backpropagates g, laid out as hs. Weight gradients sum latest
-    step first and reach each parameter once, at the end: a parameter used twice in one graph
-    sums in another order than a chain of per-step ops would.
+    ``(hs, products, parents, bptt)``: hs is (directions, batch, time, hidden), time order in
+    every direction. ``merge``, if given, holds one (hidden, n_out) weight per direction, and
+    ``products`` each direction's ``h_d @ w_d`` as (batch * time, n_out). ``bptt(g)``
+    backpropagates g, laid out as hs, or with ``merge`` the (batch * time, n_out) grad of the
+    products' sum. Weight gradients sum latest step first and reach each parameter once, at
+    the end: a parameter used twice in one graph sums in another order than a chain of
+    per-step ops would.
 
     Steps run in ``blocks(steps, SEGMENT)``, one input GEMM per segment and direction. A
     tracked forward tapes one segment, each step's gates and c, in buffers only ``bptt``
     holds, and c before every segment. Returned, they hold the last segment; ``bptt``
-    re-runs each earlier one by the forward's own steps from its first c and the h before
-    it, so every bit is the same. An untracked forward steps one step's slots. A tracked lane
-    of one direction writes step j's gates over its input projection ``xw[:, j]``, which the
-    step has read, so the segment's projection is its gate tape; two directions in lockstep
-    (their step's projections are no one block) and untracked forwards keep a gates buffer.
+    re-runs each earlier one from its first c. As hs holds every h, the replay takes
+    ``h @ w_h`` for ``REPLAY_BLOCK`` steps at a time in one GEMM, whose rows have the
+    forward's bits, and steps only c one by one. An untracked forward steps one step's
+    slots. A tracked lane of one direction writes step j's gates over its input projection
+    ``xw[:, j]``, which the step has read, so the segment's projection is its gate tape; two
+    directions in lockstep (their step's projections are no one block) and untracked
+    forwards keep a gates buffer.
 
-    One step body serves a slice of the directions, on that slice's own buffers. Two
-    directions at ``batch * hidden >= THREADED`` run one slice each, on their own threads,
-    through the whole forward and later through the whole replay and BPTT; they meet only
-    when each ends. Anything narrower, and one direction, steps all its directions in
-    lockstep in the caller's thread. Either way every bit is the same."""
+    A lane is one step body over a slice of the directions, on that slice's own buffers. It
+    runs its directions' whole share: the forward and then the merge products, and later the
+    merge's two GEMMs, the replay and BPTT. Two directions at ``batch * hidden >= THREADED``
+    run a lane each, on their own threads, and meet only when each lane ends. Anything
+    narrower, and one direction, runs one lane of all its directions in lockstep in the
+    caller's thread. Either way every bit is the same. A lane of one direction reads and
+    writes each step's rows of hs, g, dx and seq through basic views; a lockstep lane gathers
+    and scatters them. Every buffer a lane keeps beyond a step is made in the caller's thread,
+    so a worker thread's heap holds no more than a step's temporaries. Where ``n_in ==
+    hidden``, BPTT writes dx over the rows of g it has read."""
     cell = cells[0]
     if seq.data.ndim != 3 or seq.shape[2] != cell.n_in:
         raise ShapeMismatchError(f"unroll expects (batch, time, {cell.n_in}), got {seq.shape}")
@@ -287,12 +347,14 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None):
         raise EmptySequenceError("unroll got an empty sequence")
     if h0 is not None and h0.shape != (batch, cell.hidden):
         raise ShapeMismatchError(f"unroll h0 must be {(batch, cell.hidden)}, got {h0.shape}")
-    parents = (seq, *[w for c in cells for w in (c.w_x, c.w_h, c.b)])
+    parents = (seq, *[w for c in cells for w in (c.w_x, c.w_h, c.b)], *merge)
     parents += () if h0 is None else (h0,)
     track = ad.is_tracking(*parents)
     times = np.stack([np.arange(steps), np.arange(steps)[::-1]][:len(cells)])  # d's step k -> time
     dirs = np.arange(len(cells))
     seq_t = seq.data.transpose(1, 0, 2)
+    x_steps = [seq_t, seq_t[::-1]]  # each direction's (time, batch, n_in) rows in step order
+    x_all = np.broadcast_to(seq.data, (len(cells), *seq.shape))  # seq laid out as hs
     segments = blocks(steps, SEGMENT)
     span = max(n for _, n in segments)
     slots = span if track else 1
@@ -301,12 +363,21 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None):
     w_h = np.stack([c.w_h.data for c in cells])
     b = np.repeat(np.stack([c.b.data for c in cells])[:, None], batch, axis=1)  # same-shape add
     hs = np.empty((len(cells), batch, steps, cell.hidden))
+    products = [np.empty((batch * steps, w.shape[1])) for w in merge]
     h_first = np.zeros((len(cells), batch, cell.hidden)) if h0 is None else h0.data[None]
     threaded = len(cells) > 1 and batch * cell.hidden >= THREADED
     lanes = [slice(d, d + 1) for d in dirs] if threaded else [slice(0, len(cells))]
 
     def lane(ds):  # the forward and BPTT of directions ds, on views taken here, once
         ids, t_of, h_start = dirs[ds], times[ds], h_first[ds]
+        one = len(ids) == 1
+        # step k's (directions, batch, width) rows of an array laid out as hs: basic indices,
+        # so a view, in a lane of one direction; index arrays in a lockstep one
+        at = ([(ds, slice(None), t) for t in t_of[0].tolist()] if one
+              else [(ids, slice(None), t) for t in t_of.T])
+        # numpy runs a product with one row or column as a GEMV, whose bits follow its
+        # vector's stride: there a lane of one direction copies x and h as a gather does
+        gather = np.ascontiguousarray if one and min(n_in, cell.hidden) == 1 else np.asarray
         w_xd, w_hd, bd = w_x[ds], w_h[ds], b[ds]
         w_xT, w_hT = w_xd.transpose(0, 2, 1), w_hd.transpose(0, 2, 1)
         carry = (len(ids), batch, cell.hidden if cell._carries else 0)  # an RNN carries no c
@@ -317,79 +388,137 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None):
         xw = np.empty(xw_shape) if track and cell._tape_slots and len(ids) == 1 else None
         gates = np.empty(gate_tape) if xw is None else xw.reshape(gate_tape)
         cs = np.zeros((slots + track, *carry))  # c before each step and after the last
-        tanh_c = np.empty(carry)
         c_first = np.zeros((len(segments), *carry)) if track else None  # c before each segment
         x_in = np.empty((span, batch, n_in))
         xw = np.empty(xw_shape) if xw is None else xw
+        z = np.empty((len(ids), batch, w_x.shape[2]))
+        h_step = None if one else np.empty((len(ids), batch, cell.hidden))
+        merge_w = [(d, merge[d].data) for d in ids] if merge else []
 
-        def run(first, n, h):  # steps first .. first + n - 1 from h and cs[0], yielding each h
-            for t_d, w_x_d, xw_d in zip(t_of, w_xd, xw):  # the segment's rows, step-major,
-                x_in[:n] = seq_t[t_d[first:first + n]]
+        def project(first, n):  # the input GEMM of steps first .. first + n - 1 into xw
+            for d, w_x_d, xw_d in zip(ids, w_xd, xw):  # the segment's rows, step-major,
+                x_in[:n] = x_steps[d][first:first + n]
                 np.matmul(x_in[:n].reshape(-1, n_in), w_x_d,  # then their GEMM
                           out=xw_d[:n].reshape(n * batch, -1))
+
+        def run(first, n, h):  # steps first .. first + n - 1 from h and cs[0]
+            project(first, n)
+            zv = cell._gate_view(z)
             for j in range(n):
-                z = np.matmul(h, w_hd)
-                z += xw[:, j]
-                z += bd
+                np.add(np.matmul(h, w_hd, out=z), xw[:, j], out=z)  # z is a lane buffer
+                np.add(z, bd, out=z)
                 t = j if track else 0  # untracked, c steps in place in cs[0]
-                h = cell._activate(z, gates[t], cs[t], cs[t + track], tanh_c)
-                yield h
+                h = hs[at[first + j]] if one else h_step
+                cell._activate(zv, gates[t], cs[t], cs[t + track], h)
+                if not one:
+                    hs[at[first + j]] = h
+            return h
+
+        # each direction's h in step order, (time, batch, hidden), for a replay's h before
+        h_steps = [hs[d].transpose(1, 0, 2)[::1 if d == 0 else -1] for d in ids]
+
+        def replay(first, n, zs, h_prev):  # gates and c of steps first .. first + n - 1
+            # from cs[0], the h @ w_h of a block of steps as one GEMM: since hs holds every h,
+            # only c steps one by one. Rows, at least two a GEMM, have a step's bits
+            project(first, n)
+            block = h_prev.shape[1]
+            for j, m in blocks(n, block) if block > 1 else ((j, 1) for j in range(n)):
+                k, hp, zb = first + j, h_prev[:, :m], zs[:, :m]
+                start = k == 0  # the first step's h before is h_start
+                if start:
+                    hp[:, 0] = h_start
+                for h_d, h_rows in zip(hp, h_steps):
+                    h_d[start:] = h_rows[k - 1 + start:k + m - 1]
+                np.matmul(hp.reshape(len(ids), -1, cell.hidden), w_hd,
+                          out=zb.reshape(len(ids), m * batch, -1))
+                np.add(zb, xw[:, j:j + m], out=zb)
+                np.add(zb, bd[:, None], out=zb)
+                cell._replay(zb, gates[j:j + m], cs[j:j + m + 1])
 
         def forward():
-            nonlocal x_in, xw
+            nonlocal x_in, xw, z, h_step
             h = h_start
             with np.errstate(over="ignore"):  # a gate's exp(-z) is inf below z = -709, the gate 0
                 for s, (first, n) in enumerate(segments):
-                    for k, h in enumerate(run(first, n, h), first):
-                        hs[ids, :, t_of[:, k]] = h
+                    h = run(first, n, h)
                     if track and first + n < steps:  # the next segment starts from this one's last c
                         cs[0] = c_first[s + 1] = cs[n]
+            for d, w_d in merge_w:
+                np.matmul(hs[d].reshape(-1, cell.hidden), w_d, out=products[d])
+            z = h_step = None
             if not replays:
                 x_in = xw = None  # nothing will be replayed: only a gate tape in xw keeps it
 
-        def backward(g, dx):  # returns the weight sums and dh before the first step
-            dh, dc = 0.0, 0.0
-            h = hs[ids, :, t_of[:, steps - 1]]  # each step's h is carried on from the one after it
-            for (first, n), c_before in zip(segments[::-1], c_first[::-1]):
-                if first + n < steps and cell._tape_slots:  # the buffers hold a later segment
-                    cs[0] = c_before
-                    # the h before it, gathered as contiguous as the forward's: h @ w_h takes its path
-                    h_before = hs[ids, :, t_of[:, first - 1]] if first else h_start
-                    with np.errstate(over="ignore"):
-                        for _ in run(first, n, h_before):
-                            pass
-                for k in range(first + n - 1, first - 1, -1):
-                    at = ids, slice(None), t_of[:, k]
-                    dz, dc = cell._activate_backward(g[at] + dh, dc, gates[k - first],
-                                                     cs[k - first:], h)
-                    h = hs[ids, :, t_of[:, k - 1]] if k else h_start
-                    terms = (np.matmul(seq_t[t_of[:, k]].transpose(0, 2, 1), dz),
-                             np.matmul(h.transpose(0, 2, 1), dz), dz.sum(axis=1))
-                    sums = terms if k == steps - 1 else [np.add(s, t, out=s) for s, t in zip(sums, terms)]
-                    if dx is not None:
-                        dx[at] = np.matmul(dz, w_xT)
-                    dh = np.matmul(dz, w_hT)
-            return sums, dh
+        def backward(dm, g, dx, sums, dws):  # made in the caller's thread, with its buffers
+            dz = cell._grad_buffer(len(ids), batch, cell.hidden)
+            dzv = cell._gate_view(dz)
+            dh, dc = np.empty((len(ids), batch, cell.hidden)), np.zeros(carry)
+            block = min(REPLAY_BLOCK, span) if batch > 1 else 1  # one row a step: a GEMV's bits
+            replay_buffers = ((np.empty((len(ids), block, batch, w_x.shape[2])),
+                               np.empty((len(ids), block, batch, cell.hidden))) if replays else ())
+            terms = [np.empty(s[ds].shape) for s in sums]
+            totals = [s[ds] for s in sums]
+
+            def task():  # returns dh before the first step
+                for d, w_d in merge_w:
+                    np.matmul(hs[d].reshape(-1, cell.hidden).T, dm, out=dws[d])
+                    np.matmul(dm, w_d.T, out=g[d].reshape(-1, cell.hidden))
+                dh_next = 0.0
+                h = hs[at[steps - 1]]  # each step's h is carried on from the one after it
+                for (first, n), c_before in zip(segments[::-1], c_first[::-1]):
+                    if first + n < steps and cell._tape_slots:  # the buffers hold a later segment
+                        cs[0] = c_before
+                        with np.errstate(over="ignore"):
+                            replay(first, n, *replay_buffers)
+                    for k in range(first + n - 1, first - 1, -1):
+                        dh_k = g[at[k]]  # g's own rows in a lane of one direction
+                        dh_k += dh_next
+                        cell._activate_backward(dh_k, dc, gates[k - first], cs[k - first:], h, dzv)
+                        h = hs[at[k - 1]] if k else h_start
+                        outs = totals if k == steps - 1 else terms
+                        np.matmul(gather(x_all[at[k]]).transpose(0, 2, 1), dz, out=outs[0])
+                        np.matmul(gather(h).transpose(0, 2, 1), dz, out=outs[1])
+                        np.sum(dz, axis=1, out=outs[2])
+                        if k < steps - 1:
+                            for total, term in zip(totals, terms):
+                                total += term
+                        if dx is not None and one:
+                            np.matmul(dz, w_xT, out=dx[at[k]])
+                        elif dx is not None:
+                            dx[at[k]] = np.matmul(dz, w_xT)
+                        dh_next = np.matmul(dz, w_hT, out=dh)
+                return dh_next
+
+            return task
 
         return forward, backward
 
     runs = [lane(ds) for ds in lanes]
     _on_threads(*(forward for forward, _ in runs))
+    backwards = [backward for _, backward in runs]
 
     def bptt(g):
-        dx = np.empty((len(cells), batch, steps, n_in)) if seq.requires_grad else None
-        done = _on_threads(*(functools.partial(backward, g, dx) for _, backward in runs))
-        for ds, (sums, dh) in zip(lanes, done):
-            for c, *totals in zip(cells[ds], *sums):
-                for w, total in zip((c.w_x, c.w_h, c.b), totals):
-                    ad._accumulate(w, total)
+        dm = None
+        if merge:
+            dm, g = g, np.empty(hs.shape)
+        dx = None
+        if seq.requires_grad:  # over g's rows once read, where they fit
+            dx = g if n_in == cell.hidden else np.empty((len(cells), batch, steps, n_in))
+        sums = [np.empty(w.shape) for w in (w_x, w_h, b[:, 0])]
+        dws = [np.empty(w.shape) for w in merge]
+        dhs = _on_threads(*[backward(dm, g, dx, sums, dws) for backward in backwards])
+        for c, *totals in zip(cells, *sums):
+            for w, total in zip((c.w_x, c.w_h, c.b), totals):
+                ad._accumulate(w, total, fresh=True)
+        for w, dw in zip(merge, dws):
+            ad._accumulate(w, dw, fresh=True)
         if dx is not None:
             for d in dirs:
-                ad._accumulate(seq, dx[d])
+                ad._accumulate(seq, dx[d], fresh=d == 0)
         if h0 is not None:
-            ad._accumulate(h0, dh[0])
+            ad._accumulate(h0, dhs[0][0])
 
-    return hs, parents, bptt
+    return hs, products, parents, bptt
 
 
 def unroll(cell: RNNCell | LSTMCell, seq: Tensor, h0: Tensor | None = None) -> Tensor:
@@ -398,23 +527,26 @@ def unroll(cell: RNNCell | LSTMCell, seq: Tensor, h0: Tensor | None = None) -> T
     Returns h for every step as one (batch, time, hidden) tensor. ``h0`` (batch, hidden),
     if given, replaces the zero initial h (an LSTM's c still starts at zero). The whole
     recurrence is one ``_recur`` graph node: one input GEMM per segment, a time loop that
-    steps only ``h @ w_h`` and the gates, and a hand-written BPTT. An LSTM tapes one
-    segment's gates and c and re-runs each earlier segment before backpropagating through
-    it (no tape under ``ad.no_grad()``). Values and gradients, which ``SEGMENT`` does not
-    change, are those of the same step built from autodiff ops and chained from that state."""
-    hs, parents, bptt = _recur((cell,), seq, h0)
+    steps only ``h @ w_h`` and the gates on views of its output, and a hand-written BPTT. An
+    LSTM tapes one segment's gates and c and re-runs each earlier segment before
+    backpropagating through it (no tape under ``ad.no_grad()``). Values and gradients, which
+    ``SEGMENT`` does not change, are those of the same step built from autodiff ops and
+    chained from that state."""
+    hs, _, parents, bptt = _recur((cell,), seq, h0)
     return ad._make(hs[0], parents, lambda g: bptt(g[None]))
 
 
 class BiLstmLayer:
     """One forward and one backward LSTM pass, merged per step by a tanh projection.
 
-    Both directions start from zero states and step through one recurrence node that
-    returns both directions' h in time order: in lockstep in the caller's thread, or, once
-    batch * hidden reaches ``THREADED``, each on its own thread from the start of the
-    forward, and again of the backward, to its end, with the same bits. The per-step output is
-    tanh(h_fwd W_f + h_bwd W_b + b) with independent parameters per direction, computed
-    for all steps at once by a second node that reads h in place and saves only its output."""
+    The per-step output is tanh(h_fwd W_f + h_bwd W_b + b) with independent parameters per
+    direction, and the whole layer is one graph node. Both directions start from zero states
+    and step through one ``_recur``: in lockstep in the caller's thread, or, once batch *
+    hidden reaches ``THREADED``, each on its own thread, with the same bits. Each direction's
+    lane ends its forward with its merge product ``h_d @ W_d`` and starts its backward with
+    ``h_d.T @ dm`` and ``dm @ W_d.T``; the caller sums the products, adds b and takes the
+    tanh, and computes dm and b's grad. The node saves only its output beside the
+    recurrence's own state."""
 
     def __init__(self, pset: ParamSet, name: str, n_in: int, hidden: int, n_out: int,
                  rng: np.random.Generator):
@@ -425,27 +557,23 @@ class BiLstmLayer:
         self.b_o = pset.add(f"{name}.merge.b", np.zeros(n_out))
 
     def __call__(self, seq: Tensor) -> Tensor:
-        hs, parents, bptt = _recur((self.fwd, self.bwd), seq)
-        rec = ad._make(hs, parents, bptt)
-        h_f, h_b = hs.reshape(2, -1, hs.shape[3])  # each direction's h as (batch * time, hidden)
-        out = h_f @ self.w_f.data
-        out += h_b @ self.w_b.data
+        hs, (out, product_b), parents, bptt = _recur((self.fwd, self.bwd), seq,
+                                                     merge=(self.w_f, self.w_b))
+        out += product_b
         out += self.b_o.data
         np.tanh(out, out=out)
 
         def bwd(g):
-            dm = np.multiply(out, out)
-            np.subtract(1.0, dm, out=dm)
-            dm *= g.reshape(out.shape)
-            ad._accumulate(self.w_f, h_f.T @ dm)
-            ad._accumulate(self.w_b, h_b.T @ dm)
+            # this node alone holds g, so dm is computed in its buffer, C-ordered as out is
+            dm = np.ascontiguousarray(g.reshape(out.shape))
+            slope = np.multiply(out, out)
+            np.subtract(1.0, slope, out=slope)
+            dm *= slope
+            del slope
             ad._accumulate(self.b_o, dm.sum(axis=0))
-            # both directions' dh, handed to rec uncopied: this node is its only consumer
-            rec.grad = np.empty(hs.shape)
-            for w, dh in zip((self.w_f, self.w_b), rec.grad.reshape(2, out.shape[0], -1)):
-                np.matmul(dm, w.data.T, out=dh)
+            bptt(dm)
 
-        return ad._make(out.reshape(*hs.shape[1:3], -1), (rec, self.w_f, self.w_b, self.b_o), bwd)
+        return ad._make(out.reshape(*hs.shape[1:3], -1), (*parents, self.b_o), bwd)
 
 
 # --- convolution and pooling -----------------------------------------------------
@@ -518,8 +646,8 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None) -> Tens
 
     masked(x.data, out_data)
 
-    def bwd(g):
-        ad._accumulate(x, masked(g, np.empty_like(g)))
+    def bwd(g):  # g is this node's own grad, so it is masked in place
+        ad._accumulate(x, masked(g, g), fresh=True)
 
     return ad._make(out_data, (x,), bwd)
 

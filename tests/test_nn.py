@@ -221,6 +221,43 @@ def test_unroll_from_h0_matches_a_manual_step_loop(kind, reverse):
         np.testing.assert_allclose(fused[name], manual[name], rtol=1e-12, err_msg=name)
 
 
+@pytest.mark.parametrize("kind", sorted(CELLS))
+def test_unroll_at_its_input_width_matches_the_step_loop_over_four_segments(monkeypatch, kind):
+    """With n_in == hidden and a tracked seq, BPTT writes dx over the rows of g it has read
+    and hands them to seq uncopied, and an LSTM replays three of its four segments: h is
+    the step loop's bit for bit, and every gradient matches it."""
+    batch = 2
+    monkeypatch.setattr(nn, "SEGMENT", 3)
+    rng = np.random.default_rng(21)
+    pset = nn.ParamSet()
+    cell = CELLS[kind](pset, "c", 4, 4, rng)
+    steps = 3 * nn.SEGMENT + 2
+    assert len(nn.blocks(steps, nn.SEGMENT)) == 4
+    seq = Tensor(rng.standard_normal((batch, steps, 4)), requires_grad=True)
+    tensors = {"w_x": cell.w_x, "w_h": cell.w_h, "b": cell.b, "seq": seq}
+    weights = rng.standard_normal((batch, steps, 4))
+
+    def run(build_hs):
+        for t in tensors.values():
+            t.grad = None
+        hs = build_hs()
+        ad.backward(ad.tensor_sum(ad.mul(hs, weights)))
+        return hs.data, {name: t.grad for name, t in tensors.items()}
+
+    def manual_hs():
+        state, hs = oracle_zero_state(cell, batch), []
+        for t in range(steps):
+            state = oracle_step(cell, ad.select(seq, 1, t), state)
+            hs.append(ad.reshape(state[0], (batch, 1, 4)))
+        return concat(hs, axis=1)
+
+    fused_hs, fused = run(lambda: nn.unroll(cell, seq))
+    manual_out, manual = run(manual_hs)
+    assert np.array_equal(fused_hs, manual_out)
+    for name in tensors:
+        np.testing.assert_allclose(fused[name], manual[name], rtol=1e-12, err_msg=name)
+
+
 def test_unroll_rejects_an_h0_of_the_wrong_shape():
     cell, seq = _cell_and_sequence("lstm")
     for shape in [(2, 3), (3, 4), (4,), (2, 4, 1)]:
@@ -248,7 +285,8 @@ def test_input_gemms_run_per_segment_and_never_on_one_row(monkeypatch):
     matmul, rows = np.matmul, []
 
     def spy(a, b, **kwargs):
-        if "out" in kwargs:  # the forward's only product into a buffer is the input GEMM
+        if "out" in kwargs and a.ndim == 2:  # the forward's only 2-D product into a buffer is
+            # the input GEMM; the steps' h @ w_h take (directions, batch, hidden) operands
             rows.append(a.shape[0])
         return matmul(a, b, **kwargs)
 
@@ -292,12 +330,13 @@ def test_blocks_refuse_a_bound_that_may_leave_one_row(monkeypatch):
         nn.unroll(cell, Tensor(np.zeros((1, 3, 3))))
 
 
-@pytest.mark.parametrize("segment", [3, 4, 5])
+@pytest.mark.parametrize("segment", [3, 4, 5, 20])
 @pytest.mark.parametrize("model", ["rnn", "lstm", "bilstm"])
 def test_segment_length_changes_no_bit(monkeypatch, model, segment):
     """Values and every gradient equal, bit for bit, those of the same run in one segment:
     with and without h0, and for both directions of a BiLSTM, at batch 1 and 2, for
-    T = 1, S - 1, S, S + 1 and 3S + 2."""
+    T = 1, S - 1, S, S + 1 and 3S + 2. At S = 20 a replayed segment takes its h @ w_h in
+    blocks of up to ``REPLAY_BLOCK`` steps (a step at a time at batch 1)."""
     for batch in (1, 2):
         for steps in sorted({1, segment - 1, segment, segment + 1, 3 * segment + 2}):
             rng = np.random.default_rng(batch * 100 + steps)
@@ -461,6 +500,67 @@ def test_one_blas_thread_holds_blas_at_one_and_restores_its_count(tmp_path):
     assert seen == [n, 1, 1, n, 1, 1, n, 1, 0, n, 3, n, n, n, n, n, 0, n]
 
 
+# thread A enters one_blas_thread, B enters, A leaves, B reads; then both have left. Then
+# eight threads enter and leave it 200 times each, switching every 10 us, and each reads
+# inside its block and records what it read
+_BLAS_OVERLAP_CHECK = """
+import json, sys, threading
+from qgf import nn
+get, seen, stress = nn._get_blas_threads, [], []
+a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+def a():
+    with nn.one_blas_thread():
+        a_in.set()
+        b_in.wait(30)
+        seen.append(get())
+    a_out.set()
+def b():
+    a_in.wait(30)
+    with nn.one_blas_thread():
+        b_in.set()
+        a_out.wait(30)
+        seen.append(get())
+def churn():
+    for _ in range(200):
+        with nn.one_blas_thread():
+            stress.append(get())
+def run(*targets):
+    threads = [threading.Thread(target=f) for f in targets]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(30)
+    return not any(t.is_alive() for t in threads)
+done = run(a, b)
+seen.append(get())
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-5)
+try:
+    done = run(*[churn] * 8) and done
+finally:
+    sys.setswitchinterval(interval)
+print(json.dumps([done, seen, sorted(set(stress)), len(stress), get()]))
+"""
+
+
+@pytest.mark.skipif(nn._set_blas_threads is None, reason="qgf cannot set this BLAS's threads")
+def test_one_blas_thread_holds_blas_at_one_while_any_thread_is_inside():
+    """Two threads' blocks overlap: the first to leave restores nothing while the other is
+    still inside, and the last to leave restores the count the process started with. Eight
+    threads entering and leaving at once each read one thread inside every block."""
+    src = str(Path(nn.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _BLAS_OVERLAP_CHECK], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    finished, seen, inside, blocks, after = json.loads(done.stdout)
+    assert finished
+    assert seen[:2] == [1, 1]
+    assert seen[2] == after == 2 or nn._CPUS == 1  # OpenBLAS takes no more threads than CPUs
+    assert inside == [1] and blocks == 8 * 200
+
+
 # prints every (n_in, 4H, batch, what, step) whose rows differ from the full product's
 _GEMM_ROWS_CHECK = """
 import numpy as np
@@ -532,8 +632,12 @@ def test_bilstm_output_shape_and_direction_sensitivity():
 BILSTM_SHAPES = [(batch, steps, 2, 3, 4) for batch in (1, 3) for steps in (1, 2, 7)]
 
 
-@pytest.mark.parametrize("batch,steps,n_in,hidden,n_out", BILSTM_SHAPES + [(32, 40, 90, 90, 90)])
+@pytest.mark.parametrize("batch,steps,n_in,hidden,n_out", BILSTM_SHAPES + [
+    (32, 40, 90, 90, 90), (32, 2 * nn.SEGMENT + 3, 90, 90, 90)])
 def test_bilstm_is_bitwise_the_two_unroll_composite(batch, steps, n_in, hidden, n_out):
+    """The layer, on either schedule, and its oracle give the same bits. Both run with BLAS
+    on one thread, as every lane does: two BLAS threads split the oracle's 90-wide
+    ``h.T @ dm`` reduction otherwise, and its bits with it."""
     rng = np.random.default_rng(batch * 100 + steps)
     pset = nn.ParamSet()
     layer = nn.BiLstmLayer(pset, "bi", n_in, hidden, n_out, rng)
@@ -548,8 +652,9 @@ def test_bilstm_is_bitwise_the_two_unroll_composite(batch, steps, n_in, hidden, 
         ad.backward(ad.tensor_sum(ad.mul(out, weights)))
         return out.data, {name: t.grad for name, t in tensors.items()}
 
-    out, grads = run(layer)
-    want, want_grads = run(lambda s: oracle_bilstm(layer, s))
+    with nn.one_blas_thread():
+        out, grads = run(layer)
+        want, want_grads = run(lambda s: oracle_bilstm(layer, s))
     assert len(grads) == 10
     assert np.array_equal(out, want)
     for name in tensors:
@@ -567,11 +672,11 @@ def _graph_nodes(out: Tensor) -> int:
     return sum(node._backward is not None for node in seen.values())
 
 
-def test_bilstm_layer_records_two_graph_nodes_and_none_without_grad():
+def test_bilstm_layer_records_one_graph_node_and_none_without_grad():
     rng = np.random.default_rng(9)
     layer = nn.BiLstmLayer(nn.ParamSet(), "bi", 2, 3, 4, rng)
     seq = Tensor(rng.standard_normal((3, 5, 2)), requires_grad=True)
-    assert _graph_nodes(layer(seq)) == 2
+    assert _graph_nodes(layer(seq)) == 1
     assert _graph_nodes(oracle_bilstm(layer, seq)) == 10 + 2 * (5 + 1)
     with ad.no_grad():
         out = layer(seq)
@@ -668,8 +773,9 @@ def test_a_direction_stepped_on_its_own_tapes_its_gates_in_its_input_workspace(m
 @pytest.mark.parametrize("model", ["rnn", "lstm", "bilstm"])
 def test_bptt_reruns_the_steps_before_the_last_segment_only(monkeypatch, model):
     """The forward runs one h @ w_h per step. An LSTM's BPTT re-runs it for every step
-    before the last segment, whose gates the forward left taped, and for no other step; an
-    RNN's BPTT, which reads h back from the output, never does."""
+    before the last segment, whose gates the forward left taped, and for no other step, in
+    products of up to ``REPLAY_BLOCK`` steps' rows; an RNN's BPTT, which reads h back from the
+    output, never does."""
     rng = np.random.default_rng(11)
     pset = nn.ParamSet()
     if model == "bilstm":
@@ -692,7 +798,8 @@ def test_bptt_reruns_the_steps_before_the_last_segment_only(monkeypatch, model):
         assert len(products) == steps, steps
         products.clear()
         ad.backward(ad.tensor_sum(out))
-        assert len(products) == replayed, steps
+        rows = [shape[1] for shape in products]  # (directions, steps * batch, hidden) each
+        assert sum(rows) == replayed * 2 and max(rows, default=0) <= nn.REPLAY_BLOCK * 2, steps
         products.clear()
 
 
@@ -752,6 +859,34 @@ def test_bilstm_backward_peak_stays_within_five_sequence_sized_buffers():
     # and the input's grad, less the graph released: about 4.2 units, where keeping the
     # graph, stacking the two directions' dh and copying one direction's rows peaked at 10
     assert rise < 5 * unit
+
+
+@pytest.mark.parametrize("threaded", [False, True])
+def test_a_bilstm_backward_at_its_input_width_writes_dx_over_its_dh_buffer(monkeypatch, threaded):
+    """At n_in == hidden a tracked layer's backward, given a grad it alone holds, computes dm
+    in that grad, makes one (2, B, T, hidden) dh buffer, writes dx over it and hands dx[0]
+    to seq uncopied: no second (2, B, T, n_in) buffer and no copy of the input grad, on
+    either schedule."""
+    batch, steps, width = 16, 400, 32  # n_in = hidden = n_out
+    rng = np.random.default_rng(15)
+    layer = _bilstm(rng, width, width, width)
+    monkeypatch.setattr(nn, "THREADED", batch * width + (0 if threaded else 1))
+    seq = Tensor(rng.standard_normal((batch, steps, width)), requires_grad=True)
+    out = layer(seq)
+    g = rng.standard_normal(out.shape)
+    unit = batch * steps * width * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out._backward(g)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    # the dh buffer's two units, and the weights' sums, the replay's blocks and a step's
+    # temporaries; dm's slope (one unit) is freed before dh is made. A second buffer would
+    # add two, a copy one
+    assert 2 * unit < peak < 2.75 * unit, peak / unit
+    assert seq.grad.shape == seq.shape and layer.fwd.w_x.grad is not None
 
 
 def _loop_conv1d(x, f, b, stride):
