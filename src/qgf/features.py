@@ -65,48 +65,44 @@ def _standardize(x: np.ndarray) -> np.ndarray:
         return (x - mu) / np.where(sd == 0, 1.0, np.where(np.isfinite(sd), sd, np.nan))
 
 
-def _probe_gradient(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray, l2: float,
-                    logits: np.ndarray, err: np.ndarray, gw: np.ndarray) -> float:
-    """Write logits = x w + b, err = logistic(logits) - y and the weight gradient
-    gw = x^T err / n + l2 w into the given buffers; return the bias gradient mean(err).
-    Below logit -709 exp overflows to inf and the logistic reads 0: the caller ignores it."""
-    np.matmul(x, w, out=logits)
-    logits += b
-    ad._logistic(logits, out=err)
-    err -= y
-    np.matmul(x.T, err, out=gw)
-    gw /= x.shape[0]
-    gw += l2 * w
-    return float(np.add.reduce(err) / x.shape[0])
-
-
 def logistic_loss_and_grad(w: np.ndarray, b: float, x: np.ndarray, y: np.ndarray,
                            l2: float) -> tuple[float, np.ndarray, float]:
     """Mean cross-entropy plus (l2/2)||w||^2 and its exact gradient in (w, b)."""
-    logits, err, gw = np.empty(x.shape[0]), np.empty(x.shape[0]), np.empty(w.size)
-    with np.errstate(over="ignore"):
-        gb = _probe_gradient(w, b, x, y, l2, logits, err, gw)
+    logits = x @ w + b
+    with np.errstate(over="ignore"):  # below logit -709 exp overflows, and the logistic reads 0
+        err = ad._logistic(logits, np.empty_like(logits)) - y
+    gw = x.T @ err / x.shape[0] + l2 * w
     # log(1 + exp(z)) - y z, computed from the softplus identity for stability
     softplus = np.logaddexp(0.0, logits)
     loss = float((softplus - y * logits).mean() + 0.5 * l2 * (w @ w))
-    return loss, gw, gb
+    return loss, gw, float(np.add.reduce(err)) / x.shape[0]
 
 
 def fit_logistic_probe(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float, float]:
     """Full-batch gradient descent from zero weights; returns (w, b, accuracy).
 
     Each step takes the gradient of ``logistic_loss_and_grad`` into buffers allocated
-    once, then w -= rate * gw and b -= rate * gb.
+    once, then w -= rate * gw and b -= rate * gb. The logistic's exponent -(x w + b) is
+    one subtract, -b - x w, with the same bits but for a zero's sign, which exp drops.
     """
+    n = x.shape[0]
     y_float = np.asarray(y, dtype=np.float64)
     w = np.zeros(x.shape[1])
     b = 0.0
-    logits, err, gw = np.empty(x.shape[0]), np.empty(x.shape[0]), np.empty(w.size)
-    with np.errstate(over="ignore"):
+    xw, err, gw = np.empty(n), np.empty(n), np.empty(w.size)
+    with np.errstate(over="ignore"):  # below logit -709 exp overflows, and the logistic reads 0
         for _ in range(PROBE_STEPS):
-            gb = _probe_gradient(w, b, x, y_float, PROBE_L2, logits, err, gw)
+            np.matmul(x, w, out=xw)
+            np.subtract(-b, xw, out=err)  # err = logistic(x w + b) - y, in place
+            np.exp(err, out=err)
+            err += 1.0
+            np.divide(1.0, err, out=err)
+            err -= y_float
+            np.matmul(x.T, err, out=gw)
+            gw /= n
+            gw += PROBE_L2 * w
             w -= PROBE_LR * gw
-            b -= PROBE_LR * gb
+            b -= PROBE_LR * (float(np.add.reduce(err)) / n)
     logits = x @ w + b
     accuracy = float(((logits >= 0).astype(int) == y).mean())
     return w, b, accuracy

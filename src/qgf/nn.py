@@ -132,10 +132,6 @@ class RNNCell:
         return z
 
     @staticmethod
-    def _grad_buffer(directions: int, batch: int, hidden: int) -> np.ndarray:  # BPTT's dz
-        return np.empty((directions, batch, hidden))
-
-    @staticmethod
     def _activate(z: np.ndarray, gates, c_prev, c, h: np.ndarray) -> None:
         np.tanh(z, out=h)
 
@@ -168,14 +164,6 @@ class LSTMCell:
     @staticmethod
     def _gate_view(z: np.ndarray) -> np.ndarray:  # (D, B, 4H) as (4, D, B, H)
         return z.reshape(*z.shape[:2], 4, -1).transpose(2, 0, 1, 3)
-
-    @staticmethod
-    def _grad_buffer(directions: int, batch: int, hidden: int) -> np.ndarray:  # BPTT's dz
-        # (D, B, 4H). With one hidden unit, a view of a gate-major buffer: the layout the
-        # products that read dz have always had there, for a GEMV's bits follow its strides
-        if hidden == 1:
-            return np.empty((4, directions, batch, 1)).transpose(1, 2, 0, 3)[..., 0]
-        return np.empty((directions, batch, 4 * hidden))
 
     @staticmethod
     def _activate(z: np.ndarray, gates, c_prev, c, h: np.ndarray | None) -> None:
@@ -219,7 +207,7 @@ class LSTMCell:
 
 
 SEGMENT = 64  # most steps per input GEMM and per gate tape of a tracked LSTM
-REPLAY_BLOCK = 8  # most steps per h @ w_h GEMM of a replayed segment
+REPLAY_BLOCK = 8  # most steps per h @ w_h GEMM of a replay, and per BPTT weight-gradient product
 
 
 try:  # numpy 2's bundled OpenBLAS: dlsym also searches the libraries this module links
@@ -314,9 +302,12 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None, merge: tuple = (
     every direction. ``merge``, if given, holds one (hidden, n_out) weight per direction, and
     ``products`` each direction's ``h_d @ w_d`` as (batch * time, n_out). ``bptt(g)``
     backpropagates g, laid out as hs, or with ``merge`` the (batch * time, n_out) grad of the
-    products' sum. Weight gradients sum latest step first and reach each parameter once, at
-    the end: a parameter used twice in one graph sums in another order than a chain of
-    per-step ops would.
+    products' sum. BPTT backpropagates step by step, but takes the weight gradients per block
+    of ``REPLAY_BLOCK`` steps counted from the last step: a block's ``x.T @ dz``,
+    ``h_prev.T @ dz`` and dz's column sums are one product each over its rows, added into the
+    sums once, latest block first. Blocks cross segments, so ``SEGMENT`` changes no bit. The
+    sums reach each parameter once, at the end: a parameter used twice in one graph sums in
+    another order than a chain of per-step ops would.
 
     Steps run in ``blocks(steps, SEGMENT)``, one input GEMM per segment and direction. A
     tracked forward tapes one segment, each step's gates and c, in buffers only ``bptt``
@@ -335,10 +326,12 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None, merge: tuple = (
     run a lane each, on their own threads, and meet only when each lane ends. Anything
     narrower, and one direction, runs one lane of all its directions in lockstep in the
     caller's thread. Either way every bit is the same. A lane of one direction reads and
-    writes each step's rows of hs, g, dx and seq through basic views; a lockstep lane gathers
-    and scatters them. Every buffer a lane keeps beyond a step is made in the caller's thread,
+    writes each step's rows of hs, g and dx through basic views; a lockstep lane gathers and
+    scatters them. Every buffer a lane keeps beyond a step is made in the caller's thread,
     so a worker thread's heap holds no more than a step's temporaries. Where ``n_in ==
-    hidden``, BPTT writes dx over the rows of g it has read."""
+    hidden``, BPTT writes dx over the rows of g it has read. Its block's dz rows wait in a ring
+    of ``REPLAY_BLOCK`` step slots; x rows and h before each step are copied into the input
+    rows and the replay's h block once a block."""
     cell = cells[0]
     if seq.data.ndim != 3 or seq.shape[2] != cell.n_in:
         raise ShapeMismatchError(f"unroll expects (batch, time, {cell.n_in}), got {seq.shape}")
@@ -354,9 +347,9 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None, merge: tuple = (
     dirs = np.arange(len(cells))
     seq_t = seq.data.transpose(1, 0, 2)
     x_steps = [seq_t, seq_t[::-1]]  # each direction's (time, batch, n_in) rows in step order
-    x_all = np.broadcast_to(seq.data, (len(cells), *seq.shape))  # seq laid out as hs
     segments = blocks(steps, SEGMENT)
     span = max(n for _, n in segments)
+    ring = min(REPLAY_BLOCK, steps)  # most steps of a BPTT block, counted from the last step
     slots = span if track else 1
     replays = track and cell._tape_slots and len(segments) > 1
     w_x = np.stack([c.w_x.data for c in cells])
@@ -375,9 +368,6 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None, merge: tuple = (
         # so a view, in a lane of one direction; index arrays in a lockstep one
         at = ([(ds, slice(None), t) for t in t_of[0].tolist()] if one
               else [(ids, slice(None), t) for t in t_of.T])
-        # numpy runs a product with one row or column as a GEMV, whose bits follow its
-        # vector's stride: there a lane of one direction copies x and h as a gather does
-        gather = np.ascontiguousarray if one and min(n_in, cell.hidden) == 1 else np.asarray
         w_xd, w_hd, bd = w_x[ds], w_h[ds], b[ds]
         w_xT, w_hT = w_xd.transpose(0, 2, 1), w_hd.transpose(0, 2, 1)
         carry = (len(ids), batch, cell.hidden if cell._carries else 0)  # an RNN carries no c
@@ -389,7 +379,7 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None, merge: tuple = (
         gates = np.empty(gate_tape) if xw is None else xw.reshape(gate_tape)
         cs = np.zeros((slots + track, *carry))  # c before each step and after the last
         c_first = np.zeros((len(segments), *carry)) if track else None  # c before each segment
-        x_in = np.empty((span, batch, n_in))
+        x_in = np.empty((max(span, ring), batch, n_in))  # BPTT's x rows too, if it replays
         xw = np.empty(xw_shape) if xw is None else xw
         z = np.empty((len(ids), batch, w_x.shape[2]))
         h_step = None if one else np.empty((len(ids), batch, cell.hidden))
@@ -414,26 +404,8 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None, merge: tuple = (
                     hs[at[first + j]] = h
             return h
 
-        # each direction's h in step order, (time, batch, hidden), for a replay's h before
+        # each direction's h in step order, (time, batch, hidden), for the h before a step
         h_steps = [hs[d].transpose(1, 0, 2)[::1 if d == 0 else -1] for d in ids]
-
-        def replay(first, n, zs, h_prev):  # gates and c of steps first .. first + n - 1
-            # from cs[0], the h @ w_h of a block of steps as one GEMM: since hs holds every h,
-            # only c steps one by one. Rows, at least two a GEMM, have a step's bits
-            project(first, n)
-            block = h_prev.shape[1]
-            for j, m in blocks(n, block) if block > 1 else ((j, 1) for j in range(n)):
-                k, hp, zb = first + j, h_prev[:, :m], zs[:, :m]
-                start = k == 0  # the first step's h before is h_start
-                if start:
-                    hp[:, 0] = h_start
-                for h_d, h_rows in zip(hp, h_steps):
-                    h_d[start:] = h_rows[k - 1 + start:k + m - 1]
-                np.matmul(hp.reshape(len(ids), -1, cell.hidden), w_hd,
-                          out=zb.reshape(len(ids), m * batch, -1))
-                np.add(zb, xw[:, j:j + m], out=zb)
-                np.add(zb, bd[:, None], out=zb)
-                cell._replay(zb, gates[j:j + m], cs[j:j + m + 1])
 
         def forward():
             nonlocal x_in, xw, z, h_step
@@ -450,38 +422,70 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None, merge: tuple = (
                 x_in = xw = None  # nothing will be replayed: only a gate tape in xw keeps it
 
         def backward(dm, g, dx, sums, dws):  # made in the caller's thread, with its buffers
-            dz = cell._grad_buffer(len(ids), batch, cell.hidden)
-            dzv = cell._gate_view(dz)
+            # dz of the running block's steps, each at its slot from the ring's end, and the
+            # block's x rows and h before each step: the replay's h block too
+            dzs = np.empty((len(ids), ring, batch, w_x.shape[2]))
+            dz_views = [cell._gate_view(dzs[:, j]) for j in range(ring)]
+            h_rows = np.empty((len(ids), ring, batch, cell.hidden))
+            x_rows = np.empty((ring, batch, n_in)) if x_in is None else x_in
             dh, dc = np.empty((len(ids), batch, cell.hidden)), np.zeros(carry)
             block = min(REPLAY_BLOCK, span) if batch > 1 else 1  # one row a step: a GEMV's bits
-            replay_buffers = ((np.empty((len(ids), block, batch, w_x.shape[2])),
-                               np.empty((len(ids), block, batch, cell.hidden))) if replays else ())
+            z_rows = np.empty((len(ids), block, batch, w_x.shape[2])) if replays else None
             terms = [np.empty(s[ds].shape) for s in sums]
             totals = [s[ds] for s in sums]
+
+            def h_before(k, m):  # h before steps k .. k + m - 1, (directions, m, batch, hidden)
+                rows = h_rows[:, :m]
+                start = k == 0  # the first step's h before is h_start
+                if start:
+                    rows[:, 0] = h_start
+                for h_d, h_seq in zip(rows, h_steps):
+                    h_d[start:] = h_seq[k - 1 + start:k + m - 1]
+                return rows
+
+            def replay(first, n):  # gates and c of steps first .. first + n - 1 from cs[0]:
+                # the h @ w_h of a block of steps as one GEMM, since hs holds every h, and only
+                # c steps one by one. Rows, at least two a GEMM, have a step's bits
+                project(first, n)
+                for j, m in blocks(n, block) if block > 1 else ((j, 1) for j in range(n)):
+                    zb = z_rows[:, :m]
+                    np.matmul(h_before(first + j, m).reshape(len(ids), -1, cell.hidden), w_hd,
+                              out=zb.reshape(len(ids), m * batch, -1))
+                    np.add(zb, xw[:, j:j + m], out=zb)
+                    np.add(zb, bd[:, None], out=zb)
+                    cell._replay(zb, gates[j:j + m], cs[j:j + m + 1])
+
+            def weight_terms(k, m):  # add the products of steps k .. k + m - 1, the ring's end
+                dz_rows = dzs[:, ring - m:].reshape(len(ids), m * batch, -1)
+                hs_before = h_before(k, m)
+                for i, d in enumerate(ids):
+                    x_rows[:m] = x_steps[d][k:k + m]
+                    np.matmul(x_rows[:m].reshape(-1, n_in).T, dz_rows[i], out=terms[0][i])
+                    np.matmul(hs_before[i].reshape(-1, cell.hidden).T, dz_rows[i], out=terms[1][i])
+                np.sum(dz_rows, axis=1, out=terms[2])
+                for total, term in zip(totals, terms):
+                    total += term
 
             def task():  # returns dh before the first step
                 for d, w_d in merge_w:
                     np.matmul(hs[d].reshape(-1, cell.hidden).T, dm, out=dws[d])
                     np.matmul(dm, w_d.T, out=g[d].reshape(-1, cell.hidden))
                 dh_next = 0.0
-                h = hs[at[steps - 1]]  # each step's h is carried on from the one after it
                 for (first, n), c_before in zip(segments[::-1], c_first[::-1]):
                     if first + n < steps and cell._tape_slots:  # the buffers hold a later segment
                         cs[0] = c_before
                         with np.errstate(over="ignore"):
-                            replay(first, n, *replay_buffers)
+                            replay(first, n)
                     for k in range(first + n - 1, first - 1, -1):
                         dh_k = g[at[k]]  # g's own rows in a lane of one direction
                         dh_k += dh_next
-                        cell._activate_backward(dh_k, dc, gates[k - first], cs[k - first:], h, dzv)
-                        h = hs[at[k - 1]] if k else h_start
-                        outs = totals if k == steps - 1 else terms
-                        np.matmul(gather(x_all[at[k]]).transpose(0, 2, 1), dz, out=outs[0])
-                        np.matmul(gather(h).transpose(0, 2, 1), dz, out=outs[1])
-                        np.sum(dz, axis=1, out=outs[2])
-                        if k < steps - 1:
-                            for total, term in zip(totals, terms):
-                                total += term
+                        slot = ring - 1 - (steps - 1 - k) % ring  # blocks end at the last step
+                        h = None if cell._tape_slots else hs[at[k]]  # an LSTM reads its tape
+                        cell._activate_backward(dh_k, dc, gates[k - first], cs[k - first:], h,
+                                                dz_views[slot])
+                        if slot == 0 or k == 0:
+                            weight_terms(k, ring - slot)
+                        dz = dzs[:, slot]
                         if dx is not None and one:
                             np.matmul(dz, w_xT, out=dx[at[k]])
                         elif dx is not None:
@@ -504,7 +508,7 @@ def _recur(cells: tuple, seq: Tensor, h0: Tensor | None = None, merge: tuple = (
         dx = None
         if seq.requires_grad:  # over g's rows once read, where they fit
             dx = g if n_in == cell.hidden else np.empty((len(cells), batch, steps, n_in))
-        sums = [np.empty(w.shape) for w in (w_x, w_h, b[:, 0])]
+        sums = [np.zeros(w.shape) for w in (w_x, w_h, b[:, 0])]
         dws = [np.empty(w.shape) for w in merge]
         dhs = _on_threads(*[backward(dm, g, dx, sums, dws) for backward in backwards])
         for c, *totals in zip(cells, *sums):
@@ -529,9 +533,10 @@ def unroll(cell: RNNCell | LSTMCell, seq: Tensor, h0: Tensor | None = None) -> T
     recurrence is one ``_recur`` graph node: one input GEMM per segment, a time loop that
     steps only ``h @ w_h`` and the gates on views of its output, and a hand-written BPTT. An
     LSTM tapes one segment's gates and c and re-runs each earlier segment before
-    backpropagating through it (no tape under ``ad.no_grad()``). Values and gradients, which
-    ``SEGMENT`` does not change, are those of the same step built from autodiff ops and
-    chained from that state."""
+    backpropagating through it (no tape under ``ad.no_grad()``). Values are those of the same
+    step built from autodiff ops and chained from that state, and so are gradients but for
+    rounding: the weight gradients sum per block of ``REPLAY_BLOCK`` steps counted from the
+    end, not per step. ``SEGMENT`` changes no bit of either."""
     hs, _, parents, bptt = _recur((cell,), seq, h0)
     return ad._make(hs[0], parents, lambda g: bptt(g[None]))
 
@@ -637,17 +642,15 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None) -> Tens
     # the backward keeps one bool per entry; a dropped entry is v * 0.0 (-0.0 for a
     # negative v, nan for an inf), the bits a multiply by a float 0-or-scale mask gives
     out_data = rng.random(x.shape)
-    drop = out_data < p
+    keep = out_data >= p
     scale = 1.0 / (1.0 - p)
+    np.multiply(keep, scale, out=out_data)  # the 0-or-scale mask, then x times it
+    out_data *= x.data
 
-    def masked(v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.multiply(v, scale, out=out)
-        return np.multiply(v, 0.0, out=out, where=drop)
-
-    masked(x.data, out_data)
-
-    def bwd(g):  # g is this node's own grad, so it is masked in place
-        ad._accumulate(x, masked(g, g), fresh=True)
+    def bwd(g):  # g is this node's own grad, so it is masked in place: g * 1.0 or 0.0, scaled
+        np.multiply(g, keep, out=g)
+        g *= scale
+        ad._accumulate(x, g, fresh=True)
 
     return ad._make(out_data, (x,), bwd)
 

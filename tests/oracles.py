@@ -2,16 +2,18 @@
 
 Most of these are plain index-by-index loops over Python floats,
 recomputing each window from scratch, so agreement with the vectorized
-library code is meaningful. Eight are former library code, kept so the code
+library code is meaningful. Nine are former library code, kept so the code
 that replaced them can be held to them: ``oracle_frechet_dp`` (the row-by-row
 Fréchet program), ``oracle_adam_step`` (Adam's update on fresh arrays, which
 ``nn.Adam.step`` makes in place), ``oracle_logistic_where`` (the two-branch logistic),
 ``oracle_logistic_probe`` (the RFE probe's loop before its buffers were reused),
+``oracle_unroll`` (a recurrence whose BPTT adds each step's weight-gradient products on
+their own, which ``nn.unroll`` takes once per block of steps),
 ``oracle_pca_unscaled`` (the randomized PCA fit whose range finder ran on the
 unscaled data), ``oracle_step`` (a recurrent cell's step built from autodiff ops, which
 ``nn.unroll`` fuses), ``oracle_teacher_forced_decode`` (the per-step
 decoder loop over ``oracle_step``) and ``oracle_bilstm`` (a bidirectional
-layer as two separate ``nn.unroll`` nodes and a merge built from autodiff
+layer as two separate unroll nodes and a merge built from autodiff
 ops, which ``nn.BiLstmLayer`` fuses, stepping its directions in lockstep or
 on a thread each). The last three build autodiff graphs from the cell's,
 layer's and model's own parameters. The tracked ops they need and the library
@@ -425,17 +427,67 @@ def oracle_teacher_forced_decode(model, latent: Tensor, teacher: Tensor) -> Tens
     return ad.reshape(concat(outputs, axis=1), (batch, steps))
 
 
+def oracle_unroll(cell, seq: Tensor, h0: Tensor | None = None) -> Tensor:
+    """``nn.unroll`` as one graph node over a plain step loop, with the per-step BPTT it ran
+    before it took weight gradients per block: each step, latest first, adds its own
+    ``x.T @ dz``, ``h_prev.T @ dz`` and dz's column sums into the weight gradients."""
+    batch, steps, _ = seq.shape
+    lstm, hidden = isinstance(cell, nn.LSTMCell), cell.hidden
+    w_x, w_h, b = cell.w_x.data, cell.w_h.data, cell.b.data
+    hs = [np.zeros((batch, hidden)) if h0 is None else h0.data]  # h before each step, and after
+    cs, gates = [np.zeros((batch, hidden))], []
+    for t in range(steps):
+        z = seq.data[:, t] @ w_x + hs[-1] @ w_h + b
+        if not lstm:
+            hs.append(np.tanh(z))
+            continue
+        with np.errstate(over="ignore"):
+            i, f, o = (ad._logistic(z[:, k * hidden:(k + 1) * hidden], np.empty((batch, hidden)))
+                       for k in (0, 1, 3))
+        g = np.tanh(z[:, 2 * hidden:3 * hidden])
+        cs.append(f * cs[-1] + i * g)
+        hs.append(o * np.tanh(cs[-1]))
+        gates.append((i, f, g, o))
+
+    def bwd(grad):
+        dw_x, dw_h, db = np.zeros_like(w_x), np.zeros_like(w_h), np.zeros_like(b)
+        dx, dh, dc = np.empty(seq.shape), np.zeros((batch, hidden)), np.zeros((batch, hidden))
+        for t in range(steps - 1, -1, -1):
+            dh = dh + grad[:, t]
+            if lstm:
+                i, f, g, o = gates[t]
+                tanh_c = np.tanh(cs[t + 1])
+                dc = dc + dh * o * (1.0 - tanh_c * tanh_c)
+                dz = np.concatenate([dc * g * i * (1.0 - i), dc * cs[t] * f * (1.0 - f),
+                                     dc * i * (1.0 - g * g), dh * tanh_c * o * (1.0 - o)], axis=1)
+                dc = dc * f
+            else:
+                dz = dh * (1.0 - hs[t + 1] * hs[t + 1])
+            dw_x += seq.data[:, t].T @ dz
+            dw_h += hs[t].T @ dz
+            db += dz.sum(axis=0)
+            dx[:, t] = dz @ w_x.T
+            dh = dz @ w_h.T
+        for tensor, total in ((cell.w_x, dw_x), (cell.w_h, dw_h), (cell.b, db), (seq, dx)):
+            ad._accumulate(tensor, total)
+        if h0 is not None:
+            ad._accumulate(h0, dh)
+
+    parents = (seq, cell.w_x, cell.w_h, cell.b) + (() if h0 is None else (h0,))
+    return ad._make(np.stack(hs[1:], axis=1), parents, bwd)
+
+
 def oracle_flip(x: Tensor) -> Tensor:
     """``x`` (batch, time, ...) in reversed time: one ``narrow`` per step and a ``concat``."""
     return concat([narrow(x, 1, t, 1) for t in range(x.shape[1] - 1, -1, -1)], axis=1)
 
 
-def oracle_bilstm(layer, seq: Tensor) -> Tensor:
-    """A BiLstmLayer's output from autodiff ops: one ``nn.unroll`` per direction, the
+def oracle_bilstm(layer, seq: Tensor, unroll=nn.unroll) -> Tensor:
+    """A BiLstmLayer's output from autodiff ops: one ``unroll`` per direction, the
     backward one over ``oracle_flip(seq)`` and flipped back, and a tanh merge. That is
     10 + 2 (T + 1) graph nodes for T steps."""
-    fwd_h = nn.unroll(layer.fwd, seq)
-    bwd_h = oracle_flip(nn.unroll(layer.bwd, oracle_flip(seq)))
+    fwd_h = unroll(layer.fwd, seq)
+    bwd_h = oracle_flip(unroll(layer.bwd, oracle_flip(seq)))
     batch, steps, hidden = fwd_h.shape
     rows = (batch * steps, hidden)
     merged = ad.add(ad.add(ad.matmul(ad.reshape(fwd_h, rows), layer.w_f),

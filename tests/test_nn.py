@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from conftest import float_bits
 from oracles import (concat, oracle_adam_step, oracle_bilstm, oracle_flip, oracle_step,
-                     oracle_zero_state)
+                     oracle_unroll, oracle_zero_state)
 
 from qgf import autodiff as ad, nn
 from qgf.autodiff import Tensor
@@ -366,6 +366,46 @@ def test_segment_length_changes_no_bit(monkeypatch, model, segment):
                 monkeypatch.setattr(nn, "SEGMENT", steps)
                 whole = run()
                 assert all(map(_bitwise_equal, segmented, whole)), (batch, steps, extra)
+
+
+@pytest.mark.parametrize("n_in", [3, 1])
+@pytest.mark.parametrize("model", ["rnn", "lstm", "bilstm"])
+def test_block_weight_gradients_match_the_per_step_bptt(model, n_in):
+    """BPTT's weight gradients, each summed from one product per block of ``REPLAY_BLOCK``
+    steps, match the per-step BPTT's within 1e-12 of each array's largest entry, as do the
+    output, seq's and h0's grads: with and without h0, at batch 1 and 2, for T = 1, 7, 9
+    (one block and a one-step block) and 3S + 2, and at n_in = 1, whose x.T @ dz is a GEMV.
+    The bound is relative to the array, not the entry: a sum of ~10-sized terms that cancels
+    to 1e-3 is 1e-12 off its own size after a last-bit change to one term."""
+    for batch in (1, 2):
+        for steps in (1, 7, 9, 3 * nn.SEGMENT + 2):
+            rng = np.random.default_rng(batch * 1000 + steps * 10 + n_in)
+            pset = nn.ParamSet()
+            seq = Tensor(rng.standard_normal((batch, steps, n_in)), requires_grad=True)
+            h0 = Tensor(rng.standard_normal((batch, 4)), requires_grad=True)
+            if model == "bilstm":
+                layer = nn.BiLstmLayer(pset, "bi", n_in, 4, 5, rng)
+                runs = [(layer, lambda s: oracle_bilstm(layer, s, unroll=oracle_unroll), ())]
+            else:
+                cell = CELLS[model](pset, "c", n_in, 4, rng)
+                runs = [(lambda s, h=h: nn.unroll(cell, s, h0=h),
+                         lambda s, h=h: oracle_unroll(cell, s, h0=h), () if h is None else (h,))
+                        for h in (None, h0)]
+            for build, oracle, extra in runs:
+                tensors = [*pset.tensors(), seq, *extra]
+                weights = rng.standard_normal((batch, steps, 5 if model == "bilstm" else 4))
+
+                def run(make):
+                    for t in tensors:
+                        t.grad = None
+                    out = make(seq)
+                    ad.backward(ad.tensor_sum(ad.mul(out, weights)))
+                    return [out.data, *(t.grad for t in tensors)]
+
+                for got, want in zip(run(build), run(oracle)):
+                    np.testing.assert_allclose(got, want, rtol=1e-12,
+                                               atol=1e-12 * np.abs(want).max(),
+                                               err_msg=(batch, steps, extra))
 
 
 def _bilstm_bits(layer, pset, seq):
